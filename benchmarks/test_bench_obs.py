@@ -166,21 +166,26 @@ class TestSamplerOverhead:
         assert line.startswith("query.LBC")
 
 
-class TestDiagnosticsOverhead:
-    def test_events_and_recorder_under_five_percent(self, workloads, tmp_path):
-        """The post-hoc diagnostics plane (wide-event emit + flight-ring
-        append per query) must stay within 5 % of tracing-only.  On
-        failure, a flight-record dump is written to ``$REPRO_FLIGHT_DIR``
-        so CI retains the evidence."""
+class TestCompletionOverhead:
+    def test_sinks_under_five_percent(self, workloads, tmp_path):
+        """One completion record per query, sent through the service's
+        own fan-out (``QueryService._publish``: wide-event emit, insight
+        hub, flight ring, dump triggers — the code ``_finish`` runs),
+        must stay within 5 % of tracing-only.  On failure, a
+        flight-record dump is written to ``$REPRO_FLIGHT_DIR`` so CI
+        retains the evidence."""
         import os
 
-        from repro.obs import EventLog, FlightRecorder, wide_event
+        from repro.obs import Completion
 
         network = workloads.network("NA")
         source = workloads.queries("NA", 1, seed=3)[0]
-        log = EventLog(str(tmp_path / "bench-events.jsonl"))
-        recorder = FlightRecorder(
-            ring=64, dump_dir=os.environ.get("REPRO_FLIGHT_DIR")
+        service = QueryService(
+            workloads.workspace("AU"),
+            workers=1,
+            event_log_path=str(tmp_path / "bench-events.jsonl"),
+            flight_dir=os.environ.get("REPRO_FLIGHT_DIR"),
+            slow_threshold_s=float("inf"),
         )
 
         def traced():
@@ -190,123 +195,58 @@ class TestDiagnosticsOverhead:
                     pass
             return root
 
-        def diagnosed():
+        def published():
             root = traced()
-            log.emit(
-                wide_event(
+            service._publish(
+                Completion(
                     request_id=0,
                     algorithm="bench",
                     outcome="completed",
                     trace_id=root.trace_id,
                     latency_s=root.duration_s,
                     span_duration_s=root.duration_s,
-                    counters={
-                        k: v for k, v in root.totals().items()
-                        if isinstance(v, (int, float))
-                    },
+                    engine_backend="dijkstra",
+                    query_count=1,
+                    counters=root.totals(),
+                    span=root,
                 )
             )
-            recorder.record(root, latency_s=root.duration_s)
 
-        traced(), diagnosed()  # warm caches and code paths
+        traced(), published()  # warm caches and code paths
         rounds = 7
         base = float("inf")
         instrumented = float("inf")
         for _ in range(rounds):
             base = min(base, _min_of(traced, 1))
-            instrumented = min(instrumented, _min_of(diagnosed, 1))
-        log.close()
+            instrumented = min(instrumented, _min_of(published, 1))
+        service.close()
         overhead = (instrumented - base) / base
-        if overhead >= 0.05 and os.environ.get("REPRO_FLIGHT_DIR"):
-            recorder.dump(
+        stats = service.stats_dict()
+        if overhead >= 0.05:
+            service.recorder.dump(
                 "bench_overhead",
                 force=True,
                 extra={
                     "overhead": overhead,
                     "tracing_only_s": base,
-                    "diagnosed_s": instrumented,
-                    "event_log": log.stats(),
+                    "published_s": instrumented,
+                    "event_log": stats["events"],
                 },
             )
         assert overhead < 0.05, (
-            f"diagnostics overhead {overhead:.1%} "
+            f"completion-sink overhead {overhead:.1%} "
             f"(tracing-only {base * 1e3:.2f}ms, "
-            f"events+recorder {instrumented * 1e3:.2f}ms)"
+            f"+sinks {instrumented * 1e3:.2f}ms)"
         )
-        # Nothing was shed while measuring: the writer kept up.
-        assert log.dropped == 0
-
-
-class TestInsightOverhead:
-    def test_live_digests_under_five_percent(self, workloads, tmp_path):
-        """The live insight hub (one ``observe`` per finished query —
-        a cohort lookup plus three sketch inserts under one lock) must
-        stay within 5 % of the diagnostics plane it rides on."""
-        from repro.insight import InsightHub
-        from repro.obs import EventLog, FlightRecorder, wide_event
-
-        network = workloads.network("NA")
-        source = workloads.queries("NA", 1, seed=3)[0]
-        log = EventLog(str(tmp_path / "bench-events.jsonl"))
-        recorder = FlightRecorder(ring=64)
-        hub = InsightHub()
-
-        def traced():
-            with tracing.span("bench.expansion") as root:
-                expander = DijkstraExpander(network, source)
-                while expander.expand_next() is not None:
-                    pass
-            return root
-
-        def diagnosed():
-            root = traced()
-            counters = {
-                k: v for k, v in root.totals().items()
-                if isinstance(v, (int, float))
-            }
-            log.emit(
-                wide_event(
-                    request_id=0,
-                    algorithm="bench",
-                    outcome="completed",
-                    trace_id=root.trace_id,
-                    latency_s=root.duration_s,
-                    span_duration_s=root.duration_s,
-                    counters=counters,
-                )
-            )
-            recorder.record(root, latency_s=root.duration_s)
-            return root, counters
-
-        def insighted():
-            root, counters = diagnosed()
-            hub.observe(
-                algorithm="bench",
-                backend="dijkstra",
-                query_count=1,
-                outcome="completed",
-                latency_s=root.duration_s,
-                counters=counters,
-            )
-
-        diagnosed(), insighted()  # warm caches and code paths
-        rounds = 7
-        base = float("inf")
-        instrumented = float("inf")
-        for _ in range(rounds):
-            base = min(base, _min_of(diagnosed, 1))
-            instrumented = min(instrumented, _min_of(insighted, 1))
-        log.close()
-        overhead = (instrumented - base) / base
-        assert overhead < 0.05, (
-            f"insight overhead {overhead:.1%} "
-            f"(diagnostics-only {base * 1e3:.2f}ms, "
-            f"+insight {instrumented * 1e3:.2f}ms)"
-        )
-        # The hub really digested the measured traffic, boundedly.
-        assert hub.observed >= rounds + 1
-        report = hub.report()
-        cohort = report["cohorts"]["bench/dijkstra/|Q|[1,2)/completed"]
+        # Every sink really took the records, and none raised.
+        assert stats["telemetry_errors"] == 0
+        assert stats["events"]["dropped"] == 0
+        assert stats["events"]["written"] == rounds + 1
+        assert service.recorder.ring_size == rounds + 1
+        cohort = service.insight_report()["cohorts"][
+            "bench/dijkstra/|Q|[1,2)/completed"
+        ]
+        assert cohort["count"] == rounds + 1
         assert cohort["latency_s"]["p99"] > 0.0
         assert not cohort["collapsed"]
 

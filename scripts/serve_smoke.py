@@ -9,6 +9,9 @@ mutations), then shuts it down with SIGTERM.  Fails loudly if:
 * ``/statsz`` does not parse or lacks the advertised keys,
 * ``/metricsz`` is not valid Prometheus text, contains a duplicate
   metric family, or lacks the serving-path families,
+* ``/slowlogz`` lists a record that is not a completed query at or over
+  its threshold (the server runs with ``--slow-threshold-s 0`` so the
+  view is never empty),
 * no JSON traces are exported on shutdown (the server runs with
   ``--trace-dir``),
 * ``/insightz`` shows no observed queries, or ``repro insight
@@ -139,7 +142,7 @@ def check_metricsz(url: str, artifact_dir: str) -> None:
     required = {
         "repro_service_requests_total",
         "repro_service_queue_depth",
-        "repro_service_request_latency_seconds",
+        "repro_insight_latency_seconds",
         "repro_buffer_reads_total",
         "repro_buffer_hit_ratio",
         "repro_engine_memo_events_total",
@@ -175,6 +178,7 @@ def main() -> int:
                 sys.executable, "-m", "repro.cli", "serve",
                 net_path, obj_path, "--port", "0", "--workers", "4",
                 "--trace-dir", trace_dir, "--event-log", event_log,
+                "--slow-threshold-s", "0",
             ],
             stdout=subprocess.PIPE,
             stderr=subprocess.STDOUT,
@@ -254,7 +258,19 @@ def main() -> int:
                 slowlog = json.loads(r.read())
             with open(os.path.join(artifact_dir, "slowlogz.json"), "w") as h:
                 json.dump(slowlog, h, indent=1)
-            print(f"smoke: slowlogz ok — slow_count={slowlog['slow_count']}")
+            records = slowlog["records"]
+            if not records:
+                raise SystemExit(f"/slowlogz is empty at threshold 0: {slowlog}")
+            for record in records:
+                if (
+                    record["outcome"] != "completed"
+                    or record["latency_s"] < slowlog["threshold_s"]
+                ):
+                    raise SystemExit(f"/slowlogz record not slow: {record}")
+            print(
+                f"smoke: slowlogz ok — slow_count={slowlog['slow_count']} "
+                f"records={len(records)}"
+            )
 
             with urllib.request.urlopen(url + "/insightz", timeout=30) as r:
                 insight = json.loads(r.read())

@@ -173,15 +173,12 @@ def run_experiment(
     config: ExperimentConfig,
     algorithms: Sequence[SkylineAlgorithm],
     cache: WorkloadCache | None = None,
-    tracer=None,
 ) -> dict[str, AggregateStats]:
     """Run every algorithm over ``config.trials`` query draws.
 
     Each (trial, algorithm) run starts with a cold buffer; all
     algorithms of a trial see the same query points.  Returns averages
-    keyed by algorithm name.  Pass a :class:`repro.obs.Tracer` to
-    retain every measured run's span tree (e.g. to export slow trials
-    alongside the figure data).
+    keyed by algorithm name.
     """
     if cache is None:
         cache = shared_cache()
@@ -201,9 +198,6 @@ def run_experiment(
             workspace.reset_io(cold=True)
             result = algorithm.run(workspace, queries)
             collected[algorithm.name].append(result.stats)
-            if tracer is not None and result.trace is not None:
-                result.trace.attributes["trial"] = trial
-                tracer.finish(result.trace)
             # All algorithms must agree — a free correctness check on
             # every measured point.
             ids = result.object_ids()

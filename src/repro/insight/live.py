@@ -3,10 +3,13 @@
 The offline analyzer answers questions about logs that already exist;
 the :class:`InsightHub` answers the same questions about the queries
 finishing *right now*.  :meth:`QueryService._finish
-<repro.service.service.QueryService>` feeds every finished query into
-:meth:`InsightHub.observe`; ``GET /insightz`` serves
-:meth:`InsightHub.report`, and the service bridges headline numbers
-into ``/metricsz`` gauges.
+<repro.service.service.QueryService>` hands every finished query's
+:class:`~repro.obs.events.Completion` to :meth:`InsightHub.observe`;
+``GET /insightz`` serves :meth:`InsightHub.report`, and the service
+bridges headline numbers into ``/metricsz`` gauges.  The hub's
+``completed`` latency sketches are also the service's only latency
+aggregator: ``/statsz`` percentiles and the latency SLO read their
+merge (:meth:`InsightHub.merged_latency`).
 
 Memory is fixed by construction: one :class:`~repro.insight.sketch.
 QuantileSketch` per (cohort × tracked signal), and cohort cardinality
@@ -24,10 +27,11 @@ match exact offline aggregation within the sketch's ``alpha``.
 from __future__ import annotations
 
 import threading
-from typing import Callable, Mapping
+from typing import Callable
 
 from repro.insight.cohort import cohort_key
 from repro.insight.sketch import DEFAULT_ALPHA, QuantileSketch
+from repro.obs.events import Completion
 
 LIVE_SCHEMA = "repro-insight-live"
 LIVE_SCHEMA_VERSION = 1
@@ -44,9 +48,10 @@ _PAGES_SUFFIX = "_pages"
 class _CohortDigests:
     """The rolling sketches of one cohort (guarded by the hub lock)."""
 
-    __slots__ = ("count", "latency", "counters")
+    __slots__ = ("outcome", "count", "latency", "counters")
 
-    def __init__(self, alpha: float) -> None:
+    def __init__(self, alpha: float, outcome: str) -> None:
+        self.outcome = outcome
         self.count = 0
         self.latency = QuantileSketch(alpha)
         self.counters = {name: QuantileSketch(alpha) for name in TRACKED_COUNTERS}
@@ -69,22 +74,18 @@ class InsightHub:
 
     # -- hot path ------------------------------------------------------
 
-    def observe(
-        self,
-        *,
-        algorithm: str,
-        backend: str,
-        query_count: int,
-        outcome: str,
-        latency_s: float,
-        counters: Mapping[str, float] | None = None,
-    ) -> str:
+    def observe(self, record: Completion) -> str:
         """Fold one finished query into its cohort's digests.
 
         Returns the cohort key (callers bridge it into metric labels).
         """
-        key = cohort_key(algorithm, backend, query_count, outcome)
-        counters = counters or {}
+        key = cohort_key(
+            record.algorithm,
+            record.engine_backend,
+            record.query_count,
+            record.outcome,
+        )
+        counters = record.counters
         settled = float(counters.get("nodes_settled", 0) or 0)
         pages = 0.0
         for name, value in counters.items():
@@ -94,12 +95,12 @@ class InsightHub:
         with self._lock:
             digests = self._cohorts.get(key)
             if digests is None:
-                digests = _CohortDigests(self.alpha)
+                digests = _CohortDigests(self.alpha, record.outcome)
                 self._cohorts[key] = digests
                 created = True
             digests.count += 1
             self._observed += 1
-            digests.latency.insert(max(0.0, float(latency_s)))
+            digests.latency.insert(max(0.0, float(record.latency_s)))
             digests.counters["nodes_settled"].insert(max(0.0, settled))
             digests.counters["page_misses"].insert(max(0.0, pages))
         if created and self._on_new_cohort is not None:
@@ -131,16 +132,18 @@ class InsightHub:
                 return 0.0
             return digests.latency.quantile(q)
 
-    def merged_latency(self) -> QuantileSketch:
-        """All cohorts' latency digests merged into one sketch.
+    def merged_latency(self, outcome: str | None = None) -> QuantileSketch:
+        """The latency digests of every cohort (or of every cohort with
+        ``outcome``) merged into one sketch.
 
         Merging is exact (bucket-wise), so this equals the sketch of
-        every latency ever observed — the service-wide rollup.
+        every latency those cohorts observed — the service-wide rollup.
         """
         merged = QuantileSketch(self.alpha)
         with self._lock:
             for digests in self._cohorts.values():
-                merged.merge(digests.latency)
+                if outcome is None or digests.outcome == outcome:
+                    merged.merge(digests.latency)
         return merged
 
     def report(self) -> dict:

@@ -139,7 +139,7 @@ class QuantileSketch:
         if value <= self.zero_threshold:
             self._zero_count += weight
             return
-        index = math.ceil(math.log(value) / self._log_gamma)
+        index = self._index(value)
         self._buckets[index] = self._buckets.get(index, 0) + weight
         if len(self._buckets) > self.max_buckets:
             self._collapse()
@@ -162,8 +162,30 @@ class QuantileSketch:
 
     # -- queries -------------------------------------------------------
 
+    def _index(self, value: float) -> int:
+        """The bucket holding ``value > 0``: ``(gamma**(i-1), gamma**i]``."""
+        return math.ceil(math.log(value) / self._log_gamma)
+
     def _bucket_value(self, index: int) -> float:
         return 2.0 * self._gamma**index / (self._gamma + 1.0)
+
+    def count_at_most(self, threshold: float) -> int:
+        """How many values are at or below ``threshold`` snapped up to
+        the upper bound of its bucket.
+
+        The bound is less than ``gamma = (1 + alpha) / (1 - alpha)``
+        times the threshold (about 1.02x at the default alpha), and the
+        count is exact when the threshold sits on a bucket bound.  The
+        zero bucket always counts.  After a collapse, thresholds inside
+        the folded low range undercount.
+        """
+        if threshold < 0.0:
+            return 0
+        count = self._zero_count
+        if threshold > self.zero_threshold:
+            top = self._index(threshold)
+            count += sum(n for i, n in self._buckets.items() if i <= top)
+        return count
 
     def quantile(self, q: float) -> float:
         """The nearest-rank ``q``-quantile, within relative ``alpha``."""

@@ -16,32 +16,34 @@ package exactly once, in one of three shapes:
   :class:`~repro.core.stats.QueryStats`: the per-query totals are read
   off the query's root span, so span sums and stats totals reconcile
   exactly by construction.
-* **Slow-query log** (:mod:`repro.obs.slowlog`) — threshold-filtered,
-  reservoir-sampled records of the worst requests a service answered.
+* **Completion records** (:mod:`repro.obs.events`) — one immutable
+  :class:`Completion` per finished query, the record every per-query
+  sink reads.
 
-PR 8 adds the *post-hoc* diagnostics plane on the same substrate:
+The post-hoc diagnostics plane sits on the same substrate:
 
-* **Wide events** (:mod:`repro.obs.events`) — one canonical JSONL
-  record per query through a bounded-queue async writer with size
+* **Wide events** (:mod:`repro.obs.events`) — each completion record
+  as one JSONL line, through a bounded-queue async writer with size
   rotation and exact emitted/written/dropped accounting.
 * **Flight recorder** (:mod:`repro.obs.recorder`) — an always-on ring
-  of recent completed traces plus triggered black-box dumps (in-flight
-  span trees, thread stacks) and a stall watchdog over the in-flight
-  query registry.
+  of recent completion records (the only store of retained traces:
+  ``/slowlogz`` and ``--trace-dir`` read it) plus triggered black-box
+  dumps (in-flight span trees, thread stacks) and a stall watchdog over
+  the in-flight query registry.
 * **SLO monitor** (:mod:`repro.obs.slo`) — declarative latency and
   availability objectives evaluated as multi-window burn rates over
-  histogram snapshots (``GET /sloz``).
+  cumulative ``(good, total)`` samples (``GET /sloz``).
 
 Layering: ``obs`` sits below everything (stdlib only); storage, index,
 engine, core and service all call *into* it and never the reverse.
 """
 
 from repro.obs.events import (
+    Completion,
     EventLog,
     EventReader,
     iter_events,
     read_events,
-    wide_event,
 )
 from repro.obs.metrics import (
     DEFAULT_LATENCY_BUCKETS,
@@ -73,12 +75,9 @@ from repro.obs.slo import (
     BurnWindow,
     Objective,
     SLOMonitor,
-    histogram_good_total,
 )
-from repro.obs.slowlog import SlowQueryLog, SlowQueryRecord
 from repro.obs.tracing import (
     Span,
-    Tracer,
     activate,
     active_roots,
     active_span_of_thread,
@@ -96,6 +95,7 @@ __all__ = [
     "DEFAULT_WINDOWS",
     "METRIC_FAMILIES",
     "BurnWindow",
+    "Completion",
     "EventLog",
     "EventReader",
     "FlightRecorder",
@@ -110,10 +110,7 @@ __all__ = [
     "is_registered_counter_key",
     "is_registered_metric_family",
     "is_registered_span_name",
-    "SlowQueryLog",
-    "SlowQueryRecord",
     "Span",
-    "Tracer",
     "activate",
     "active_roots",
     "active_span_of_thread",
@@ -121,7 +118,6 @@ __all__ = [
     "current_span",
     "format_flight_record",
     "format_trace",
-    "histogram_good_total",
     "install_signal_dump",
     "iter_events",
     "latest_flight_record",
@@ -132,5 +128,4 @@ __all__ = [
     "span",
     "suppressed",
     "thread_stacks",
-    "wide_event",
 ]

@@ -1,13 +1,17 @@
-"""Wide-event query log: one canonical JSONL record per query.
+"""The per-query completion record and the wide-event log it feeds.
 
-Metrics aggregate and traces sample; the *wide event* is the durable
-per-query record in between — everything known about one request
-(metadata, outcome, every span-derived cost counter, batch/group id,
-trace id) flattened into a single JSON line, so "what happened to that
-query last night?" is one ``grep`` away and joins against traces and
-the slow-query log by ``trace_id``.
+A :class:`Completion` is everything known about one finished request
+(metadata, outcome, both latency clocks, every span-derived cost
+counter, batch/group id, trace id, and the finished request span).
+The service builds exactly one per query and hands the same object to
+every per-query sink: the wide-event log below, the live insight hub
+(:mod:`repro.insight.live`) and the flight-recorder ring
+(:mod:`repro.obs.recorder`).  Its :meth:`Completion.to_event` form is
+the *wide event*: the record flattened into a single JSON line, so
+"what happened to that query last night?" is one ``grep`` away and
+joins against traces and flight dumps by ``trace_id``.
 
-Design constraints, in order:
+Design constraints of the log, in order:
 
 * **The serving hot path never blocks on disk.**  :meth:`EventLog.emit`
   is a bounded-queue handoff to a dedicated writer thread; when the
@@ -18,13 +22,14 @@ Design constraints, in order:
 * **Bounded disk.**  The writer rotates the file by size
   (``events.jsonl`` → ``events.jsonl.1`` → …), keeping a fixed number
   of rotated generations.
-* **Reconciliation by construction.**  The event's ``counters`` block
+* **Reconciliation by construction.**  The record's ``counters`` block
   is built from the *same* :class:`~repro.core.stats.QueryStats` the
   client response carries (see ``QueryStats.counter_fields``), so the
   event and the stats row cannot drift apart.
 
 ``obs`` is a standalone foundation package: this module knows nothing
-about the service or the core layer — callers hand it plain dicts.
+about the service or the core layer — callers fill the record with
+plain values.
 """
 
 from __future__ import annotations
@@ -34,7 +39,10 @@ import os
 import queue
 import threading
 import time
-from typing import Any, Iterator
+from dataclasses import dataclass, field
+from typing import Any, Iterator, Mapping
+
+from repro.obs.tracing import Span
 
 WIDE_EVENT_VERSION = 1
 
@@ -45,64 +53,82 @@ DEFAULT_ROTATE_KEEP = 3
 _NUMBER_TYPES = (int, float)
 
 
-def wide_event(
-    *,
-    request_id: int | str,
-    algorithm: str,
-    outcome: str,
-    trace_id: str | None = None,
-    ts: float | None = None,
-    latency_s: float = 0.0,
-    span_duration_s: float = 0.0,
-    batch_id: int | None = None,
-    engine_backend: str = "",
-    query_count: int = 0,
-    query_nodes: list | None = None,
-    skyline_count: int = 0,
-    candidate_count: int = 0,
-    counters: dict[str, float] | None = None,
-    error: str | None = None,
-    extras: dict[str, Any] | None = None,
-    event: str = "query",
-) -> dict[str, Any]:
-    """Assemble one canonical wide event (plain JSON-serialisable dict).
+@dataclass(frozen=True, slots=True)
+class Completion:
+    """One finished query, as every per-query sink sees it.
 
-    ``counters`` values must be numbers — they are the span-derived
-    cost counters and downstream consumers sum them; a non-numeric
-    value fails here, at the producer, not in some 3am log query.
+    Two clocks, deliberately kept apart: ``latency_s`` runs from
+    admission to completion (queue wait included), ``span_duration_s``
+    is the algorithm's own execution time (``QueryStats.total_response_s``;
+    0.0 for queries that never produced an answer).  ``ts`` is a wall
+    stamp for correlating with external logs.  ``span`` is the finished
+    request span; it is retained by the flight recorder but never
+    serialised into the event.
     """
-    checked: dict[str, float] = {}
-    for key, value in (counters or {}).items():
-        if not isinstance(key, str) or not key:
-            raise TypeError(f"counter keys must be non-empty str, got {key!r}")
-        if isinstance(value, bool) or not isinstance(value, _NUMBER_TYPES):
-            raise TypeError(
-                f"counters[{key!r}] must be a number, got {type(value).__name__}"
+
+    request_id: int | str
+    algorithm: str
+    outcome: str
+    trace_id: str | None = None
+    ts: float = field(default_factory=time.time)
+    latency_s: float = 0.0
+    span_duration_s: float = 0.0
+    batch_id: int | None = None
+    engine_backend: str = ""
+    query_count: int = 0
+    query_nodes: list = field(default_factory=list)
+    skyline_count: int = 0
+    candidate_count: int = 0
+    counters: Mapping[str, float] = field(default_factory=dict)
+    error: str | None = None
+    extras: Mapping[str, Any] | None = None
+    event: str = "query"
+    span: Span | None = field(default=None, compare=False, repr=False)
+
+    def to_event(self) -> dict[str, Any]:
+        """The canonical wide event (a plain JSON-serialisable dict).
+
+        ``counters`` values must be numbers — they are the span-derived
+        cost counters and downstream consumers sum them; a non-numeric
+        value fails here, at the producer, not in some 3am log query.
+        """
+        checked: dict[str, float] = {}
+        for key, value in self.counters.items():
+            if not isinstance(key, str) or not key:
+                raise TypeError(
+                    f"counter keys must be non-empty str, got {key!r}"
+                )
+            if isinstance(value, bool) or not isinstance(value, _NUMBER_TYPES):
+                raise TypeError(
+                    f"counters[{key!r}] must be a number, "
+                    f"got {type(value).__name__}"
+                )
+            checked[key] = (
+                int(value) if float(value).is_integer() else float(value)
             )
-        checked[key] = int(value) if float(value).is_integer() else float(value)
-    record: dict[str, Any] = {
-        "event": event,
-        "v": WIDE_EVENT_VERSION,
-        "ts": time.time() if ts is None else ts,
-        "request_id": request_id,
-        "algorithm": algorithm,
-        "outcome": outcome,
-        "trace_id": trace_id,
-        "batch_id": batch_id,
-        "engine_backend": engine_backend,
-        "latency_s": latency_s,
-        "span_duration_s": span_duration_s,
-        "query_count": query_count,
-        "query_nodes": list(query_nodes or []),
-        "skyline_count": skyline_count,
-        "candidate_count": candidate_count,
-        "counters": checked,
-    }
-    if error is not None:
-        record["error"] = error
-    if extras:
-        record["extras"] = dict(extras)
-    return record
+        record: dict[str, Any] = {
+            "event": self.event,
+            "v": WIDE_EVENT_VERSION,
+            "ts": self.ts,
+            "request_id": self.request_id,
+            "algorithm": self.algorithm,
+            "outcome": self.outcome,
+            "trace_id": self.trace_id,
+            "batch_id": self.batch_id,
+            "engine_backend": self.engine_backend,
+            "latency_s": self.latency_s,
+            "span_duration_s": self.span_duration_s,
+            "query_count": self.query_count,
+            "query_nodes": list(self.query_nodes),
+            "skyline_count": self.skyline_count,
+            "candidate_count": self.candidate_count,
+            "counters": checked,
+        }
+        if self.error is not None:
+            record["error"] = self.error
+        if self.extras:
+            record["extras"] = dict(self.extras)
+        return record
 
 
 class EventLog:

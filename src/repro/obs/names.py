@@ -137,7 +137,6 @@ METRIC_FAMILIES = frozenset(
         "repro_service_batches_total",
         "repro_service_mutations_total",
         "repro_service_slow_queries_total",
-        "repro_service_request_latency_seconds",
         "repro_service_batch_size",
         # Diagnostics plane (repro.service.service over repro.obs.events
         # / recorder / slo): wide-event lifecycle accounting, in-flight
@@ -152,7 +151,8 @@ METRIC_FAMILIES = frozenset(
         # the wide-event writer's bounded queue, scraped at collect time.
         "repro_event_log_queue_depth",
         # Insight plane (repro.service.service over repro.insight.live):
-        # per-cohort rolling latency quantiles and observation counts.
+        # per-cohort latency quantiles (the only latency family) and
+        # observation counts.
         "repro_insight_latency_seconds",
         "repro_insight_queries_total",
     }

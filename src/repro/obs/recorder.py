@@ -2,14 +2,19 @@
 
 Three cooperating pieces, all stdlib:
 
-* :class:`FlightRecorder` — a bounded ring of recently *completed*
-  trace trees (one deque append per query; serialisation is deferred
-  to dump time) plus :meth:`FlightRecorder.dump`, which writes a
-  single self-contained JSON *flight record*: the ring contents, every
-  *in-flight* query's live span tree (via the registry below and the
-  per-thread active-span mirror in :mod:`repro.obs.tracing`), and a
+* :class:`FlightRecorder` — a bounded ring of recently *finished*
+  queries' :class:`~repro.obs.events.Completion` records (one deque
+  append per query; serialisation is deferred to dump time) plus
+  :meth:`FlightRecorder.dump`, which writes a single self-contained
+  JSON *flight record*: the ring contents, every *in-flight* query's
+  live span tree (via the registry below and the per-thread
+  active-span mirror in :mod:`repro.obs.tracing`), and a
   ``sys._current_frames`` stack snapshot of every thread.  Triggers
   are the caller's business: slow query, error, SIGUSR2, watchdog.
+  The ring is the service's only store of retained traces: the slow
+  view (:meth:`FlightRecorder.slow_records`, served at ``/slowlogz``)
+  and the ``--trace-dir`` export (:meth:`FlightRecorder.export_traces`)
+  both read it.
 * :class:`InFlightTable` — the registry of admitted-but-unfinished
   queries (root span + progress bookkeeping) that the watchdog scans
   and ``GET /debugz`` renders.
@@ -38,6 +43,7 @@ from collections import deque
 from typing import Any, Callable
 
 import repro.obs.tracing as tracing
+from repro.obs.events import Completion
 from repro.obs.tracing import Span
 
 FLIGHT_RECORD_VERSION = 1
@@ -250,16 +256,20 @@ class StallWatchdog:
             entry.stalled = True
             flagged.append(entry)
         if flagged:
-            with self._lock:
-                self._stalls += len(flagged)
-            if self.on_stall is not None:
-                for entry in flagged:
-                    self.on_stall(entry)
+            # Count only once the callbacks (the stall dumps) are done, so
+            # a reader that sees the count also sees what it triggered.
+            try:
+                if self.on_stall is not None:
+                    for entry in flagged:
+                        self.on_stall(entry)
+            finally:
+                with self._lock:
+                    self._stalls += len(flagged)
         return flagged
 
 
 class FlightRecorder:
-    """Ring of recent completed traces + triggered black-box dumps."""
+    """Ring of recent completion records + triggered black-box dumps."""
 
     def __init__(
         self,
@@ -276,7 +286,7 @@ class FlightRecorder:
         self.inflight = inflight
         self.min_dump_interval_s = min_dump_interval_s
         self._clock = clock
-        self._ring: deque[dict[str, Any]] = deque(maxlen=ring)
+        self._ring: deque[Completion] = deque(maxlen=ring)
         self._lock = threading.Lock()
         self._dumps = 0
         self._dumps_suppressed = 0
@@ -285,27 +295,39 @@ class FlightRecorder:
 
     # -- always-on side ------------------------------------------------
 
-    def record(
-        self,
-        span: Span,
-        *,
-        outcome: str = "ok",
-        latency_s: float = 0.0,
-    ) -> None:
-        """Retain one completed trace root (one deque append, no
-        serialisation — dumps pay that cost, not queries)."""
-        entry = {
-            "span": span,
-            "outcome": outcome,
-            "latency_s": latency_s,
-            "wall_time": time.time(),
-        }
+    def record(self, completion: Completion) -> None:
+        """Retain one finished query (one deque append, no
+        serialisation — dumps and exports pay that cost, not queries)."""
         with self._lock:
-            self._ring.append(entry)
+            self._ring.append(completion)
 
-    def ring_entries(self) -> list[dict[str, Any]]:
+    def ring_entries(self) -> list[Completion]:
         with self._lock:
             return list(self._ring)
+
+    def slow_records(self, threshold_s: float) -> list[Completion]:
+        """Retained ``completed`` records at or over ``threshold_s``,
+        slowest first (the ``/slowlogz`` view)."""
+        slow = [
+            entry
+            for entry in self.ring_entries()
+            if entry.outcome == "completed" and entry.latency_s >= threshold_s
+        ]
+        return sorted(slow, key=lambda entry: -entry.latency_s)
+
+    def export_traces(self, directory: str) -> list[str]:
+        """Write each retained span as ``trace-<trace_id>.json`` (the
+        format ``repro trace --last`` renders); returns the paths."""
+        os.makedirs(directory, exist_ok=True)
+        paths: list[str] = []
+        for entry in self.ring_entries():
+            if entry.span is None:
+                continue
+            path = os.path.join(directory, f"trace-{entry.span.trace_id}.json")
+            with open(path, "w", encoding="utf-8") as handle:
+                json.dump(entry.span.to_dict(), handle, indent=1)
+            paths.append(path)
+        return paths
 
     @property
     def ring_size(self) -> int:
@@ -329,17 +351,17 @@ class FlightRecorder:
     ) -> dict[str, Any]:
         """The full flight record as a dict (no file written)."""
         now = self._clock()
-        ring = []
-        for entry in self.ring_entries():
-            span: Span = entry["span"]
-            ring.append(
-                {
-                    "outcome": entry["outcome"],
-                    "latency_s": entry["latency_s"],
-                    "wall_time": entry["wall_time"],
-                    "trace": safe_span_dict(span),
-                }
-            )
+        ring = [
+            {
+                "outcome": entry.outcome,
+                "latency_s": entry.latency_s,
+                "wall_time": entry.ts,
+                "trace": (
+                    safe_span_dict(entry.span) if entry.span is not None else {}
+                ),
+            }
+            for entry in self.ring_entries()
+        ]
         inflight = []
         if self.inflight is not None:
             inflight = [

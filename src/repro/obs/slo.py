@@ -2,9 +2,9 @@
 
 An :class:`Objective` states a promise ("99% of queries finish within
 250ms", "99.9% of queries succeed").  The :class:`SLOMonitor` samples
-cumulative ``(good, total)`` pairs from caller-supplied sources — for
-latency these come straight from a ``/metricsz`` histogram snapshot
-via :func:`histogram_good_total` — and evaluates each objective with
+cumulative ``(good, total)`` pairs from caller-supplied sources — the
+service reads latency straight from its latency sketch
+(``QuantileSketch.count_at_most``) — and evaluates each objective with
 the standard SRE *multi-window burn rate* test:
 
     burn = bad_fraction / error_budget,   error_budget = 1 - target
@@ -24,7 +24,6 @@ drive it.
 
 from __future__ import annotations
 
-import math
 import threading
 import time
 from typing import Any, Callable, NamedTuple
@@ -100,25 +99,6 @@ class _Tracked:
         self.objective = objective
         self.source = source
         self.history: list[_Sample] = []
-
-
-def histogram_good_total(
-    histogram, threshold_s: float
-) -> tuple[float, float]:
-    """``(good, total)`` from a cumulative latency histogram child.
-
-    "Good" is the cumulative count of the smallest bucket whose bound
-    is >= ``threshold_s`` — i.e. requests at or under the threshold,
-    up to bucket granularity.  A threshold beyond the largest finite
-    bucket counts everything as good (and is almost certainly a
-    misconfiguration; pick a threshold on a bucket bound).
-    """
-    cumulative, _total_sum, count = histogram.snapshot()
-    bounds = [*histogram.bounds, math.inf]
-    for bound, cum in zip(bounds, cumulative):
-        if bound >= threshold_s:
-            return float(cum), float(count)
-    return float(count), float(count)
 
 
 class SLOMonitor:
@@ -199,27 +179,37 @@ class SLOMonitor:
                 break
         return chosen
 
-    def burn_rate(
-        self, name: str, window_s: float, *, now: _Sample | None = None
+    @classmethod
+    def _burn(
+        cls,
+        tracked: _Tracked,
+        history: list[_Sample],
+        now: _Sample,
+        window_s: float,
     ) -> float:
-        """Burn rate for one objective over the trailing ``window_s``.
+        """Burn rate over the ``window_s`` of history ending at ``now``.
 
         0.0 when no traffic arrived in the window (no data is not an
         outage; availability burn needs failures, not silence).
         """
+        base = cls._baseline(history, now.at - window_s)
+        total = now.total - base.total
+        if total <= 0:
+            return 0.0
+        bad_fraction = max(0.0, (total - (now.good - base.good)) / total)
+        return bad_fraction / tracked.objective.error_budget
+
+    def burn_rate(
+        self, name: str, window_s: float, *, now: _Sample | None = None
+    ) -> float:
+        """Burn rate for one objective over the trailing ``window_s``."""
         with self._lock:
             tracked = self._tracked[name]
             history = list(tracked.history)
         if now is None:
             now = self._sample(tracked)
             history.append(now)
-        base = self._baseline(history, now.at - window_s)
-        total = now.total - base.total
-        good = now.good - base.good
-        if total <= 0:
-            return 0.0
-        bad_fraction = max(0.0, (total - good) / total)
-        return bad_fraction / tracked.objective.error_budget
+        return self._burn(tracked, history, now, window_s)
 
     def report(self) -> dict[str, Any]:
         """Full evaluation of every objective (fresh samples taken)."""
@@ -231,36 +221,24 @@ class SLOMonitor:
             with self._lock:
                 history = list(entry.history)
             window_reports: list[dict[str, Any]] = []
-            violating = False
             for window in self.windows:
-                burns = {}
-                for label, span in (
-                    ("long", window.long_s),
-                    ("short", window.short_s),
-                ):
-                    base = self._baseline(history, now.at - span)
-                    total = now.total - base.total
-                    good = now.good - base.good
-                    if total <= 0:
-                        burns[label] = 0.0
-                        continue
-                    bad = max(0.0, (total - good) / total)
-                    burns[label] = bad / entry.objective.error_budget
+                long_burn = self._burn(entry, history, now, window.long_s)
+                short_burn = self._burn(entry, history, now, window.short_s)
                 window_violating = (
-                    burns["long"] >= window.max_burn
-                    and burns["short"] >= window.max_burn
+                    long_burn >= window.max_burn
+                    and short_burn >= window.max_burn
                 )
-                violating = violating or window_violating
                 window_reports.append(
                     {
                         "long_s": window.long_s,
                         "short_s": window.short_s,
                         "max_burn": window.max_burn,
-                        "long_burn": round(burns["long"], 4),
-                        "short_burn": round(burns["short"], 4),
+                        "long_burn": round(long_burn, 4),
+                        "short_burn": round(short_burn, 4),
                         "violating": window_violating,
                     }
                 )
+            violating = any(w["violating"] for w in window_reports)
             payload = entry.objective.to_dict()
             payload.update(
                 {

@@ -21,20 +21,16 @@ landmark-table build triggered by the first A*+landmarks query — runs
 under :func:`suppressed`, which detaches the ambient span for the
 duration.
 
-:class:`Tracer` retains finished traces (bounded deque), optionally
-samples, and serialises them as JSON files that ``repro trace`` can
-render back into a tree via :func:`format_trace`.
+:func:`format_trace` renders a tree (live, or loaded back from JSON
+via :meth:`Span.from_dict`) as indented text for ``repro trace``.
 """
 
 from __future__ import annotations
 
 import contextlib
-import json
-import os
 import threading
 import time
 import uuid
-from collections import deque
 from contextvars import ContextVar
 from typing import Any, Iterator
 
@@ -329,67 +325,6 @@ def suppressed() -> Iterator[None]:
     finally:
         _CURRENT.reset(token)
         _restore_active(ident, previous)
-
-
-# -- tracer: retention + export ---------------------------------------
-
-
-class Tracer:
-    """Retains finished root spans and writes them out as JSON.
-
-    ``sample_rate`` keeps every Nth trace (1 = all); ``retention`` is
-    the bounded in-memory deque size; ``export_dir`` (optional) gets a
-    ``trace-<trace_id>.json`` file per retained trace at save time.
-    """
-
-    def __init__(
-        self,
-        retention: int = 128,
-        sample_rate: int = 1,
-        export_dir: str | None = None,
-    ) -> None:
-        if sample_rate < 1:
-            raise ValueError("sample_rate must be >= 1")
-        self.sample_rate = sample_rate
-        self.export_dir = export_dir
-        self._traces: deque[Span] = deque(maxlen=retention)
-        self._seen = 0
-        self._lock = threading.Lock()
-
-    def finish(self, root: Span) -> None:
-        """Submit a finished root span for retention (thread-safe)."""
-        root.finish()
-        with self._lock:
-            self._seen += 1
-            if (self._seen - 1) % self.sample_rate == 0:
-                self._traces.append(root)
-
-    def traces(self) -> list[Span]:
-        with self._lock:
-            return list(self._traces)
-
-    def last(self) -> Span | None:
-        with self._lock:
-            return self._traces[-1] if self._traces else None
-
-    def save(self, directory: str | None = None) -> list[str]:
-        """Write retained traces as JSON files; returns the paths."""
-        directory = directory or self.export_dir
-        if directory is None:
-            raise ValueError("no export directory configured")
-        os.makedirs(directory, exist_ok=True)
-        paths: list[str] = []
-        for root in self.traces():
-            path = os.path.join(directory, f"trace-{root.trace_id}.json")
-            with open(path, "w") as handle:
-                json.dump(root.to_dict(), handle, indent=1)
-            paths.append(path)
-        return paths
-
-    @staticmethod
-    def load(path: str) -> Span:
-        with open(path) as handle:
-            return Span.from_dict(json.load(handle))
 
 
 # -- rendering --------------------------------------------------------

@@ -11,11 +11,15 @@ Turns the single-query library into a long-running server:
   isolation between queries (shared side) and mutations (exclusive
   side);
 * :class:`~repro.service.http.ServiceHTTPServer` — stdlib JSON
-  endpoint with ``/healthz`` and ``/statsz`` (the ``repro-serve``
-  entry point).
+  endpoint with ``/healthz``, ``/statsz`` and the telemetry views
+  (the ``repro-serve`` entry point).
 
-See the "Serving layer" section of ``docs/architecture.md`` for the
-request lifecycle (admit → snapshot → batch → execute → respond).
+Telemetry is one :class:`~repro.obs.events.Completion` per finished
+request, fanned out to the wide-event log, the insight hub (the only
+latency aggregator) and the flight-recorder ring (the only store of
+retained traces).  See the "Serving layer" section of
+``docs/architecture.md`` for the request lifecycle (admit → snapshot
+→ batch → execute → respond).
 """
 
 from repro.service.batching import (
@@ -33,7 +37,6 @@ from repro.service.errors import (
     ServiceError,
 )
 from repro.service.http import ServiceHTTPServer, run_serve
-from repro.service.metrics import LatencyRecorder
 from repro.service.service import (
     DEFAULT_BATCH_WINDOW_S,
     DEFAULT_MAX_BATCH,
@@ -57,7 +60,6 @@ __all__ = [
     "DEFAULT_WORKERS",
     "DeadlineExceeded",
     "ExecutionUnit",
-    "LatencyRecorder",
     "Overloaded",
     "PendingQuery",
     "QueryService",

@@ -15,11 +15,13 @@ one handler.  Routes:
   queue depth and worker saturation (one signal for load balancers
   and the stall watchdog alike).
 * ``GET /statsz``  — the service's full stats block (queue depth, shed
-  count, latency percentiles, batch and engine/buffer counters).
+  count, lifetime latency percentiles from the insight sketches, batch
+  and engine/buffer counters, telemetry sink errors).
 * ``GET /metricsz`` — the shared metric registry in Prometheus text
   exposition format (``text/plain; version=0.0.4``).
-* ``GET /slowlogz`` — the slow-query log: threshold, total slow count
-  and the reservoir-sampled records, slowest first.
+* ``GET /slowlogz`` — a view over the flight-recorder ring: threshold,
+  total slow count and the retained completed records at or over the
+  threshold, slowest first, as wide events.
 * ``GET /sloz``    — every declared objective's multi-window burn-rate
   verdict (see :mod:`repro.obs.slo`).
 * ``GET /debugz``  — live in-flight span trees, per-thread active
@@ -30,8 +32,9 @@ one handler.  Routes:
 
 Trace correlation: a client may send ``X-Repro-Trace-Id`` on
 ``POST /query``; the id is stamped onto the request's root span (and
-therefore into the wide event, the slow-query log and any flight
-record) and echoed back on the response, success or failure.
+therefore into its completion record: the wide event, the ring entry
+``/slowlogz`` shows, and any flight record) and echoed back on the
+response, success or failure.
 
 Typed service failures map onto status codes: ``Overloaded`` → 503
 (with ``Retry-After``), ``DeadlineExceeded`` → 504, ``BadRequest`` and
@@ -232,7 +235,7 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
                     "text/plain; version=0.0.4; charset=utf-8",
                 )
             elif self.path == "/slowlogz":
-                self._send_json(200, self.server.service.slow_queries.to_dict())
+                self._send_json(200, self.server.service.slowlog_dict())
             elif self.path == "/sloz":
                 self._send_json(200, self.server.service.slo_report())
             elif self.path == "/debugz":
@@ -356,11 +359,13 @@ def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--trace-dir", default=None,
-        help="export retained request traces as JSON here on shutdown",
+        help="on shutdown, export the flight ring's request traces as "
+        "JSON here",
     )
     parser.add_argument(
         "--slow-threshold-s", type=float, default=DEFAULT_SLOW_THRESHOLD_S,
-        help="requests slower than this land in the slow-query log",
+        help="completed requests at least this slow are listed at "
+        "/slowlogz and trigger a slow_query flight dump",
     )
     parser.add_argument(
         "--event-log", default=None,
@@ -409,7 +414,6 @@ def run_serve(args) -> int:
         default_timeout_s=args.timeout_s,
         max_batch=args.max_batch,
         slow_threshold_s=args.slow_threshold_s,
-        trace_export_dir=args.trace_dir,
         event_log_path=args.event_log,
         flight_dir=args.flight_dir,
         stall_deadline_s=args.stall_deadline_s,
@@ -438,7 +442,7 @@ def run_serve(args) -> int:
         server.server_close()
         service.close()
         if args.trace_dir:
-            paths = service.tracer.save(args.trace_dir)
+            paths = service.recorder.export_traces(args.trace_dir)
             print(f"saved {len(paths)} traces to {args.trace_dir}", flush=True)
         report = service.slo_report()
         for objective in report["objectives"]:

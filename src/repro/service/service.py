@@ -25,6 +25,15 @@ into a long-running server:
   :meth:`add_object`, :meth:`remove_object` take the workspace's write
   lock, so they wait for in-flight queries, apply atomically, and
   invalidate the engine exactly once.
+* **One completion record per query** — every finished request becomes
+  one immutable :class:`~repro.obs.events.Completion`, fanned out to
+  three sinks: the wide-event log (when configured), the
+  :class:`~repro.insight.live.InsightHub` (the only latency aggregator:
+  ``/statsz``, ``/sloz`` and ``/metricsz`` read its sketches) and the
+  flight-recorder ring (the only store of retained traces:
+  ``/slowlogz`` and ``--trace-dir`` read it).  A sink that raises is
+  counted in ``/statsz`` ``telemetry_errors``; the client is answered
+  regardless.
 
 The service is transport-agnostic; :mod:`repro.service.http` puts a
 JSON endpoint in front of it.
@@ -33,6 +42,7 @@ JSON endpoint in front of it.
 from __future__ import annotations
 
 import itertools
+import logging
 import threading
 import time
 from collections import deque
@@ -43,23 +53,19 @@ from repro.core import ALL_ALGORITHMS, NaiveSkyline, Workspace
 from repro.core.result import SkylineResult
 from repro.network.graph import NetworkLocation
 from repro.obs import (
-    DEFAULT_LATENCY_BUCKETS,
     DEFAULT_WINDOWS,
     BurnWindow,
+    Completion,
     EventLog,
     FlightRecorder,
     InFlightTable,
     Objective,
     SLOMonitor,
-    SlowQueryLog,
     Span,
     StallWatchdog,
-    Tracer,
-    histogram_good_total,
-    wide_event,
 )
 from repro.obs import tracing
-from repro.insight import DIGEST_QUANTILES, InsightHub
+from repro.insight import DIGEST_QUANTILES, InsightHub, QuantileSketch
 from repro.service.batching import BatchPlanner, ServiceRequest, execute_plan
 from repro.service.errors import (
     BadRequest,
@@ -67,7 +73,8 @@ from repro.service.errors import (
     Overloaded,
     ServiceClosed,
 )
-from repro.service.metrics import LatencyRecorder
+
+_log = logging.getLogger(__name__)
 
 SERVICE_ALGORITHMS: Mapping[str, type] = {
     cls.name: cls for cls in (*ALL_ALGORITHMS, NaiveSkyline)
@@ -133,8 +140,6 @@ class QueryService:
         batch_window_s: float = DEFAULT_BATCH_WINDOW_S,
         algorithms: Mapping[str, type] | None = None,
         slow_threshold_s: float = DEFAULT_SLOW_THRESHOLD_S,
-        trace_retention: int = 128,
-        trace_export_dir: str | None = None,
         event_log: EventLog | None = None,
         event_log_path: str | None = None,
         flight_dir: str | None = None,
@@ -146,7 +151,6 @@ class QueryService:
         slo_latency_threshold_s: float = DEFAULT_SLO_LATENCY_THRESHOLD_S,
         slo_availability_target: float = DEFAULT_SLO_AVAILABILITY_TARGET,
         slo_observe_interval_s: float = DEFAULT_SLO_OBSERVE_INTERVAL_S,
-        insight_enabled: bool = True,
     ) -> None:
         if workers < 1:
             raise ValueError(f"need at least one worker, got {workers}")
@@ -180,12 +184,8 @@ class QueryService:
         self._batches = 0
         self._batched_requests = 0
         self._busy_workers = 0
-
-        self.latency = LatencyRecorder()
-        self.tracer = Tracer(
-            retention=trace_retention, export_dir=trace_export_dir
-        )
-        self.slow_queries = SlowQueryLog(threshold_s=slow_threshold_s)
+        self._slow = 0
+        self._telemetry_errors = 0
 
         # Diagnostics plane: wide events, flight recorder, watchdog, SLO
         # monitor.  The service owns their lifecycle (close() tears them
@@ -210,13 +210,17 @@ class QueryService:
         self.slo = SLOMonitor(windows=slo_windows)
         self._slo_latency_threshold_s = slo_latency_threshold_s
 
-        # Insight plane: rolling per-cohort latency/settled/page-miss
-        # digests, served at /insightz and bridged into /metricsz.
-        self.insight = (
-            InsightHub(on_new_cohort=self._bridge_insight_cohort)
-            if insight_enabled
-            else None
-        )
+        # Insight plane: per-cohort latency/settled/page-miss digests,
+        # served at /insightz and bridged into /metricsz.
+        self.insight = InsightHub(on_new_cohort=self._bridge_insight_cohort)
+
+        # Every finished query's Completion goes to the three sinks (the
+        # event log when configured, the hub, the ring), then to the
+        # flight-dump triggers.
+        sinks = [self.insight.observe, self.recorder.record, self._dump]
+        if event_log is not None:
+            sinks.insert(0, lambda record: event_log.emit(record.to_event()))
+        self._sinks = tuple(sinks)
 
         # The service shares the workspace's registry so one /metricsz
         # scrape covers the whole stack: service -> engine -> buffers.
@@ -270,8 +274,9 @@ class QueryService:
 
         Everything already counted under ``_cond`` is bridged with
         scrape-time callbacks (zero hot-path cost, no double
-        bookkeeping); only the two histograms record inline, in
-        :meth:`_finish` and :meth:`_process` respectively.
+        bookkeeping), and so are the insight hub's per-cohort latency
+        quantiles; only the batch-size histogram records inline, in
+        :meth:`_process`.
         """
         registry = self.metrics
         outcomes = registry.counter(
@@ -314,15 +319,10 @@ class QueryService:
         )
         registry.register_callback(
             "repro_service_slow_queries_total",
-            lambda: float(self.slow_queries.slow_count),
+            lambda: float(self._slow),
             kind="counter",
             help_text="Completed requests over the slow-query threshold.",
         )
-        self._latency_hist = registry.histogram(
-            "repro_service_request_latency_seconds",
-            "End-to-end request latency, admission to completion.",
-            buckets=DEFAULT_LATENCY_BUCKETS,
-        ).labels()
         self._batch_size_hist = registry.histogram(
             "repro_service_batch_size",
             "Requests per executed batch plan.",
@@ -369,19 +369,17 @@ class QueryService:
                 "(the writer's bounded queue; sustained depth precedes "
                 "drops).",
             )
-        if self.insight is not None:
-            self._insight_latency_family = registry.gauge(
-                "repro_insight_latency_seconds",
-                "Rolling per-cohort latency quantiles from the insight "
-                "hub's mergeable sketches (relative error alpha; see "
-                "/insightz).",
-                labels=("cohort", "quantile"),
-            )
-            self._insight_queries_family = registry.counter(
-                "repro_insight_queries_total",
-                "Finished queries folded into each insight cohort.",
-                labels=("cohort",),
-            )
+        self._insight_latency_family = registry.gauge(
+            "repro_insight_latency_seconds",
+            "Per-cohort latency quantiles from the insight hub's "
+            "mergeable sketches (relative error alpha; see /insightz).",
+            labels=("cohort", "quantile"),
+        )
+        self._insight_queries_family = registry.counter(
+            "repro_insight_queries_total",
+            "Finished queries folded into each insight cohort.",
+            labels=("cohort",),
+        )
 
     def _register_slo_metrics(self) -> None:
         """One long-window burn-rate gauge per objective (scrape-time)."""
@@ -399,11 +397,20 @@ class QueryService:
 
     # -- diagnostics-plane sources and triggers ------------------------
 
+    def _completed_latency(self) -> QuantileSketch:
+        """Every completed query's latency, merged from the hub's
+        ``completed`` cohorts: the service's one latency aggregator."""
+        return self.insight.merged_latency(outcome="completed")
+
     def _latency_good_total(self) -> tuple[float, float]:
-        """Cumulative (within-threshold, all) latency observations."""
-        return histogram_good_total(
-            self._latency_hist, self._slo_latency_threshold_s
-        )
+        """Cumulative (within-threshold, all) completed-query latencies.
+
+        The threshold snaps up to the bound of its sketch bucket, at
+        most ``(1 + alpha) / (1 - alpha)`` times the threshold.
+        """
+        latency = self._completed_latency()
+        good = latency.count_at_most(self._slo_latency_threshold_s)
+        return float(good), float(latency.count)
 
     def _availability_good_total(self) -> tuple[float, float]:
         """Cumulative (succeeded, finished) request counts."""
@@ -429,9 +436,7 @@ class QueryService:
             )
 
     def insight_report(self) -> dict:
-        """The ``/insightz`` payload: live per-cohort rolling digests."""
-        if self.insight is None:
-            return {"enabled": False}
+        """The ``/insightz`` payload: live per-cohort digests."""
         return self.insight.report()
 
     def _on_stall(self, entry) -> None:
@@ -470,9 +475,9 @@ class QueryService:
         """Admit one request, or raise a typed rejection immediately.
 
         ``trace_id`` (optional, client-supplied) overrides the root
-        span's generated id so the whole tree — and every event, slow
-        record and flight dump derived from it — correlates with the
-        caller's own trace.
+        span's generated id so the whole tree — and the completion
+        record and any flight dump derived from it — correlates with
+        the caller's own trace.
         """
         if algorithm not in self.algorithms:
             raise BadRequest(
@@ -618,130 +623,115 @@ class QueryService:
     def _finish(
         self, pending: PendingQuery, outcome, batch_id: int | None = None
     ) -> None:
+        """Count the outcome, publish the query's one completion record,
+        then answer the client (sinks first, so a caller that reads any
+        telemetry view after ``query()`` returns sees its own query)."""
         request = pending.request
         self.inflight.deregister(request.request_id)
-        with self._cond:
-            if isinstance(outcome, DeadlineExceeded):
-                self._timed_out += 1
-            elif isinstance(outcome, BaseException):
-                self._failed += 1
-            else:
-                self._completed += 1
-        span = request.span
         latency_s = time.monotonic() - request.enqueued_at
-        if not isinstance(outcome, BaseException):
-            self.latency.record(latency_s)
-            self._latency_hist.observe(latency_s)
-            if span is not None:
-                self.slow_queries.offer(
-                    request_id=request.request_id,
-                    algorithm=request.algorithm,
-                    latency_s=latency_s,
-                    # Second clock: the span's own monotonic duration —
-                    # execution time without queueing, so a slow record
-                    # shows *where* the latency lived.
-                    span_duration_s=span.duration_s,
-                    query_nodes=[
-                        q.node_id if q.is_node else [q.edge_id, q.offset]
-                        for q in request.queries
-                    ],
-                    trace_id=span.trace_id,
-                    counters=span.totals(),
-                )
-        if span is not None:
-            span.attributes["outcome"] = (
-                type(outcome).__name__
-                if isinstance(outcome, BaseException)
-                else "ok"
-            )
-            self.tracer.finish(span)
-        self._emit_diagnostics(request, outcome, latency_s, batch_id)
-        pending._fulfill(outcome)
-
-    def _emit_diagnostics(
-        self, request, outcome, latency_s: float, batch_id: int | None
-    ) -> None:
-        """Wide event + flight-recorder ring entry + dump triggers."""
-        span = request.span
         if isinstance(outcome, DeadlineExceeded):
             label = "timed_out"
         elif isinstance(outcome, BaseException):
             label = "failed"
         else:
             label = "completed"
-        if isinstance(outcome, BaseException):
-            stats = None
-            counters = (
-                {
-                    k: v
-                    for k, v in span.totals().items()
-                    if isinstance(v, (int, float))
-                }
-                if span is not None
-                else {}
+        with self._cond:
+            if label == "completed":
+                self._completed += 1
+                if latency_s >= self.slow_threshold_s:
+                    self._slow += 1
+            elif label == "failed":
+                self._failed += 1
+            else:
+                self._timed_out += 1
+        span = request.span
+        span.attributes["outcome"] = (
+            "ok" if label == "completed" else type(outcome).__name__
+        )
+        span.finish()
+        try:
+            self._publish(
+                self._completion(request, outcome, label, latency_s, batch_id)
             )
-            error = f"{type(outcome).__name__}: {outcome}"
+        finally:
+            pending._fulfill(outcome)
+
+    @staticmethod
+    def _completion(
+        request: ServiceRequest,
+        outcome,
+        label: str,
+        latency_s: float,
+        batch_id: int | None,
+    ) -> Completion:
+        span = request.span
+        fields = {}
+        if isinstance(outcome, BaseException):
+            counters = span.totals()
+            fields["error"] = f"{type(outcome).__name__}: {outcome}"
         else:
-            # The same QueryStats object the client response
-            # carries — event-vs-stats reconciliation is exact by
-            # construction, not by parallel bookkeeping.
+            # The same QueryStats object the client response carries —
+            # record-vs-stats reconciliation is exact by construction,
+            # not by parallel bookkeeping.
             stats = outcome.stats
             counters = stats.counter_fields()
-            error = None
-        if self.insight is not None:
-            # Same cohort vocabulary and same counters the wide event
-            # carries, so live /insightz digests and offline analysis
-            # of the event log describe the same populations.
-            self.insight.observe(
-                algorithm=request.algorithm,
-                backend=stats.distance_backend if stats is not None else "",
-                query_count=len(request.queries),
-                outcome=label,
-                latency_s=latency_s,
-                counters=counters,
+            fields.update(
+                # Execution only: the span opened at admission, so its
+                # own duration would repeat latency_s.
+                span_duration_s=stats.total_response_s,
+                engine_backend=stats.distance_backend,
+                skyline_count=stats.skyline_count,
+                candidate_count=stats.candidate_count,
             )
-        if self.events is not None:
-            self.events.emit(
-                wide_event(
-                    request_id=request.request_id,
-                    algorithm=request.algorithm,
-                    outcome=label,
-                    trace_id=span.trace_id if span is not None else None,
-                    latency_s=latency_s,
-                    span_duration_s=(
-                        span.duration_s if span is not None else 0.0
-                    ),
-                    batch_id=batch_id,
-                    engine_backend=(
-                        stats.distance_backend if stats is not None else ""
-                    ),
-                    query_count=len(request.queries),
-                    query_nodes=[
-                        q.node_id if q.is_node else [q.edge_id, q.offset]
-                        for q in request.queries
-                    ],
-                    skyline_count=(
-                        stats.skyline_count if stats is not None else 0
-                    ),
-                    candidate_count=(
-                        stats.candidate_count if stats is not None else 0
-                    ),
-                    counters=counters,
-                    error=error,
+        return Completion(
+            request_id=request.request_id,
+            algorithm=request.algorithm,
+            outcome=label,
+            trace_id=span.trace_id,
+            latency_s=latency_s,
+            batch_id=batch_id,
+            query_count=len(request.queries),
+            query_nodes=[
+                q.node_id if q.is_node else [q.edge_id, q.offset]
+                for q in request.queries
+            ],
+            counters=counters,
+            span=span,
+            **fields,
+        )
+
+    def _publish(self, record: Completion) -> None:
+        """Hand one completion record to every sink in turn.
+
+        A sink that raises is logged and counted (``telemetry_errors``)
+        and the rest still run: telemetry must never cost a worker
+        thread or strand the request it describes.
+        """
+        for sink in self._sinks:
+            try:
+                sink(record)
+            except Exception:
+                _log.exception(
+                    "telemetry sink failed for request %s", record.request_id
                 )
-            )
-        if span is not None:
-            self.recorder.record(span, outcome=label, latency_s=latency_s)
-        if label == "failed":
+                with self._cond:
+                    self._telemetry_errors += 1
+
+    def _dump(self, record: Completion) -> None:
+        """Flight-dump triggers: a failed query, a slow completed one."""
+        if record.outcome == "failed":
             self.recorder.dump(
-                "error", extra={"request_id": request.request_id}
+                "error", extra={"request_id": record.request_id}
             )
-        elif label == "completed" and latency_s >= self.slow_threshold_s:
+        elif (
+            record.outcome == "completed"
+            and record.latency_s >= self.slow_threshold_s
+        ):
             self.recorder.dump(
                 "slow_query",
                 extra={
-                    "request_id": request.request_id,
-                    "latency_s": round(latency_s, 6),
+                    "request_id": record.request_id,
+                    "latency_s": round(record.latency_s, 6),
                 },
             )
 
@@ -823,6 +813,9 @@ class QueryService:
             }
             batches = self._batches
             batched_requests = self._batched_requests
+            slow_count = self._slow
+            telemetry_errors = self._telemetry_errors
+        latency = self._completed_latency()
         batch_block = {
             "executed": batches,
             "requests_batched": batched_requests,
@@ -843,7 +836,14 @@ class QueryService:
             "workers": len(self._threads),
             "queue": queue_block,
             "requests": requests_block,
-            "latency_s": self.latency.summary(),
+            # Lifetime completed-query latency, within the sketch's alpha.
+            "latency_s": {
+                "count": latency.count,
+                "mean_s": round(latency.mean, 6),
+                "p50_s": round(latency.quantile(0.50), 6),
+                "p95_s": round(latency.quantile(0.95), 6),
+                "p99_s": round(latency.quantile(0.99), 6),
+            },
             "batches": batch_block,
             "engine": ws.engine.cache_info() if ws.engine else {},
             "engine_nodes_settled": (
@@ -851,10 +851,13 @@ class QueryService:
             ),
             "buffers": buffers,
             "slow_queries": {
-                "threshold_s": self.slow_queries.threshold_s,
-                "count": self.slow_queries.slow_count,
-                "retained": len(self.slow_queries.records()),
+                "threshold_s": self.slow_threshold_s,
+                "count": slow_count,
+                "retained": len(
+                    self.recorder.slow_records(self.slow_threshold_s)
+                ),
             },
+            "telemetry_errors": telemetry_errors,
             "workspace_version": ws.version,
             "algorithms": sorted(self.algorithms),
             "inflight": self.inflight.count(),
@@ -930,3 +933,18 @@ class QueryService:
     def slo_report(self) -> dict:
         """The ``/sloz`` payload: every objective's burn-rate verdict."""
         return self.slo.report()
+
+    def slowlog_dict(self) -> dict:
+        """The ``/slowlogz`` payload: the threshold, every slow completed
+        query counted, and the flight ring's slow records, slowest
+        first, as wide events."""
+        with self._cond:
+            slow_count = self._slow
+        return {
+            "threshold_s": self.slow_threshold_s,
+            "slow_count": slow_count,
+            "records": [
+                record.to_event()
+                for record in self.recorder.slow_records(self.slow_threshold_s)
+            ],
+        }

@@ -169,12 +169,20 @@ def _write_trace_file(directory, name="trace-0001.json"):
 
 
 def _write_flight_record(directory):
-    from repro.obs import FlightRecorder, tracing
+    from repro.obs import Completion, FlightRecorder, tracing
 
     recorder = FlightRecorder(dump_dir=str(directory))
     with tracing.span("request.cli-test") as root:
         root.record("nodes_settled", 2.0)
-    recorder.record(root, outcome="completed", latency_s=0.01)
+    recorder.record(
+        Completion(
+            request_id=1,
+            algorithm="LBC",
+            outcome="completed",
+            latency_s=0.01,
+            span=root,
+        )
+    )
     path = recorder.dump("manual", force=True)
     assert path is not None
     return path

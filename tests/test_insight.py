@@ -5,6 +5,7 @@ service."""
 from __future__ import annotations
 
 import json
+import math
 import time
 
 import pytest
@@ -37,7 +38,7 @@ from repro.insight import (
     top_events,
 )
 from repro.insight.cli import main as insight_main
-from repro.obs import read_events, tracing
+from repro.obs import Completion, read_events, tracing
 from repro.service import QueryService
 from repro.service.service import SERVICE_ALGORITHMS
 
@@ -514,16 +515,19 @@ class TestLiveHub:
         hub._on_new_cohort = seen.append
         for i in range(20):
             hub.observe(
-                algorithm="EDC",
-                backend="dijkstra",
-                query_count=5,
-                outcome="completed",
-                latency_s=0.001 * (i + 1),
-                counters={
-                    "nodes_settled": 100 + i,
-                    "network_pages": 3,
-                    "index_pages": 2,
-                },
+                Completion(
+                    request_id=i,
+                    algorithm="EDC",
+                    engine_backend="dijkstra",
+                    query_count=5,
+                    outcome="completed",
+                    latency_s=0.001 * (i + 1),
+                    counters={
+                        "nodes_settled": 100 + i,
+                        "network_pages": 3,
+                        "index_pages": 2,
+                    },
+                )
             )
         key = cohort_key("EDC", "dijkstra", 5, "completed")
         assert hub.cohort_keys() == [key]
@@ -546,20 +550,25 @@ class TestLiveHub:
     def test_new_cohort_callback_fires_once_per_cohort(self):
         seen = []
         hub = InsightHub(on_new_cohort=seen.append)
-        for _ in range(3):
+        for i in range(3):
             hub.observe(
-                algorithm="CE",
-                backend="",
-                query_count=1,
-                outcome="failed",
-                latency_s=0.001,
+                Completion(
+                    request_id=i,
+                    algorithm="CE",
+                    query_count=1,
+                    outcome="failed",
+                    latency_s=0.001,
+                )
             )
         hub.observe(
-            algorithm="CE",
-            backend="astar",
-            query_count=1,
-            outcome="completed",
-            latency_s=0.001,
+            Completion(
+                request_id=3,
+                algorithm="CE",
+                engine_backend="astar",
+                query_count=1,
+                outcome="completed",
+                latency_s=0.001,
+            )
         )
         assert seen == [
             cohort_key("CE", "", 1, "failed"),
@@ -568,17 +577,20 @@ class TestLiveHub:
 
     def test_merged_latency_covers_all_cohorts(self):
         hub = InsightHub()
-        for algorithm in ("CE", "EDC"):
+        for algorithm, outcome in (("CE", "completed"), ("EDC", "failed")):
             for i in range(10):
                 hub.observe(
-                    algorithm=algorithm,
-                    backend="dijkstra",
-                    query_count=2,
-                    outcome="completed",
-                    latency_s=0.002 * (i + 1),
+                    Completion(
+                        request_id=i,
+                        algorithm=algorithm,
+                        engine_backend="dijkstra",
+                        query_count=2,
+                        outcome=outcome,
+                        latency_s=0.002 * (i + 1),
+                    )
                 )
-        merged = hub.merged_latency()
-        assert merged.count == 20
+        assert hub.merged_latency().count == 20
+        assert hub.merged_latency(outcome="completed").count == 10
 
 
 @pytest.fixture(scope="module")
@@ -685,16 +697,52 @@ class TestLiveOfflineAgreement:
             for key, cohort in live["cohorts"].items()
         }
 
-    def test_insight_disabled_service_answers_gracefully(self):
-        network = build_random_network(40, 20, seed=81)
-        objects = place_random_objects(network, 10, seed=82)
+
+class TestSingleLatencyAggregator:
+    """/statsz percentiles and the latency SLO read the hub's merged
+    ``completed`` sketch: lifetime counts, quantiles within alpha."""
+
+    def test_statsz_and_slo_agree_with_the_event_log(self, tmp_path):
+        network = build_random_network(90, 60, seed=91, detour_max=0.6)
+        objects = place_random_objects(network, 30, seed=92)
         workspace = Workspace.build(network, objects)
+        path = str(tmp_path / "events.jsonl")
+        threshold_s = 0.004
         service = QueryService(
-            workspace, workers=1, insight_enabled=False
+            workspace,
+            workers=2,
+            batch_window_s=0.0,
+            event_log_path=path,
+            slo_latency_threshold_s=threshold_s,
         )
+        queries = 12
         try:
-            assert service.insight_report() == {"enabled": False}
-            families = service.metrics.collect()
-            assert "repro_insight_queries_total" not in families
+            for i in range(queries):
+                service.query(
+                    ("LBC", "EDC", "CE")[i % 3],
+                    random_locations(network, 2 + i % 3, seed=300 + i),
+                )
+            stats = service.stats_dict()
+            slo = next(
+                o
+                for o in service.slo_report()["objectives"]
+                if o["name"] == "latency"
+            )
+            merged = service.insight.merged_latency(outcome="completed")
         finally:
             service.close()
+        latencies = sorted(e["latency_s"] for e in read_events(path))
+        assert stats["latency_s"]["count"] == queries == slo["total"]
+        alpha = merged.alpha
+        for key, q in (("p50_s", 0.5), ("p95_s", 0.95), ("p99_s", 0.99)):
+            exact = exact_quantile(latencies, q)
+            assert abs(stats["latency_s"][key] - exact) <= alpha * exact + 1e-6
+        # Good counts snap the threshold up to its bucket's bound and are
+        # otherwise exact, for the configured threshold and any other.
+        gamma = (1.0 + alpha) / (1.0 - alpha)
+        for threshold in (threshold_s, *latencies):
+            bound = gamma ** math.ceil(math.log(threshold) / math.log(gamma))
+            assert threshold <= bound < threshold * gamma
+            exact_good = sum(1 for v in latencies if v <= bound)
+            assert merged.count_at_most(threshold) == exact_good
+        assert slo["good"] == merged.count_at_most(threshold_s)

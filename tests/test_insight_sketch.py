@@ -1,5 +1,5 @@
-"""QuantileSketch: the documented error bound, exact merging, bounded
-memory under collapse, and JSON round-trips."""
+"""QuantileSketch: the documented error bound, exact merging, threshold
+counts, bounded memory under collapse, and JSON round-trips."""
 
 from __future__ import annotations
 
@@ -110,6 +110,56 @@ class TestMerge:
     def test_alpha_mismatch_refuses_to_merge(self):
         with pytest.raises(ValueError, match="alpha"):
             QuantileSketch(0.01).merge(QuantileSketch(0.02))
+
+
+class TestCountAtMost:
+    """The latency SLO's good count: values at or under the threshold
+    snapped up to its bucket's bound.  The bucket holding 1.0 is
+    ``(1/gamma, 1.0]`` exactly, since ``log(1.0) == 0``."""
+
+    def test_exact_at_a_bucket_bound(self):
+        sketch = QuantileSketch()
+        sketch.extend([0.5, 0.99, 1.0, 1.005, 1.5, 3.0])
+        assert sketch.count_at_most(1.0) == 3
+
+    def test_threshold_snaps_up_to_its_bucket_bound(self):
+        # 0.995 shares 1.0's bucket, so 1.0 counts as good; the bound it
+        # snaps to stays under gamma times the threshold.
+        sketch = QuantileSketch()
+        sketch.extend([0.5, 0.99, 1.0, 1.005])
+        assert sketch.count_at_most(0.995) == 3
+        gamma = (1.0 + DEFAULT_ALPHA) / (1.0 - DEFAULT_ALPHA)
+        assert 1.0 < 0.995 * gamma
+
+    def test_threshold_beyond_every_value_counts_everything(self):
+        sketch = QuantileSketch()
+        sketch.extend([0.001, 0.2, 5.0])
+        assert sketch.count_at_most(99.0) == 3
+        assert sketch.count_at_most(-1.0) == 0
+
+    def test_zero_bucket_is_exact(self):
+        sketch = QuantileSketch()
+        sketch.extend([0.0] * 4 + [0.5] * 2)
+        assert sketch.count_at_most(0.0) == 4
+        assert sketch.count_at_most(0.1) == 4
+        assert sketch.count_at_most(0.5) == 6
+
+    def test_empty_sketch_counts_nothing(self):
+        assert QuantileSketch().count_at_most(1.0) == 0
+
+    def test_merge_equals_concatenation(self):
+        rng = random.Random(17)
+        a_values = [rng.lognormvariate(-4.0, 1.5) for _ in range(600)]
+        b_values = [rng.uniform(0.0, 0.5) for _ in range(400)]
+        a, b, combined = QuantileSketch(), QuantileSketch(), QuantileSketch()
+        a.extend(a_values)
+        b.extend(b_values)
+        combined.extend(a_values + b_values)
+        a.merge(b)
+        for threshold in (0.0, 0.001, 0.01, 0.1, 0.25, 1.0, 10.0):
+            assert a.count_at_most(threshold) == combined.count_at_most(
+                threshold
+            )
 
 
 class TestBoundedMemory:

@@ -1,4 +1,4 @@
-"""The telemetry subsystem: metrics, tracing, slow-query log.
+"""The telemetry subsystem: metrics, tracing, the slow-query view.
 
 Unit coverage for :mod:`repro.obs` plus the integration contracts the
 rest of the stack relies on:
@@ -20,11 +20,10 @@ import pytest
 
 from repro.core import CE, EDC, LBC, LBCRoundRobin, Workspace
 from repro.obs import (
-    DEFAULT_LATENCY_BUCKETS,
+    Completion,
+    FlightRecorder,
     MetricRegistry,
-    SlowQueryLog,
     Span,
-    Tracer,
     format_trace,
     parse_prometheus_text,
     tracing,
@@ -197,22 +196,6 @@ class TestTracing:
         with tracing.activate(None):
             assert tracing.current_span() is None
 
-    def test_tracer_retention_and_save(self, tmp_path):
-        tracer = Tracer(retention=2)
-        for i in range(3):
-            with tracing.span(f"q{i}") as root:
-                tracing.record("pages", i)
-            tracer.finish(root)
-        kept = tracer.traces()
-        assert [s.name for s in kept] == ["q1", "q2"]
-        paths = tracer.save(str(tmp_path))
-        assert len(paths) == 2
-        loaded = Tracer.load(paths[-1])
-        assert loaded.name == "q2"
-        assert loaded.total("pages") == 2
-        payload = json.loads(open(paths[-1]).read())
-        assert payload["trace_id"] == kept[-1].trace_id
-
     def test_format_trace_aggregates_siblings(self):
         with tracing.span("query.LBC", algorithm="LBC") as root:
             for _ in range(3):
@@ -271,50 +254,63 @@ class TestTracing:
 
 
 # ----------------------------------------------------------------------
-# Slow-query log
+# Slow-query log: /slowlogz's view over the flight-recorder ring
 # ----------------------------------------------------------------------
+def completion(request_id, latency_s, outcome="completed", **fields):
+    return Completion(
+        request_id=request_id,
+        algorithm="LBC",
+        outcome=outcome,
+        latency_s=latency_s,
+        **fields,
+    )
+
+
 class TestSlowQueryLog:
     def test_threshold_filters(self):
-        log = SlowQueryLog(threshold_s=0.5)
-        assert not log.offer("r1", "LBC", 0.1)
-        assert log.offer("r2", "LBC", 0.9)
-        assert log.slow_count == 1
-        assert log.records()[0].request_id == "r2"
+        recorder = FlightRecorder()
+        recorder.record(completion("r1", 0.1))
+        recorder.record(completion("r2", 0.9))
+        recorder.record(completion("r3", 0.9, outcome="failed"))
+        assert [r.request_id for r in recorder.slow_records(0.5)] == ["r2"]
 
     def test_reservoir_bounds_memory(self):
-        log = SlowQueryLog(threshold_s=0.0, capacity=8, seed=42)
+        # The ring is the log's only store, so it bounds the records.
+        recorder = FlightRecorder(ring=8)
         for i in range(1000):
-            log.offer(f"r{i}", "CE", 1.0 + i * 1e-6)
-        assert log.slow_count == 1000
-        assert len(log.records()) == 8
+            recorder.record(completion(f"r{i}", 1.0 + i * 1e-6))
+        assert len(recorder.slow_records(0.0)) == 8
 
     def test_records_sorted_slowest_first(self):
-        log = SlowQueryLog(threshold_s=0.0, capacity=16)
+        recorder = FlightRecorder()
         for latency in (0.2, 0.9, 0.5):
-            log.offer("r", "CE", latency)
-        assert [r.latency_s for r in log.records()] == [0.9, 0.5, 0.2]
+            recorder.record(completion("r", latency))
+        assert [r.latency_s for r in recorder.slow_records(0.0)] == [
+            0.9, 0.5, 0.2,
+        ]
 
-    def test_to_dict_is_json_serialisable(self):
-        log = SlowQueryLog(threshold_s=0.0)
-        log.offer("r1", "LBC", 1.0, query_nodes=(3, 5),
-                  trace_id="abc", counters={"network_pages": 4.0})
-        payload = json.loads(json.dumps(log.to_dict()))
+    def test_to_dict_is_json_serialisable(self, small_service):
+        queries = random_locations(small_service.workspace.network, 2, seed=5)
+        small_service.query("LBC", queries)
+        payload = json.loads(json.dumps(small_service.slowlog_dict()))
+        assert payload["threshold_s"] == 0.0
         assert payload["slow_count"] == 1
-        assert payload["records"][0]["counters"]["network_pages"] == 4.0
+        (record,) = payload["records"]
+        assert record["outcome"] == "completed"
+        assert {"trace_id", "query_nodes", "counters"} <= set(record)
 
     def test_dual_clock_fields(self):
         # latency_s (queue wait + execution, monotonic) and
-        # span_duration_s (execution only, span clock) are distinct;
-        # wall_time is a wall-clock stamp for log correlation only.
-        log = SlowQueryLog(threshold_s=0.0)
-        log.offer("r1", "LBC", 0.8, span_duration_s=0.3)
-        record = log.records()[0]
+        # span_duration_s (execution only) are distinct; ts is a
+        # wall-clock stamp for log correlation only.
+        recorder = FlightRecorder()
+        recorder.record(completion("r1", 0.8, span_duration_s=0.3))
+        (record,) = recorder.slow_records(0.0)
         assert record.latency_s == 0.8
         assert record.span_duration_s == 0.3
         assert record.latency_s >= record.span_duration_s
-        assert record.wall_time > 1e9  # epoch seconds, not monotonic
-        payload = record.to_dict()
-        assert payload["span_duration_s"] == 0.3
+        assert record.ts > 1e9  # epoch seconds, not monotonic
+        assert record.to_event()["span_duration_s"] == 0.3
 
 
 # ----------------------------------------------------------------------
@@ -412,13 +408,15 @@ STATSZ_NUMERIC_FIELDS = {
     ("slow_queries", "threshold_s"),
     ("slow_queries", "count"),
     ("slow_queries", "retained"),
+    ("telemetry_errors",),
     ("workspace_version",),
 }
 
 SERVICE_FAMILIES = {
     "repro_service_requests_total",
     "repro_service_queue_depth",
-    "repro_service_request_latency_seconds",
+    "repro_insight_latency_seconds",
+    "repro_insight_queries_total",
     "repro_service_batch_size",
     "repro_service_slow_queries_total",
     "repro_buffer_reads_total",
@@ -484,25 +482,19 @@ def test_metricsz_parses_with_no_duplicate_families(small_service):
     )
     ratio = sample_value("repro_buffer_hit_ratio", pool="network")
     assert 0.0 <= ratio <= 1.0
-    # Latency histogram: count equals completed requests, buckets are
-    # cumulative up to +Inf.
-    lat = parsed["repro_service_request_latency_seconds"]
-    count = [v for n, _, v in lat["samples"]
-             if n == "repro_service_request_latency_seconds_count"]
-    assert count == [3.0]
-    inf_bucket = [
-        v for n, labels, v in lat["samples"]
-        if n.endswith("_bucket") and labels["le"] == "+Inf"
-    ]
-    assert inf_bucket == [3.0]
-    assert len(DEFAULT_LATENCY_BUCKETS) > 0
+    # Latency comes from the insight cohorts: their counts add up to
+    # the completed requests, each with three positive quantiles.
+    cohorts = parsed["repro_insight_queries_total"]["samples"]
+    assert sum(v for _, _, v in cohorts) == 3
+    latency = parsed["repro_insight_latency_seconds"]["samples"]
+    assert len(latency) == 3 * len(cohorts)
+    assert all(v > 0.0 for _, _, v in latency)
 
 
 def test_request_spans_cover_query_work(small_service):
     queries = random_locations(small_service.workspace.network, 2, seed=11)
     result = small_service.query("CE", queries)
-    trace = small_service.tracer.last()
-    assert trace is not None
+    trace = small_service.recorder.ring_entries()[-1].span
     assert trace.name == "request.CE"
     assert trace.attributes["outcome"] == "ok"
     children = [c.name for c in trace.children]
@@ -514,14 +506,14 @@ def test_request_spans_cover_query_work(small_service):
 
 def test_slow_query_log_captures_trace_ids(small_service):
     queries = random_locations(small_service.workspace.network, 2, seed=13)
-    small_service.query("LBC", queries)  # threshold 0.0 -> always slow
-    records = small_service.slow_queries.records()
-    assert records
-    record = records[0]
-    assert record.algorithm == "LBC"
-    assert record.trace_id
-    assert record.counters.get("nodes_settled", 0) > 0
-    # The service records both clocks: total latency from enqueue and
-    # the request span's own execution time.
-    assert record.span_duration_s > 0.0
-    assert record.latency_s >= record.span_duration_s
+    result = small_service.query("LBC", queries)  # threshold 0.0 -> slow
+    payload = small_service.slowlog_dict()
+    assert payload["slow_count"] == 1
+    (record,) = payload["records"]
+    assert record["algorithm"] == "LBC"
+    assert record["trace_id"] == result.stats.trace_id
+    assert record["counters"]["nodes_settled"] == result.stats.nodes_settled
+    # Both clocks: total latency from enqueue, and the execution time
+    # the client's stats row reports.
+    assert record["span_duration_s"] == result.stats.total_response_s
+    assert record["latency_s"] >= record["span_duration_s"] > 0.0

@@ -1,8 +1,10 @@
-"""Wide-event log: builder validation, rotation, backpressure, and
-service-level reconciliation against QueryStats."""
+"""Completion records and the wide-event log: event validation,
+rotation, backpressure, and service-level reconciliation against
+QueryStats."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import threading
@@ -19,18 +21,24 @@ from repro.core import Workspace
 from repro.core.stats import SPAN_COUNTER_FIELDS, QueryStats
 from repro.obs.events import (
     WIDE_EVENT_VERSION,
+    Completion,
     EventLog,
     EventReader,
     iter_events,
     read_events,
-    wide_event,
 )
+from repro.obs.tracing import Span
 from repro.service import QueryService
+
+
+def event_of(**fields):
+    """The wide event of a completion record built from ``fields``."""
+    return Completion(**fields).to_event()
 
 
 class TestWideEventBuilder:
     def test_canonical_shape(self):
-        event = wide_event(
+        event = event_of(
             request_id=7,
             algorithm="LBC",
             outcome="completed",
@@ -56,7 +64,7 @@ class TestWideEventBuilder:
         json.dumps(event)  # must be JSON-serialisable as built
 
     def test_error_and_extras_blocks_are_optional(self):
-        event = wide_event(
+        event = event_of(
             request_id=1,
             algorithm="CE",
             outcome="failed",
@@ -66,13 +74,29 @@ class TestWideEventBuilder:
         assert event["error"] == "ValueError: boom"
         assert event["extras"] == {"shard": 2}
 
+    def test_record_is_frozen_and_keeps_its_span_out_of_the_event(self):
+        span = Span("request.LBC")
+        span.finish()
+        record = Completion(
+            request_id=1, algorithm="LBC", outcome="completed", span=span
+        )
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            record.latency_s = 1.0
+        assert record.span is span
+        assert set(record.to_event()) == {
+            "event", "v", "ts", "request_id", "algorithm", "outcome",
+            "trace_id", "batch_id", "engine_backend", "latency_s",
+            "span_duration_s", "query_count", "query_nodes",
+            "skyline_count", "candidate_count", "counters",
+        }
+
     @pytest.mark.parametrize(
         "counters",
         [{"nodes_settled": "10"}, {"ok": True}, {"": 1}, {3: 1.0}],
     )
     def test_non_numeric_counters_rejected_at_the_producer(self, counters):
         with pytest.raises(TypeError):
-            wide_event(
+            event_of(
                 request_id=1,
                 algorithm="LBC",
                 outcome="completed",
@@ -86,7 +110,7 @@ class TestEventLog:
         with EventLog(path) as log:
             for i in range(20):
                 assert log.emit(
-                    wide_event(
+                    event_of(
                         request_id=i, algorithm="LBC", outcome="completed"
                     )
                 )
@@ -103,7 +127,7 @@ class TestEventLog:
         log = EventLog(path, rotate_bytes=600, rotate_keep=2)
         for i in range(40):
             log.emit(
-                wide_event(request_id=i, algorithm="LBC", outcome="completed")
+                event_of(request_id=i, algorithm="LBC", outcome="completed")
             )
         log.close()
         assert log.rotations > 0
@@ -124,13 +148,13 @@ class TestEventLog:
         path = str(tmp_path / "events.jsonl")
         log = EventLog(path)
         for i in range(10):
-            log.emit(wide_event(request_id=i, algorithm="CE", outcome="completed"))
+            log.emit(event_of(request_id=i, algorithm="CE", outcome="completed"))
         log.close()
         stats = log.stats()
         assert stats["emitted"] == stats["written"] + stats["dropped"]
         # Emits after close never block and are counted as drops.
         assert not log.emit(
-            wide_event(request_id=99, algorithm="CE", outcome="completed")
+            event_of(request_id=99, algorithm="CE", outcome="completed")
         )
         stats = log.stats()
         assert stats["emitted"] == stats["written"] + stats["dropped"]
@@ -156,7 +180,7 @@ class TestBackpressure:
         emitted = 20
         accepted = sum(
             log.emit(
-                wide_event(request_id=i, algorithm="LBC", outcome="completed")
+                event_of(request_id=i, algorithm="LBC", outcome="completed")
             )
             for i in range(emitted)
         )
@@ -179,7 +203,7 @@ class TestBackpressure:
         start = time.perf_counter()
         for i in range(100):
             log.emit(
-                wide_event(request_id=i, algorithm="LBC", outcome="completed")
+                event_of(request_id=i, algorithm="LBC", outcome="completed")
             )
         elapsed = time.perf_counter() - start
         assert elapsed < 1.0  # shedding, not stalling
@@ -233,15 +257,42 @@ class TestServiceReconciliation:
             assert event["candidate_count"] == stats.candidate_count
             assert event["query_count"] == stats.query_count
             assert event["batch_id"] is not None
-            assert event["latency_s"] >= event["span_duration_s"] * 0.0
+            assert event["latency_s"] >= event["span_duration_s"] > 0.0
+            assert event["span_duration_s"] == stats.total_response_s
             assert event["trace_id"] == stats.trace_id
+
+
+class TestDualClocks:
+    def test_span_duration_is_the_execution_clock(self, tmp_path):
+        """``latency_s`` includes queue wait; ``span_duration_s`` is the
+        algorithm's own run time, whatever the wait."""
+        network = build_random_network(60, 40, seed=23)
+        objects = place_random_objects(network, 15, seed=24)
+        workspace = Workspace.build(network, objects)
+        path = str(tmp_path / "events.jsonl")
+        service = QueryService(
+            workspace, workers=1, batch_window_s=0.0, event_log_path=path
+        )
+        try:
+            service.pause()
+            pending = service.submit(
+                "LBC", random_locations(network, 2, seed=9)
+            )
+            time.sleep(0.25)
+            service.resume()
+            result = pending.result(timeout=30)
+        finally:
+            service.close()
+        (event,) = read_events(path)
+        assert event["latency_s"] - event["span_duration_s"] >= 0.2
+        assert event["span_duration_s"] == result.stats.total_response_s
 
 
 def _write_log(path: str, count: int, start: int = 0) -> None:
     with EventLog(path) as log:
         for i in range(start, start + count):
             log.emit(
-                wide_event(request_id=i, algorithm="LBC", outcome="completed")
+                event_of(request_id=i, algorithm="LBC", outcome="completed")
             )
         log.flush()
 
@@ -300,7 +351,7 @@ class TestRotatedGenerationReading:
         log = EventLog(path, rotate_bytes=600, rotate_keep=3)
         for i in range(40):
             log.emit(
-                wide_event(request_id=i, algorithm="LBC", outcome="completed")
+                event_of(request_id=i, algorithm="LBC", outcome="completed")
             )
         log.close()
         assert log.rotations >= 2
@@ -365,7 +416,7 @@ class TestEventLogQueueDepth:
         assert log.queue_depth == 0
         for i in range(6):
             log.emit(
-                wide_event(request_id=i, algorithm="LBC", outcome="completed")
+                event_of(request_id=i, algorithm="LBC", outcome="completed")
             )
         # The wedged writer holds one record; the rest sit in the queue.
         assert log.queue_depth >= 4

@@ -1,6 +1,7 @@
-"""Flight recorder and stall watchdog: ring retention, dump contents,
-deterministic stall detection, and the end-to-end blocked-query path
-(watchdog flags it, the dump holds its live span tree + thread stacks).
+"""Flight recorder and stall watchdog: ring retention and trace export,
+dump contents, deterministic stall detection, the end-to-end
+blocked-query path (watchdog flags it, the dump holds its live span
+tree + thread stacks), and a raising telemetry sink.
 """
 
 from __future__ import annotations
@@ -13,10 +14,11 @@ import time
 import pytest
 
 from conftest import build_random_network, place_random_objects
-from repro.core import Workspace
+from repro.core import NaiveSkyline, Workspace
 from repro.core.result import SkylineResult
 from repro.core.stats import QueryStats
 from repro.obs import tracing
+from repro.obs.events import Completion
 from repro.obs.recorder import (
     FlightRecorder,
     InFlightTable,
@@ -31,6 +33,18 @@ from repro.obs.recorder import (
 from repro.obs.tracing import Span
 from repro.service import QueryService
 from repro.service.service import SERVICE_ALGORITHMS
+
+
+def finished(span: Span, outcome="completed", latency_s=0.0) -> Completion:
+    """The completion record of a request whose root span is ``span``."""
+    return Completion(
+        request_id=span.span_id,
+        algorithm="LBC",
+        outcome=outcome,
+        trace_id=span.trace_id,
+        latency_s=latency_s,
+        span=span,
+    )
 
 
 class TestInFlightTable:
@@ -117,9 +131,9 @@ class TestFlightRecorder:
         for i in range(10):
             span = Span("request.LBC")
             span.attributes["i"] = i
-            recorder.record(span, outcome="completed", latency_s=0.001 * i)
+            recorder.record(finished(span, latency_s=0.001 * i))
         assert recorder.ring_size == 4
-        kept = [e["span"].attributes["i"] for e in recorder.ring_entries()]
+        kept = [e.span.attributes["i"] for e in recorder.ring_entries()]
         assert kept == [6, 7, 8, 9]
 
     def test_dump_payload_contains_ring_inflight_and_stacks(self):
@@ -131,7 +145,7 @@ class TestFlightRecorder:
         recorder = FlightRecorder(ring=8, inflight=table)
         done = Span("request.CE")
         done.finish()
-        recorder.record(done, outcome="completed", latency_s=0.02)
+        recorder.record(finished(done, latency_s=0.02))
         payload = recorder.dump_payload("test", extra={"note": "hi"})
         assert payload["flight_record"] == 1
         assert payload["reason"] == "test"
@@ -154,7 +168,7 @@ class TestFlightRecorder:
 
     def test_dump_writes_a_loadable_file(self, tmp_path):
         recorder = FlightRecorder(dump_dir=str(tmp_path))
-        recorder.record(Span("request.LBC"), outcome="completed")
+        recorder.record(finished(Span("request.LBC")))
         path = recorder.dump("slow_query")
         assert path is not None and path.endswith(".json")
         payload = load_flight_record(path)
@@ -182,6 +196,23 @@ class TestFlightRecorder:
         recorder = FlightRecorder()
         assert recorder.dump("error") is None
         assert recorder.dump_count == 0
+
+    def test_ring_traces_export_and_load(self, tmp_path):
+        recorder = FlightRecorder(ring=2)
+        for i in range(3):
+            with tracing.span(f"q{i}") as root:
+                tracing.record("pages", i)
+            recorder.record(finished(root))
+        kept = [entry.span for entry in recorder.ring_entries()]
+        assert [s.name for s in kept] == ["q1", "q2"]
+        paths = recorder.export_traces(str(tmp_path))
+        assert len(paths) == 2
+        assert paths[-1].endswith(f"trace-{kept[-1].trace_id}.json")
+        with open(paths[-1]) as handle:
+            loaded = Span.from_dict(json.load(handle))
+        assert loaded.name == "q2"
+        assert loaded.total("pages") == 2
+        assert loaded.trace_id == kept[-1].trace_id
 
 
 class TestSafeSpanDict:
@@ -213,7 +244,7 @@ class TestFormatFlightRecord:
         recorder = FlightRecorder(inflight=table)
         done = Span("request.CE")
         done.finish()
-        recorder.record(done, outcome="completed", latency_s=0.5)
+        recorder.record(finished(done, latency_s=0.5))
         text = format_flight_record(recorder.dump_payload("stall"))
         assert "reason=stall" in text
         assert "recent completed traces (1):" in text
@@ -347,6 +378,43 @@ class TestServiceStallDetection:
         result = pending.result(timeout=10.0)
         assert result.stats.algorithm == "blocking"
         assert service.inflight.count() == 0
+
+
+class TestSinkFailure:
+    def test_raising_sink_neither_kills_the_worker_nor_strands_requests(
+        self, tmp_path
+    ):
+        # A flight dir that is a regular file makes every slow_query
+        # dump raise; the query must still be answered.
+        not_a_dir = tmp_path / "flight"
+        not_a_dir.write_text("")
+        network = build_random_network(60, 30, seed=13)
+        objects = place_random_objects(network, 10, seed=14)
+        workspace = Workspace.build(network, objects)
+        service = QueryService(
+            workspace,
+            workers=1,
+            batch_window_s=0.0,
+            default_timeout_s=2.0,
+            flight_dir=str(not_a_dir),
+            slow_threshold_s=0.0,
+        )
+        try:
+            nodes = sorted(network.node_ids())
+            for pair in (nodes[:2], nodes[2:4]):
+                locations = [network.location_at_node(n) for n in pair]
+                result = service.query("LBC", locations)
+                assert result.same_answer(
+                    NaiveSkyline().run(workspace, locations)
+                )
+            (worker,) = service._threads
+            assert worker.is_alive()
+            assert service.inflight.count() == 0
+            assert service.queue_depth() == 0
+            assert not service._active_keys
+            assert service.stats_dict()["telemetry_errors"] >= 1
+        finally:
+            service.close()
 
 
 @pytest.mark.skipif(

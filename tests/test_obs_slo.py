@@ -1,6 +1,7 @@
 """SLO burn-rate monitor: deterministic burn math under a fake clock,
-histogram bridging, and the service-level /sloz flip under an injected
-latency regression."""
+and the service-level /sloz flip under an injected latency regression.
+The latency source's sketch bridge (``QuantileSketch.count_at_most``)
+is covered in ``test_insight_sketch.py``."""
 
 from __future__ import annotations
 
@@ -14,13 +15,11 @@ from repro.core import Workspace
 from repro.core.result import SkylineResult
 from repro.core.stats import QueryStats
 from repro.obs import tracing
-from repro.obs.metrics import Histogram
 from repro.obs.slo import (
     DEFAULT_WINDOWS,
     BurnWindow,
     Objective,
     SLOMonitor,
-    histogram_good_total,
 )
 from repro.service import QueryService, ServiceHTTPServer
 from repro.service.service import SERVICE_ALGORITHMS
@@ -143,28 +142,6 @@ class TestBurnMath:
         monitor, source, _ = make_monitor()
         with pytest.raises(ValueError):
             monitor.add_objective(Objective("latency", target=0.5), source)
-
-
-class TestHistogramBridge:
-    def test_good_is_the_cumulative_count_at_the_threshold_bucket(self):
-        histogram = Histogram(buckets=(0.1, 0.25, 1.0))
-        for value in (0.05, 0.2, 0.5, 3.0):
-            histogram.observe(value)
-        good, total = histogram_good_total(histogram, 0.25)
-        assert (good, total) == (2.0, 4.0)
-        good, total = histogram_good_total(histogram, 0.1)
-        assert (good, total) == (1.0, 4.0)
-
-    def test_threshold_between_buckets_rounds_up(self):
-        histogram = Histogram(buckets=(0.1, 0.25, 1.0))
-        histogram.observe(0.2)
-        good, _ = histogram_good_total(histogram, 0.15)  # uses the 0.25 bucket
-        assert good == 1.0
-
-    def test_threshold_beyond_all_buckets_counts_everything(self):
-        histogram = Histogram(buckets=(0.1,))
-        histogram.observe(5.0)
-        assert histogram_good_total(histogram, 99.0) == (1.0, 1.0)
 
 
 class MolassesAlgorithm:

@@ -17,7 +17,6 @@ from repro.service import (
     BadRequest,
     BatchPlanner,
     DeadlineExceeded,
-    LatencyRecorder,
     Overloaded,
     QueryService,
     ReadWriteLock,
@@ -262,24 +261,6 @@ class TestReadWriteLock:
         lock = ReadWriteLock()
         with pytest.raises(RuntimeError):
             lock.release_write()
-
-
-class TestLatencyRecorder:
-    def test_percentiles_nearest_rank(self):
-        recorder = LatencyRecorder(window=100)
-        for value in [0.01, 0.02, 0.03, 0.04, 0.05, 0.06, 0.07, 0.08, 0.09, 0.10]:
-            recorder.record(value)
-        assert recorder.percentile(50) == pytest.approx(0.05)
-        assert recorder.percentile(95) == pytest.approx(0.10)
-        assert recorder.percentile(99) == pytest.approx(0.10)
-        assert recorder.count == 10
-        summary = recorder.summary()
-        assert set(summary) == {"count", "mean_s", "p50_s", "p95_s", "p99_s"}
-
-    def test_empty_recorder_reports_zero(self):
-        recorder = LatencyRecorder()
-        assert recorder.percentile(50) == 0.0
-        assert recorder.mean() == 0.0
 
 
 class TestWorkspaceSnapshotHooks:

@@ -266,9 +266,11 @@ class TestTraceIdPropagation:
         assert status == 200
         assert payload["trace_id"] == "client-trace-0042"
         assert headers["X-Repro-Trace-Id"] == "client-trace-0042"
-        # The retained trace tree carries the client's id end to end.
+        # The flight ring's retained trace tree carries the client's id
+        # end to end.
         trace_ids = {
-            root.trace_id for root in server.service.tracer.traces()
+            entry.span.trace_id
+            for entry in server.service.recorder.ring_entries()
         }
         assert "client-trace-0042" in trace_ids
 
