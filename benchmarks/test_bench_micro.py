@@ -1,14 +1,16 @@
-r"""Micro-benchmarks and ablations for the design choices DESIGN.md lists.
+r"""Micro-benchmarks for the design choices DESIGN.md lists.
 
-* **plb ablation** — LBC with vs without path-distance lower bounds
-  (the latter computes full distances per candidate, EDC-style);
-  isolates the second idea of Section 4.3.
 * **A\* vs Dijkstra** — point-to-point distance computation cost, the
   paper's explanation for EDC beating CE on response time (Section 6.3).
-* **buffer sensitivity** — network page misses under shrinking LRU
-  buffers (the paper's CE-thrashing effect).
 * **substrate ops** — R-tree NN streaming and B+-tree probes, the
   per-operation costs everything above is built from.
+* **replacement policy** — CE's page misses under LRU, FIFO and CLOCK.
+* **aggregate NN** — the plb transfer to aggregate nearest neighbours.
+* **engine cache** — warm vs cold distance engine (a CI assertion).
+
+The algorithm ablations (plb, LBC-lazy, CE strategy, buffer size, ALT
+backend) are the ``ablations`` suite of :mod:`repro.bench`, measured
+with counters and the answer check.
 """
 
 import pytest
@@ -17,19 +19,6 @@ from repro.core import LBC
 from repro.network import AStarExpander, DijkstraExpander, NetworkStore
 
 from conftest import attach_stats, run_cold
-
-
-class TestPlbAblation:
-    @pytest.mark.parametrize("use_plb", [True, False], ids=["plb", "noplb"])
-    def test_lbc_lower_bound_ablation(self, benchmark, workloads, use_plb):
-        """LBC's partial distance computation vs full per-candidate A*."""
-        workspace = workloads.workspace("NA", 0.50)
-        queries = workloads.queries("NA", 4)
-        algorithm = LBC(use_lower_bounds=use_plb)
-        result = benchmark.pedantic(
-            run_cold, args=(workspace, algorithm, queries), rounds=2, iterations=1
-        )
-        attach_stats(benchmark, result)
 
 
 class TestAStarVsDijkstra:
@@ -51,26 +40,6 @@ class TestAStarVsDijkstra:
 
         nodes, _ = benchmark(compute)
         benchmark.extra_info["nodes_settled"] = nodes
-
-
-class TestBufferSensitivity:
-    @pytest.mark.parametrize(
-        "buffer_kib", [64, 128, 256, 1024], ids=lambda k: f"{k}KiB"
-    )
-    def test_ce_page_misses_vs_buffer(self, benchmark, workloads, buffer_kib):
-        """CE's thrashing under shrinking buffers (LBC barely moves)."""
-        from repro.core import CE, Workspace
-
-        network = workloads.network("NA")
-        objects = workloads.workspace("NA", 0.50).objects
-        workspace = Workspace.build(
-            network, objects, paged=True, buffer_bytes=buffer_kib * 1024
-        )
-        queries = workloads.queries("NA", 4)
-        result = benchmark.pedantic(
-            run_cold, args=(workspace, CE(), queries), rounds=1, iterations=1
-        )
-        attach_stats(benchmark, result)
 
 
 class TestSubstrateOps:
@@ -154,26 +123,6 @@ class TestAggregateNNExtension:
         )
 
 
-class TestLandmarkHeuristic:
-    """ALT lower bounds vs the Euclidean heuristic (sparse network)."""
-
-    @pytest.mark.parametrize("heuristic", ["euclid", "landmarks"], ids=str)
-    def test_lbc_heuristic_comparison(self, benchmark, workloads, heuristic):
-        from repro.network import LandmarkHeuristic
-
-        workspace = workloads.workspace("CA", 0.50)
-        queries = workloads.queries("CA", 4)
-        if heuristic == "landmarks":
-            guide = LandmarkHeuristic(workspace.network, count=8, seed=1)
-            algorithm = LBC(heuristic=guide)
-        else:
-            algorithm = LBC()
-        result = benchmark.pedantic(
-            run_cold, args=(workspace, algorithm, queries), rounds=2, iterations=1
-        )
-        attach_stats(benchmark, result)
-
-
 class TestReplacementPolicy:
     """Page-replacement ablation: LRU (the paper's) vs FIFO vs CLOCK."""
 
@@ -193,23 +142,6 @@ class TestReplacementPolicy:
         queries = workloads.queries("NA", 4)
         result = benchmark.pedantic(
             run_cold, args=(workspace, CE(), queries), rounds=1, iterations=1
-        )
-        attach_stats(benchmark, result)
-
-
-class TestLazySourceBound:
-    """LBC vs LBC-lazy: lazily bounding the source dimension (ours)."""
-
-    @pytest.mark.parametrize("variant", ["eager", "lazy"], ids=str)
-    @pytest.mark.parametrize("network", ["CA", "NA"], ids=str)
-    def test_lbc_source_bound_ablation(self, benchmark, workloads, variant, network):
-        from repro.core import LBCLazy
-
-        workspace = workloads.workspace(network, 0.50)
-        queries = workloads.queries(network, 4)
-        algorithm = LBC() if variant == "eager" else LBCLazy()
-        result = benchmark.pedantic(
-            run_cold, args=(workspace, algorithm, queries), rounds=2, iterations=1
         )
         attach_stats(benchmark, result)
 
@@ -254,19 +186,3 @@ class TestEngineCache:
                 "warm_engine_hits": warm.stats.engine_hits,
             }
         )
-
-
-class TestCEStrategy:
-    """CE wavefront alternation: round-robin vs min-radius balancing."""
-
-    @pytest.mark.parametrize("strategy", ["round_robin", "min_radius"], ids=str)
-    def test_ce_strategy(self, benchmark, workloads, strategy):
-        from repro.core import CE
-
-        workspace = workloads.workspace("NA", 0.50)
-        queries = workloads.queries("NA", 4)
-        algorithm = CE(strategy=strategy)
-        result = benchmark.pedantic(
-            run_cold, args=(workspace, algorithm, queries), rounds=2, iterations=1
-        )
-        attach_stats(benchmark, result)

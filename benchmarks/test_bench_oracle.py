@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.runner import _run_query_workload
+from repro.bench import WorkloadCache, run_workload
 from repro.bench.suite import QueryWorkload
-from repro.experiments.harness import WorkloadCache
 
 SPEEDUP_FLOOR = 5
 
@@ -59,15 +58,15 @@ def cache() -> WorkloadCache:
 
 class TestPreprocessedState:
     def test_hublabel_beats_cold_by_5x(self, cache):
-        cold, _ = _run_query_workload(_workload("query/LBC/au/q4/cold"), cache)
-        warm_index, _ = _run_query_workload(
+        cold = run_workload(_workload("query/LBC/au/q4/cold"), cache)["counters"]
+        warm_index = run_workload(
             _workload(
                 "query/LBC/au/q4/preprocessed",
                 distance_backend="hublabel",
                 preprocessed=True,
             ),
             cache,
-        )
+        )["counters"]
         assert warm_index["skyline_count"] == cold["skyline_count"]
         assert warm_index["oracle_fallbacks"] == 0
         # The whole point of preprocessing: online search never runs.
@@ -79,7 +78,7 @@ class TestPreprocessedState:
         # Two repeats through the runner raise CounterDrift on any
         # mismatch; reaching the assertion means the oracle's page and
         # scan counters reproduced exactly.
-        counters, _ = _run_query_workload(
+        counters = run_workload(
             _workload(
                 "query/LBC/au/q4/preprocessed",
                 distance_backend="hublabel",
@@ -87,6 +86,6 @@ class TestPreprocessedState:
                 repeats=2,
             ),
             cache,
-        )
+        )["counters"]
         assert counters["oracle_label_entries"] > 0
         assert counters["oracle_pages"] > 0

@@ -46,9 +46,8 @@ LAYERS: dict[str, int] = {
     "service": 9,
     "extensions": 10,
     "viz": 10,
-    "experiments": 10,
     "analysis": 11,
-    "bench": 11,  # drives service + experiments; only the CLI is above
+    "bench": 11,  # drives core, datasets and service; only the CLI is above
     "cli": 12,
 }
 
@@ -77,7 +76,7 @@ class ArchLayerViolation(Rule):
         "import from a package at an equal or higher layer rank; the "
         "package DAG is obs/concurrency < geometry < columnar/storage "
         "< index < network < skyline < engine < core < datasets < "
-        "service < extensions/viz/experiments < analysis < cli"
+        "service < extensions/viz < analysis/bench < cli"
     )
 
     def check(self, info: ModuleInfo) -> Iterator[Finding]:

@@ -1,8 +1,14 @@
 """``python -m repro.bench`` / ``repro bench`` entry point.
 
-Exit codes: 0 = ran (and compared clean, if asked); 1 = deterministic
-counter regression against the baseline; 2 = usage error or unreadable
-baseline/artifact.
+Runs one suite, writes its ``BENCH_<rev>.json``, then prints the
+suite's views: the paper's figure tables and shape verdicts
+(``paper``, ``paper-quick``), the ablation tables (``ablations``) or
+the scaling report (``xl``, ``xl-smoke``).
+
+Exit codes: 0 = ran, every shape claim held (and compared clean, if
+asked); 1 = a shape claim failed, answers or counters disagreed, or a
+deterministic counter regressed against the baseline; 2 = usage error
+or unreadable baseline/artifact.
 """
 
 from __future__ import annotations
@@ -17,28 +23,27 @@ from repro.bench.compare import (
     format_report,
     load_artifact,
 )
+from repro.bench.figures import format_series, suite_figures
 from repro.bench.runner import (
+    AnswerMismatch,
     CounterDrift,
     current_revision,
     default_artifact_name,
     run_suite,
     write_artifact,
 )
+from repro.bench.shapes import verify_all
 from repro.bench.suite import SUITES, suite_workloads
-from repro.bench.xl import (
-    XL_SUITES,
-    default_scaling_report_name,
-    format_scaling_report,
-    run_xl_suite,
-)
+from repro.bench.xl import format_scaling_report
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro bench",
         description=(
-            "Run the versioned benchmark suite; emit a BENCH_<rev>.json "
-            "artifact; optionally gate it against a baseline artifact."
+            "Run a versioned workload suite; emit a BENCH_<rev>.json "
+            "artifact and print the suite's figure tables and shape "
+            "verdicts; optionally gate it against a baseline artifact."
         ),
     )
     parser.add_argument(
@@ -51,14 +56,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--quick",
         action="store_true",
         help="shorthand for --suite quick --repeats 1 (the CI gate)",
-    )
-    parser.add_argument(
-        "--xl",
-        metavar="TIER",
-        default=None,
-        choices=sorted(XL_SUITES),
-        help="run an xl scaling tier instead of a regular suite; also "
-        "writes SCALING_<rev>.json and prints the scaling report",
     )
     parser.add_argument(
         "--repeats",
@@ -104,6 +101,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_views(artifact: dict) -> bool:
+    """Print the artifact's views; False when a shape claim fails."""
+    if any(record["kind"] == "xl" for record in artifact["benchmarks"]):
+        print(format_scaling_report(artifact))
+        return True
+    figures = suite_figures(artifact)
+    for series in figures.values():
+        print(format_series(series), end="\n\n")
+    checks = verify_all(figures)
+    if not checks:
+        return True
+    print("shape verification:")
+    for check in checks:
+        print(f"  {check}")
+    held = sum(check.passed for check in checks)
+    print(f"{held}/{len(checks)} claims hold")
+    return held == len(checks)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -113,32 +129,27 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"--repeats must be >= 1, got {repeats}")
 
     if args.list:
-        if args.xl is not None:
-            for workload in XL_SUITES[args.xl]:
-                print(f"{workload.workload_id}  [xl]")
-            return 0
         for workload in suite_workloads(suite):
             print(f"{workload.workload_id}  [{workload.kind}]")
         return 0
 
     revision = args.revision or current_revision()
-    if args.xl is not None:
-        return _run_xl(args, revision)
     print(f"bench: suite={suite} revision={revision}")
     try:
         artifact = run_suite(
             suite, repeats=repeats, revision=revision, progress=print
         )
-    except CounterDrift as drift:
-        print(f"FAIL  {drift}", file=sys.stderr)
+    except (CounterDrift, AnswerMismatch) as failure:
+        print(f"FAIL  {failure}", file=sys.stderr)
         return 1
 
     out_path = args.out or default_artifact_name(revision)
     write_artifact(artifact, out_path)
     print(f"bench: wrote {out_path} ({len(artifact['benchmarks'])} records)")
+    status = 0 if _print_views(artifact) else 1
 
     if args.compare is None:
-        return 0
+        return status
     try:
         baseline = load_artifact(args.compare)
     except (OSError, ValueError, KeyError) as exc:
@@ -151,33 +162,7 @@ def main(argv: list[str] | None = None) -> int:
         timing_tolerance=args.timing_tolerance,
     )
     print(format_report(report))
-    return 0 if report.ok else 1
-
-
-def _run_xl(args, revision: str) -> int:
-    """Run an xl scaling tier; same exit-code contract as the suites."""
-    print(f"bench: xl tier={args.xl} revision={revision}")
-    artifact = run_xl_suite(args.xl, revision=revision, progress=print)
-    out_path = args.out or default_scaling_report_name(revision)
-    write_artifact(artifact, out_path)
-    print(f"bench: wrote {out_path} ({len(artifact['benchmarks'])} records)")
-    print(format_scaling_report(artifact))
-
-    if args.compare is None:
-        return 0
-    try:
-        baseline = load_artifact(args.compare)
-    except (OSError, ValueError, KeyError) as exc:
-        print(f"bench: cannot read baseline: {exc}", file=sys.stderr)
-        return 2
-    report = compare_artifacts(
-        baseline,
-        artifact,
-        counter_tolerance=args.counter_tolerance,
-        timing_tolerance=args.timing_tolerance,
-    )
-    print(format_report(report))
-    return 0 if report.ok else 1
+    return status if report.ok else 1
 
 
 if __name__ == "__main__":

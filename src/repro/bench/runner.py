@@ -10,9 +10,22 @@ The runner's contract splits every benchmark's record in two:
   any counter drift between repeats raises :class:`CounterDrift`
   rather than silently averaging — a nondeterministic benchmark is a
   bug, not a noisy measurement.
-* ``timing_s`` — wall-time min/mean/p50/max over the repeats.
-  Advisory only: the comparator warns on timing movement and never
-  fails on it.
+* ``timing_s`` — wall-time min/mean/p50/max over the repeats (query
+  records add ``initial_timing_s``, the time to the first skyline
+  point).  Advisory only: the comparator warns on timing movement and
+  never fails on it.
+
+A query workload measures ``trials`` query draws per repeat (seeded
+``query_seed + t``, each from a cold reset); its counters and timings
+are sums over the draws, so a figure view divides by ``trials`` for the
+paper's per-query means.
+
+Every query record also carries ``answer``, a digest of the skylines
+its draws returned.  Query records that share a query point — network,
+scale, ω, |Q|, query seed and draws — must return the same skylines
+whatever the algorithm, variant, engine state, buffer or backend; the
+runner raises :class:`AnswerMismatch` otherwise.  Service records are
+exempt.
 
 Warm points measure the *second* run after a cold reset (engine memo,
 wavefront pool and buffers populated by an unmeasured warming run), so
@@ -22,30 +35,50 @@ left behind".
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import platform
 import statistics
 import subprocess
+import tempfile
 import time
 from dataclasses import replace
+from functools import partial
 
-from repro.core import CE, EDC, LBC, Workspace
+from repro.core import CE, EDC, LBC, LBCLazy, Workspace
 from repro.core.stats import QueryStats
 from repro.datasets import build_preset, extract_objects, select_query_points
-from repro.experiments.harness import ExperimentConfig, WorkloadCache
 from repro.bench.suite import (
+    NETWORK_SEED,
+    OBJECT_SEED,
+    REGION_FRACTION,
     QueryWorkload,
     ServiceWorkload,
     SUITE_VERSION,
     Workload,
+    XLWorkload,
     suite_workloads,
 )
+from repro.bench.xl import run_xl_workload
 
 ARTIFACT_SCHEMA = "repro-bench"
 ARTIFACT_SCHEMA_VERSION = 1
 
-ALGORITHMS = {"CE": CE, "EDC": EDC, "LBC": LBC}
+ALGORITHMS = {
+    factory().name: factory
+    for factory in (
+        CE,
+        EDC,
+        LBC,
+        LBCLazy,
+        partial(LBC, use_lower_bounds=False),
+        partial(CE, strategy="min_radius"),
+    )
+}
+"""Algorithm factories keyed by the ``.name`` each instance carries
+(``CE``, ``EDC``, ``LBC``, ``LBC-lazy``, ``LBC-noplb``,
+``CE-min-radius``)."""
 
 #: The deterministic counter keys every benchmark record carries.
 COUNTER_KEYS = (
@@ -60,11 +93,18 @@ COUNTER_KEYS = (
     "engine_misses",
     "skyline_count",
     "candidate_count",
+    "object_count",
+    "initial_network_pages",
+    "initial_index_pages",
     "oracle_pages",
     "oracle_nodes_settled",
     "oracle_label_entries",
     "oracle_fallbacks",
 )
+
+#: The parameters that pin one query point; records sharing them must
+#: return the same skylines.
+QUERY_POINT_KEYS = ("network", "scale", "omega", "query_count", "query_seed", "trials")
 
 
 class CounterDrift(AssertionError):
@@ -81,6 +121,62 @@ class CounterDrift(AssertionError):
         )
         self.workload_id = workload_id
         self.diffs = diffs
+
+
+class AnswerMismatch(AssertionError):
+    """Two query records of one query point returned different skylines."""
+
+    def __init__(self, first_id: str, second_id: str, point: tuple) -> None:
+        super().__init__(
+            f"{second_id} disagrees with {first_id} on query point "
+            f"{dict(zip(QUERY_POINT_KEYS, point))}"
+        )
+        self.workload_ids = (first_id, second_id)
+
+
+class WorkloadCache:
+    """Networks and workspaces built once and shared across workloads.
+
+    Building NA and extracting thousands of objects takes longer than a
+    query; every point of a suite that shares a dataset reuses its
+    workspace, exactly as the paper's experiments reuse their datasets.
+    """
+
+    def __init__(self) -> None:
+        self._networks: dict[tuple, object] = {}
+        self._workspaces: dict[tuple, Workspace] = {}
+
+    def network(self, workload: QueryWorkload):
+        key = (workload.network, workload.scale)
+        if key not in self._networks:
+            self._networks[key] = build_preset(
+                workload.network, scale=workload.scale, seed=NETWORK_SEED
+            )
+        return self._networks[key]
+
+    def workspace(self, workload: QueryWorkload) -> Workspace:
+        key = (
+            workload.network,
+            workload.scale,
+            workload.omega,
+            workload.buffer_bytes,
+            workload.distance_backend,
+        )
+        if key not in self._workspaces:
+            network = self.network(workload)
+            objects = extract_objects(network, workload.omega, seed=OBJECT_SEED)
+            self._workspaces[key] = Workspace.build(
+                network,
+                objects,
+                paged=True,
+                buffer_bytes=workload.buffer_bytes,
+                distance_backend=workload.distance_backend,
+            )
+        return self._workspaces[key]
+
+    def clear(self) -> None:
+        self._networks.clear()
+        self._workspaces.clear()
 
 
 def _counters_of(stats: QueryStats) -> dict[str, int]:
@@ -106,24 +202,17 @@ def _timing_summary(samples: list[float]) -> dict[str, float]:
     }
 
 
-def _run_query_workload(
-    workload: QueryWorkload, cache: WorkloadCache
-) -> tuple[dict[str, int], list[float]]:
-    config = ExperimentConfig(
-        network=workload.network,
-        scale=workload.scale,
-        omega=workload.omega,
-        query_count=workload.query_count,
-        query_seed=workload.query_seed,
-        distance_backend=workload.distance_backend,
-    )
-    workspace = cache.workspace(config)
-    queries = select_query_points(
-        workspace.network,
-        workload.query_count,
-        region_fraction=config.region_fraction,
-        seed=workload.query_seed,
-    )
+def _run_query_workload(workload: QueryWorkload, cache: WorkloadCache) -> dict:
+    workspace = cache.workspace(workload)
+    draws = [
+        select_query_points(
+            workspace.network,
+            workload.query_count,
+            region_fraction=REGION_FRACTION,
+            seed=workload.query_seed + trial,
+        )
+        for trial in range(workload.trials)
+    ]
     algorithm = ALGORITHMS[workload.algorithm]()
     if workload.preprocessed:
         # Build the oracle index once, before any measured repeat: the
@@ -131,34 +220,46 @@ def _run_query_workload(
         # still resets cold with everything else below).
         workspace.engine.ensure_oracle()
     counters: dict[str, int] | None = None
-    timings: list[float] = []
+    answers: list[list[int]] = []
+    totals: list[float] = []
+    initials: list[float] = []
     for _ in range(max(1, workload.repeats)):
-        workspace.reset_io(cold=True)
-        if workload.warm:
-            algorithm.run(workspace, queries)  # unmeasured warming run
-        started = time.perf_counter()
-        result = algorithm.run(workspace, queries)
-        timings.append(time.perf_counter() - started)
-        repeat_counters = _counters_of(result.stats)
+        rows = []
+        total_s = initial_s = 0.0
+        for queries in draws:
+            workspace.reset_io(cold=True)
+            if workload.warm:
+                algorithm.run(workspace, queries)  # unmeasured warming run
+            result = algorithm.run(workspace, queries)
+            rows.append(_counters_of(result.stats))
+            total_s += result.stats.total_response_s
+            initial_s += result.stats.initial_response_s
+            if counters is None:
+                answers.append(result.object_ids())
+        totals.append(total_s)
+        initials.append(initial_s)
+        repeat_counters = _merge_counters(rows)
         if counters is None:
             counters = repeat_counters
         elif counters != repeat_counters:
             raise CounterDrift(workload.workload_id, counters, repeat_counters)
-    assert counters is not None
-    return counters, timings
+    return {
+        "counters": counters,
+        "timing_s": _timing_summary(totals),
+        "initial_timing_s": _timing_summary(initials),
+        "answer": hashlib.sha256(json.dumps(answers).encode()).hexdigest()[:16],
+    }
 
 
-def _run_service_workload(
-    workload: ServiceWorkload,
-) -> tuple[dict[str, int], list[float]]:
+def _run_service_workload(workload: ServiceWorkload) -> dict:
     # The serving workload builds its own workspace (never the shared
     # cache): a QueryService registers its metric families on the
     # workspace registry, and two services over one workspace would
     # collide there.
     from repro.service.service import QueryService
 
-    network = build_preset(workload.network, scale=workload.scale)
-    objects = extract_objects(network, omega=workload.omega, seed=1)
+    network = build_preset(workload.network, scale=workload.scale, seed=NETWORK_SEED)
+    objects = extract_objects(network, omega=workload.omega, seed=OBJECT_SEED)
     counters: dict[str, int] | None = None
     timings: list[float] = []
     for _ in range(max(1, workload.repeats)):
@@ -177,7 +278,7 @@ def _run_service_workload(
                 queries = select_query_points(
                     network,
                     workload.query_count,
-                    region_fraction=0.10,
+                    region_fraction=REGION_FRACTION,
                     seed=workload.query_seed + index,
                 )
                 result = service.query(workload.algorithm, queries)
@@ -189,24 +290,23 @@ def _run_service_workload(
             counters = repeat_counters
         elif counters != repeat_counters:
             raise CounterDrift(workload.workload_id, counters, repeat_counters)
-    assert counters is not None
-    return counters, timings
+    return {"counters": counters, "timing_s": _timing_summary(timings)}
 
 
-def run_workload(
-    workload: Workload, cache: WorkloadCache
-) -> dict:
+def run_workload(workload: Workload, cache: WorkloadCache) -> dict:
     """Execute one workload; returns its artifact record."""
+    if isinstance(workload, XLWorkload):
+        with tempfile.TemporaryDirectory() as tmp:
+            return run_xl_workload(workload, tmp)
     if isinstance(workload, QueryWorkload):
-        counters, timings = _run_query_workload(workload, cache)
+        measured = _run_query_workload(workload, cache)
     else:
-        counters, timings = _run_service_workload(workload)
+        measured = _run_service_workload(workload)
     return {
         "id": workload.workload_id,
         "kind": workload.kind,
         "params": workload.params(),
-        "counters": counters,
-        "timing_s": _timing_summary(timings),
+        **measured,
     }
 
 
@@ -234,6 +334,22 @@ def default_artifact_name(revision: str | None = None) -> str:
     return f"BENCH_{revision or current_revision()}.json"
 
 
+def _progress_line(record: dict) -> str:
+    counters = record["counters"]
+    if record["kind"] == "xl":
+        cost = (
+            f"skyline={counters['skyline_count']} "
+            f"survivors={counters['survivor_rows']} "
+            f"checks={counters['dominance_checks']}"
+        )
+    else:
+        cost = (
+            f"pages={counters['total_pages']} "
+            f"nodes={counters['nodes_settled']}"
+        )
+    return f"{record['id']}: {cost} p50={record['timing_s']['p50']:.4f}s"
+
+
 def run_suite(
     suite: str,
     repeats: int | None = None,
@@ -242,25 +358,28 @@ def run_suite(
 ) -> dict:
     """Run a named suite and return the artifact dictionary.
 
-    ``repeats`` overrides every workload's timing-repeat count (the CI
-    quick gate uses 1: counters don't need repetition to be exact, and
-    its timings are advisory anyway).  ``progress`` is an optional
-    ``callable(str)`` for line-by-line status output.
+    ``repeats`` overrides every query and service workload's
+    timing-repeat count (the CI quick gate uses 1: counters don't need
+    repetition to be exact, and its timings are advisory anyway).
+    ``progress`` is an optional ``callable(str)`` for line-by-line
+    status output.  Raises :class:`CounterDrift` or
+    :class:`AnswerMismatch` as soon as a workload fails either check.
     """
     workloads = suite_workloads(suite)
     cache = WorkloadCache()
+    answered: dict[tuple, dict] = {}
     records = []
     for workload in workloads:
-        if repeats is not None:
-            workload = _with_repeats(workload, repeats)
+        if repeats is not None and not isinstance(workload, XLWorkload):
+            workload = replace(workload, repeats=repeats)
         record = run_workload(workload, cache)
         if progress is not None:
-            timing = record["timing_s"]
-            progress(
-                f"{record['id']}: pages={record['counters']['total_pages']} "
-                f"nodes={record['counters']['nodes_settled']} "
-                f"p50={timing['p50']:.4f}s"
-            )
+            progress(_progress_line(record))
+        if "answer" in record:
+            point = tuple(record["params"][key] for key in QUERY_POINT_KEYS)
+            first = answered.setdefault(point, record)
+            if first["answer"] != record["answer"]:
+                raise AnswerMismatch(first["id"], record["id"], point)
         records.append(record)
     return {
         "schema": ARTIFACT_SCHEMA,
@@ -273,10 +392,6 @@ def run_suite(
         "platform": platform.platform(),
         "benchmarks": records,
     }
-
-
-def _with_repeats(workload: Workload, repeats: int) -> Workload:
-    return replace(workload, repeats=repeats)
 
 
 def write_artifact(artifact: dict, path: str) -> str:

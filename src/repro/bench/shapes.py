@@ -4,12 +4,13 @@ EXPERIMENTS.md argues the reproduction preserves the paper's *shapes* —
 who wins, what grows, where trends bend.  This module turns those prose
 claims into predicates over :class:`FigureSeries`, so
 
-    python -m repro.experiments --verify-shapes
+    repro bench --suite paper
 
-re-measures everything and prints PASS/FAIL per claim instead of asking
-a reader to eyeball tables.  The checks are deliberately tolerant
-(averages over few trials are noisy); each failure names the series and
-values involved.
+measures the figure grid and prints PASS/FAIL per claim instead of
+asking a reader to eyeball tables (a failed claim exits 1; CI gates
+``paper-quick``).  The checks are deliberately tolerant (averages over
+few draws are noisy); each failure names the series and values
+involved.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.experiments.figures import FigureSeries
+from repro.bench.figures import FigureSeries
 
 
 @dataclass(frozen=True)

@@ -15,37 +15,35 @@ tuples:
    keeps the chunk's survivors; the survivor union gets one final
    block-skyline pass (sound by transitivity of dominance: any point
    dominated in its chunk is also dominated in the union);
-4. ``xl.index`` — Hilbert column bulk-load of the R-tree, on workloads
-   small enough that the per-entry index cost is worth reporting.
+4. ``xl.index`` — :meth:`repro.index.rtree.RTree.bulk_load_columns`,
+   the Hilbert column bulk load of the R-tree over the loaded
+   coordinates, on workloads small enough that the per-entry index
+   cost is worth reporting.
 
-Counters (rows, chunks, survivor rows, skyline size, bulk dominance
-checks from the span totals) are deterministic; wall timings per phase
-are advisory, exactly like the main suites.  Artifacts carry the same
-structural keys as ``BENCH_*.json`` so
-:func:`repro.bench.compare.compare_artifacts` gates them unchanged, and
+The ladders are the ``xl`` and ``xl-smoke`` suites of
+:mod:`repro.bench.suite`; their records (kind ``"xl"``) sit in the one
+``BENCH_*.json`` schema, so :func:`repro.bench.compare.compare_artifacts`
+gates them unchanged.  Counters (rows, chunks, survivor rows, skyline
+size, bulk dominance checks from the span totals) are deterministic;
+wall timings per phase are advisory, exactly like the other suites.
 :func:`format_scaling_report` renders the counter/timing curves versus
 |D|, |Q| and dimensionality.
 """
 
 from __future__ import annotations
 
-import platform
-import tempfile
 import time
 from array import array
-from dataclasses import dataclass, field
+from contextlib import contextmanager
 from pathlib import Path
 
-from repro.columnar.curve import hilbert_sort_indices
+from repro.bench.suite import XLWorkload
 from repro.columnar.kernels import batch_euclidean, block_skyline, fill_column
 from repro.columnar.store import CoordinateColumns, VectorTable
 from repro.datasets.generators import REGION_SIDE, stream_object_columns
 from repro.datasets.io import ColumnFile
+from repro.index.rtree import RTree
 from repro.obs import tracing
-
-XL_ARTIFACT_SCHEMA = "repro-bench-xl"
-XL_ARTIFACT_SCHEMA_VERSION = 1
-XL_SUITE_VERSION = 1
 
 #: Object-count ceiling for also timing the R-tree column bulk load
 #: (index build is O(n log n) in sort work and dwarfs the kernels at
@@ -53,80 +51,22 @@ XL_SUITE_VERSION = 1
 INDEX_PHASE_MAX_OBJECTS = 100_000
 
 
-@dataclass(frozen=True)
-class XLWorkload:
-    """One scaling-curve point: |D| objects, |Q| queries, k attributes."""
-
-    objects: int
-    queries: int = 4
-    attributes: int = 1
-    chunk_size: int = 65_536
-    seed: int = 7
-    group: str = "objects"
-
-    @property
-    def workload_id(self) -> str:
-        return (
-            f"xl/{self.group}/d{self.objects}-q{self.queries}"
-            f"-a{self.attributes}"
-        )
-
-    def params(self) -> dict:
-        return {
-            "objects": self.objects,
-            "queries": self.queries,
-            "attributes": self.attributes,
-            "chunk_size": self.chunk_size,
-            "seed": self.seed,
-            "group": self.group,
-        }
-
-
-XL_SUITES: dict[str, list[XLWorkload]] = {
-    # The full ladder: |D| sweep to one million objects at width 2
-    # (skyline cardinality grows ~(ln n)^(w-1), so low width keeps the
-    # top of the ladder about streaming throughput, not skyline size),
-    # then |Q| and dimensionality sweeps at a fixed mid-scale |D|.
-    "xl": [
-        XLWorkload(objects=1_000, queries=2, attributes=0),
-        XLWorkload(objects=10_000, queries=2, attributes=0),
-        XLWorkload(objects=100_000, queries=2, attributes=0),
-        XLWorkload(objects=1_000_000, queries=2, attributes=0),
-        XLWorkload(objects=10_000, queries=2, group="queries"),
-        XLWorkload(objects=10_000, queries=8, group="queries"),
-        XLWorkload(objects=10_000, attributes=0, group="dims"),
-        XLWorkload(objects=10_000, attributes=3, group="dims"),
-    ],
-    # CI-sized: seconds, not minutes, with the same record shape.
-    "xl-smoke": [
-        XLWorkload(objects=1_000, chunk_size=512),
-        XLWorkload(objects=5_000, chunk_size=2_048),
-    ],
-}
-
-
-@dataclass
 class _PhaseClock:
     """Wall time per phase; advisory, like every suite timing."""
 
-    seconds: dict[str, float] = field(default_factory=dict)
+    def __init__(self) -> None:
+        self.seconds: dict[str, float] = {}
 
+    @contextmanager
     def measure(self, phase: str):
-        clock = self
-
-        class _Timer:
-            def __enter__(self):
-                self._start = time.perf_counter()
-                return self
-
-            def __exit__(self, exc_type, exc, tb):
-                clock.seconds[phase] = round(
-                    clock.seconds.get(phase, 0.0)
-                    + (time.perf_counter() - self._start),
-                    6,
-                )
-
-        return _Timer()
+        start = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.seconds[phase] = round(
+                self.seconds.get(phase, 0.0) + (time.perf_counter() - start),
+                6,
+            )
 
 
 def _query_grid(count: int) -> list[tuple[float, float]]:
@@ -213,14 +153,10 @@ def run_xl_workload(workload: XLWorkload, directory: str | Path) -> dict:
                     survivors.data, len(survivors), survivors.width
                 )
 
-            index_nodes = 0
             if workload.objects <= INDEX_PHASE_MAX_OBJECTS:
                 with clock.measure("index"), tracing.span("xl.index"):
                     coords = CoordinateColumns(array("d", xs), array("d", ys))
-                    order = hilbert_sort_indices(
-                        coords.xs, coords.ys, len(coords)
-                    )
-                    index_nodes = len(order)
+                    RTree.bulk_load_columns(coords, range(len(coords)))
         finally:
             for attr in attr_columns:
                 attr.release()
@@ -236,7 +172,6 @@ def run_xl_workload(workload: XLWorkload, directory: str | Path) -> dict:
         "survivor_rows": len(survivors),
         "skyline_count": len(final),
         "dominance_checks": int(totals.get("dominance_checks", 0)),
-        "indexed_rows": index_nodes,
     }
     total_s = round(sum(clock.seconds.values()), 6)
     return {
@@ -252,40 +187,6 @@ def run_xl_workload(workload: XLWorkload, directory: str | Path) -> dict:
             "max": total_s,
         },
         "phases_s": dict(sorted(clock.seconds.items())),
-    }
-
-
-def run_xl_suite(
-    tier: str, revision: str, progress=None, directory: str | None = None
-) -> dict:
-    """Run an xl tier; returns an artifact the comparator can gate."""
-    if tier not in XL_SUITES:
-        raise ValueError(
-            f"unknown xl tier {tier!r}; choose from {sorted(XL_SUITES)}"
-        )
-    records = []
-    with tempfile.TemporaryDirectory(dir=directory) as tmp:
-        for workload in XL_SUITES[tier]:
-            record = run_xl_workload(workload, tmp)
-            if progress is not None:
-                counters = record["counters"]
-                progress(
-                    f"{record['id']}: skyline={counters['skyline_count']} "
-                    f"survivors={counters['survivor_rows']} "
-                    f"checks={counters['dominance_checks']} "
-                    f"total={record['timing_s']['p50']:.3f}s"
-                )
-            records.append(record)
-    return {
-        "schema": XL_ARTIFACT_SCHEMA,
-        "schema_version": XL_ARTIFACT_SCHEMA_VERSION,
-        "suite": tier,
-        "suite_version": XL_SUITE_VERSION,
-        "revision": revision,
-        "created_unix": round(time.time(), 3),
-        "python": platform.python_version(),
-        "platform": platform.platform(),
-        "benchmarks": records,
     }
 
 
@@ -325,7 +226,3 @@ def format_scaling_report(artifact: dict) -> str:
                 )
                 lines.append(f"{'':<28}   {detail}")
     return "\n".join(lines)
-
-
-def default_scaling_report_name(revision: str) -> str:
-    return f"SCALING_{revision}.json"

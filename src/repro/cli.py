@@ -21,11 +21,10 @@ Installed as the ``repro`` console script (also runnable as
   Dijkstra on sampled pairs (:mod:`repro.oracle`);
 * ``serve``      — long-running concurrent HTTP query server (also
   installed as the ``repro-serve`` console script);
-* ``experiment`` — regenerate the paper's figures (thin wrapper around
-  ``python -m repro.experiments``);
-* ``bench``      — run the versioned benchmark suite, emit/compare
-  ``BENCH_<rev>.json`` artifacts (:mod:`repro.bench`; also
-  ``python -m repro.bench``);
+* ``bench``      — run a versioned workload suite, emit/compare
+  ``BENCH_<rev>.json`` artifacts; ``--suite paper`` regenerates the
+  paper's figures and checks their shape claims (:mod:`repro.bench`;
+  also ``python -m repro.bench``);
 * ``insight``    — cohort digests, regression detection and slow-event
   listings over wide-event logs and bench artifacts
   (:mod:`repro.insight`; also ``python -m repro.insight``);
@@ -241,16 +240,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     add_serve_arguments(serve)
 
-    experiment = sub.add_parser(
-        "experiment", help="regenerate the paper's figures"
-    )
-    experiment.add_argument("--trials", type=int, default=5)
-    experiment.add_argument("--scale", type=float, default=0.10)
-    experiment.add_argument("--quick", action="store_true")
-
     bench = sub.add_parser(
         "bench",
-        help="run the benchmark suite; emit/compare BENCH_<rev>.json",
+        help="run a workload suite (the paper's figures included); "
+        "emit/compare BENCH_<rev>.json",
         add_help=False,  # --help flows through to the bench parser
     )
     bench.add_argument("rest", nargs=argparse.REMAINDER)
@@ -801,21 +794,6 @@ def _cmd_insight(args) -> int:
     return insight_main(args.rest)
 
 
-def _cmd_experiment(args) -> int:
-    from repro.experiments.__main__ import main as run_experiments
-
-    argv = ["--trials", str(args.trials), "--scale", str(args.scale)]
-    if args.quick:
-        argv.append("--quick")
-    old = sys.argv
-    sys.argv = ["repro-experiments", *argv]
-    try:
-        run_experiments()
-    finally:
-        sys.argv = old
-    return 0
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     # argparse.REMAINDER refuses a leading flag (`repro lint --list-rules`,
@@ -843,7 +821,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "route": _cmd_route,
         "oracle": _cmd_oracle,
         "serve": _cmd_serve,
-        "experiment": _cmd_experiment,
         "bench": _cmd_bench,
         "insight": _cmd_insight,
         "profile": _cmd_profile,

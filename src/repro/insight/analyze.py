@@ -2,8 +2,9 @@
 
 This is the half of the insight plane that *reads back* what the
 diagnostics plane wrote: wide-event JSONL logs (:mod:`repro.obs.
-events`), previously saved insight reports, and ``BENCH_``/
-``SCALING_`` artifacts (:mod:`repro.bench`) all load into one common
+events`), previously saved insight reports, and ``BENCH_`` artifacts
+(:mod:`repro.bench`, every suite including the xl ladder) all load
+into one common
 shape — a :class:`InsightSummary` holding one :class:`CohortDigest`
 per cohort — and one comparator diffs any two of them with per-cohort,
 per-counter attribution and a noise-aware gate.
@@ -202,7 +203,7 @@ def summarize_events(
 
 
 def summarize_bench_artifact(artifact: dict, source: str = "") -> InsightSummary:
-    """A ``BENCH_``/``SCALING_`` artifact as an insight summary.
+    """A ``BENCH_`` artifact as an insight summary.
 
     Each benchmark record becomes one cohort (keyed by its workload
     id); deterministic counters map to counter digests and the timing

@@ -3,7 +3,7 @@
 Subcommands:
 
 * ``summarize <source>`` — cohort digests of one wide-event JSONL log,
-  saved insight report, or ``BENCH_``/``SCALING_`` artifact;
+  saved insight report, or ``BENCH_`` artifact;
 * ``compare <baseline> <current>`` — diff two sources cohort-by-cohort
   with per-counter attribution; the CI gate;
 * ``top <source>`` — the slowest events with trace ids for follow-up

@@ -1,6 +1,6 @@
 """Shared diff/gate arithmetic for regression detection.
 
-Both gates in the tree — ``repro bench --compare`` over BENCH_/SCALING_
+Both gates in the tree — ``repro bench --compare`` over BENCH_
 artifacts (:mod:`repro.bench.compare`) and ``repro insight compare``
 over telemetry digests (:mod:`repro.insight.analyze`) — answer the
 same question ("did this number get worse, beyond what noise

@@ -51,9 +51,6 @@ SPAN_NAMES = frozenset(
         "ann.ce",
         "ann.lb",
         "ann.brute",
-        # One root span per `python -m repro.experiments` invocation
-        # (repro.experiments.__main__)
-        "experiment.run",
         # Columnar block kernels (repro.skyline over repro.columnar)
         "columnar.skyline",
         "columnar.distances",

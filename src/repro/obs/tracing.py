@@ -145,8 +145,8 @@ class Span:
         """Detach accumulated children, folding their recursive totals
         into this span's own counts first so ``totals()`` is unchanged.
 
-        For long-running driver spans (a whole ``repro experiment``
-        run) that exist for timing/attribution only: thousands of
+        For long-running driver spans (one root around a whole grid of
+        queries) that exist for timing/attribution only: thousands of
         finished per-query subtrees would otherwise stay reachable for
         the driver's entire lifetime.
         """

@@ -10,7 +10,7 @@ def run(name):
     # Extension spans minted in obs/names.py are vocabulary too.
     with tracing.span("ann.ce"):
         tracing.record("distance_computations")
-    with tracing.span("experiment.run"):
+    with tracing.span("xl.run"):
         pass
     with tracing.span(f"query.{name}"):
         return None

@@ -2,6 +2,7 @@
 
 import copy
 import json
+from pathlib import Path
 
 import pytest
 
@@ -10,20 +11,31 @@ from repro.bench import (
     ARTIFACT_SCHEMA_VERSION,
     SUITE_VERSION,
     SUITES,
+    AnswerMismatch,
+    WorkloadCache,
     compare_artifacts,
     format_report,
+    run_suite,
     suite_workloads,
     write_artifact,
 )
+from repro.bench import __main__ as bench_cli
+from repro.bench import runner
 from repro.bench.__main__ import main as bench_main
 from repro.bench.compare import load_artifact
+from repro.bench.figures import FIGURES, figure_series
 from repro.bench.runner import (
     COUNTER_KEYS,
     CounterDrift,
     run_workload,
 )
-from repro.bench.suite import QueryWorkload, ServiceWorkload
-from repro.experiments.harness import WorkloadCache
+from repro.bench.suite import QueryWorkload, ServiceWorkload, XLWorkload
+from repro.bench.xl import run_xl_workload
+from repro.core import LBC
+from repro.core.stats import QueryStats
+from repro.index.rtree import RTree
+
+XL_BASELINE = Path(__file__).resolve().parent.parent / "benchmarks" / "xl_baseline.json"
 
 
 def tiny_query_workload(**overrides) -> QueryWorkload:
@@ -70,7 +82,15 @@ def make_artifact(records) -> dict:
 
 
 def test_suites_named_and_versioned():
-    assert set(SUITES) == {"quick", "full"}
+    assert set(SUITES) == {
+        "quick",
+        "full",
+        "paper",
+        "paper-quick",
+        "ablations",
+        "xl",
+        "xl-smoke",
+    }
     quick_ids = [w.workload_id for w in suite_workloads("quick")]
     assert len(quick_ids) == len(set(quick_ids)), "duplicate workload ids"
     # quick is a subset of full (full only ever adds points).
@@ -91,6 +111,103 @@ def test_unknown_suite_rejected():
         suite_workloads("nightly")
 
 
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_every_point_measured_once(suite):
+    """Unique ids, and no two workloads share a recipe (params minus id)."""
+    workloads = suite_workloads(suite)
+    ids = [w.workload_id for w in workloads]
+    assert len(ids) == len(set(ids))
+    recipes = []
+    for workload in workloads:
+        params = workload.params()
+        params.pop("workload_id", None)
+        recipes.append(tuple(sorted(params.items())))
+    assert len(recipes) == len(set(recipes))
+
+
+def test_paper_suites_deduplicate_shared_points():
+    # |Q| x omega x density at NA/q4/w0.5 overlap: 6 + 4 + 2 = 12 points.
+    assert len(suite_workloads("paper")) == 12 * 3
+    assert len(suite_workloads("paper-quick")) == 7 * 3
+    assert {w.trials for w in suite_workloads("paper")} == {5}
+    assert {w.trials for w in suite_workloads("ablations")} == {3}
+
+
+def _placeholder_record(workload) -> dict:
+    return {
+        "id": workload.workload_id,
+        "kind": workload.kind,
+        "params": workload.params(),
+        "counters": {key: 1 for key in COUNTER_KEYS},
+        "timing_s": {"p50": 0.0},
+        "initial_timing_s": {"p50": 0.0},
+    }
+
+
+@pytest.mark.parametrize("suite", sorted(FIGURES))
+def test_panels_resolve_each_cell_to_one_record(suite):
+    # figure_series raises on an empty, ambiguous or missing cell.
+    records = [_placeholder_record(w) for w in suite_workloads(suite)]
+    for panel in FIGURES[suite]:
+        series = figure_series(panel, records)
+        assert series.x_values and series.series, panel.figure
+
+
+def test_pivot_rejects_ambiguous_and_missing_cells():
+    fig4a = FIGURES["paper-quick"][0]
+    records = [_placeholder_record(w) for w in suite_workloads("paper-quick")]
+    with pytest.raises(ValueError, match="two records"):
+        figure_series(fig4a, [*records, records[0]])
+    with pytest.raises(ValueError, match="no record for cell"):
+        figure_series(fig4a, records[1:])
+
+
+def test_view_arithmetic_on_hand_built_records():
+    """Means over draws, |C|/|D| and the modeled-time formula; Fig 5(a),
+    5(b) and 5(c) read the same nine records."""
+    panels = {panel.figure: panel for panel in FIGURES["paper"]}
+    records = []
+    for n, workload in enumerate(suite_workloads("paper")):
+        record = _placeholder_record(workload)
+        record["params"]["trials"] = 2
+        record["counters"].update(
+            network_pages=10 + n,
+            total_pages=20 + n,
+            candidate_count=30 + n,
+            object_count=1000,
+            initial_network_pages=n,
+            initial_index_pages=1,
+        )
+        record["timing_s"] = {"p50": 0.5 + n}
+        record["initial_timing_s"] = {"p50": 0.25 + n}
+        records.append(record)
+    pages = figure_series(panels["Fig5a"], records)
+    total = figure_series(panels["Fig5b"], records)
+    initial = figure_series(panels["Fig5c"], records)
+    ratio = figure_series(panels["Fig4c"], records)
+    assert pages.x_values == total.x_values == initial.x_values == ["CA", "AU", "NA"]
+    penalty = QueryStats.IO_PENALTY_S
+    density = [
+        r
+        for r in records
+        if (r["params"]["omega"], r["params"]["query_count"]) == (0.5, 4)
+    ]
+    assert len(density) == 9
+    for record in density:
+        params, counters = record["params"], record["counters"]
+        i = pages.x_values.index(params["network"])
+        name = params["algorithm"]
+        assert pages.series[name][i] == counters["network_pages"] / 2
+        assert total.series[name][i] == pytest.approx(
+            (record["timing_s"]["p50"] + counters["total_pages"] * penalty) / 2
+        )
+        first_pages = counters["initial_network_pages"] + 1
+        assert initial.series[name][i] == pytest.approx(
+            (record["initial_timing_s"]["p50"] + first_pages * penalty) / 2
+        )
+        assert ratio.series[name][i] == counters["candidate_count"] / 1000
+
+
 # ---------------------------------------------------------------------------
 # Runner
 # ---------------------------------------------------------------------------
@@ -103,6 +220,20 @@ def test_record_has_schema_fields(tiny_record):
     timing = tiny_record["timing_s"]
     assert timing["repeats"] == 2
     assert timing["min"] <= timing["p50"] <= timing["max"]
+    assert tiny_record["initial_timing_s"]["p50"] <= timing["p50"]
+    assert len(tiny_record["answer"]) == 16
+
+
+def test_counters_sum_over_draws(tiny_record, cache):
+    second = run_workload(
+        tiny_query_workload(query_seed=101, repeats=1), cache
+    )
+    both = run_workload(tiny_query_workload(trials=2, repeats=1), cache)
+    for key in COUNTER_KEYS:
+        assert both["counters"][key] == (
+            tiny_record["counters"][key] + second["counters"][key]
+        ), key
+    assert both["params"]["trials"] == 2
 
 
 def test_counters_deterministic_across_runs(tiny_record, cache):
@@ -267,3 +398,151 @@ def test_cli_missing_baseline_is_usage_error(tmp_path, tiny_record, capsys):
     not_an_artifact.write_text(json.dumps({"hello": 1}))
     with pytest.raises(ValueError, match="not a repro-bench artifact"):
         load_artifact(str(not_an_artifact))
+
+
+def test_cli_list_names_every_suite_kind(capsys):
+    assert bench_main(["--list", "--suite", "xl-smoke"]) == 0
+    assert "xl/objects/d1000-q4-a1  [xl]" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# The answer check
+# ---------------------------------------------------------------------------
+
+
+class _DropsAPoint(LBC):
+    """An LBC that loses one skyline point: a planted disagreement."""
+
+    name = "LBC-drops"
+
+    def run(self, workspace, queries):
+        result = super().run(workspace, queries)
+        result.points = result.points[1:]
+        return result
+
+
+def test_disagreeing_algorithm_raises_answer_mismatch(monkeypatch):
+    honest = tiny_query_workload(repeats=1)
+    liar = tiny_query_workload(
+        workload_id="query/LBC-drops/au/q2/cold", algorithm="LBC-drops", repeats=1
+    )
+    monkeypatch.setitem(runner.ALGORITHMS, "LBC-drops", _DropsAPoint)
+    monkeypatch.setitem(SUITES, "planted", [honest, liar])
+    with pytest.raises(AnswerMismatch) as caught:
+        run_suite("planted")
+    assert caught.value.workload_ids == (honest.workload_id, liar.workload_id)
+    assert honest.workload_id in str(caught.value)
+    assert liar.workload_id in str(caught.value)
+
+
+def test_agreeing_variants_pass_the_answer_check(monkeypatch):
+    # Cold, warm and another backend on one query point: one skyline.
+    monkeypatch.setitem(
+        SUITES,
+        "agreeing",
+        [
+            tiny_query_workload(repeats=1),
+            tiny_query_workload(
+                workload_id="query/LBC/au/q2/warm", warm=True, repeats=1
+            ),
+            tiny_query_workload(
+                workload_id="query/CE/au/q2/astar", algorithm="CE",
+                distance_backend="astar", repeats=1,
+            ),
+        ],
+    )
+    artifact = run_suite("agreeing")
+    assert len({r["answer"] for r in artifact["benchmarks"]}) == 1
+
+
+# ---------------------------------------------------------------------------
+# Shape claims gate the CLI
+# ---------------------------------------------------------------------------
+
+
+def _synthetic_paper_quick(break_headline: bool = False) -> dict:
+    """A paper-quick artifact whose panels satisfy every shape claim.
+
+    Pages scale with density x |Q| and an algorithm factor (CE 3x LBC),
+    candidate ratios grow at a slowing rate with |Q| (EDC's highest),
+    and LBC's first point costs one page while CE/EDC's cost |Q|.
+    ``break_headline`` halves CE's pages at the Fig 5(a) NA point, so
+    exactly one claim fails: CE/LBC >= 2.0 there.
+    """
+    density = {"CA": 5, "AU": 15, "NA": 40}
+    page_factor = {"CE": 3.0, "EDC": 1.2, "LBC": 1.0}
+    candidate_factor = {"CE": 1.0, "EDC": 1.2, "LBC": 0.9}
+    candidates = {2: 100, 4: 150, 8: 180}
+    records = []
+    for workload in suite_workloads("paper-quick"):
+        algorithm, q = workload.algorithm, workload.query_count
+        pages = density[workload.network] * q / 4 * page_factor[algorithm]
+        headline = (workload.network, q, workload.omega) == ("NA", 4, 0.5)
+        if break_headline and algorithm == "CE" and headline:
+            pages /= 2
+        trials = workload.trials
+        record = _placeholder_record(workload)
+        record["counters"].update(
+            network_pages=round(pages * trials),
+            total_pages=round(pages * trials),
+            candidate_count=round(candidates[q] * candidate_factor[algorithm])
+            * trials,
+            object_count=1000 * trials,
+            initial_network_pages=(1 if algorithm == "LBC" else q) * trials,
+            initial_index_pages=0,
+        )
+        records.append(record)
+    return {"suite": "paper-quick", "benchmarks": records}
+
+
+@pytest.mark.parametrize("broken, code", [(False, 0), (True, 1)])
+def test_cli_exit_code_follows_shape_claims(
+    monkeypatch, tmp_path, capsys, broken, code
+):
+    artifact = _synthetic_paper_quick(break_headline=broken)
+    monkeypatch.setattr(bench_cli, "run_suite", lambda *a, **k: artifact)
+    out = tmp_path / "BENCH_paper-quick.json"
+    assert bench_main(["--suite", "paper-quick", "--out", str(out)]) == code
+    text = capsys.readouterr().out
+    expected = "24/25" if broken else "25/25"
+    assert f"{expected} claims hold" in text
+    assert "Fig5a: Network disk pages vs network density" in text
+    assert load_artifact(str(out))["suite"] == "paper-quick"
+
+
+# ---------------------------------------------------------------------------
+# The xl ladder inside the one schema
+# ---------------------------------------------------------------------------
+
+
+def test_xl_smoke_compare_exit_contract(tmp_path, capsys):
+    out = str(tmp_path / "BENCH_xl.json")
+    args = ["--suite", "xl-smoke", "--out", out, "--compare"]
+    assert bench_main([*args, str(XL_BASELINE)]) == 0
+    artifact = load_artifact(out)
+    assert artifact["schema"] == ARTIFACT_SCHEMA
+    assert artifact["suite_version"] == SUITE_VERSION
+    assert {r["kind"] for r in artifact["benchmarks"]} == {"xl"}
+    assert "xl scaling report" in capsys.readouterr().out
+
+    tighter = load_artifact(str(XL_BASELINE))
+    tighter["benchmarks"][0]["counters"]["dominance_checks"] -= 1
+    tighter_path = tmp_path / "tighter.json"
+    write_artifact(tighter, str(tighter_path))
+    assert bench_main([*args, str(tighter_path)]) == 1
+    assert bench_main([*args, str(tmp_path / "missing.json")]) == 2
+
+
+def test_xl_index_phase_bulk_loads_the_rtree(monkeypatch, tmp_path):
+    calls = []
+    real = RTree.bulk_load_columns.__func__
+
+    def spy(cls, coords, payloads, *args, **kwargs):
+        calls.append(len(payloads))
+        return real(cls, coords, payloads, *args, **kwargs)
+
+    monkeypatch.setattr(RTree, "bulk_load_columns", classmethod(spy))
+    record = run_xl_workload(XLWorkload(objects=300, chunk_size=128), tmp_path)
+    assert calls == [300]
+    assert "index" in record["phases_s"]
+    assert "indexed_rows" not in record["counters"]

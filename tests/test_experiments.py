@@ -1,23 +1,44 @@
-"""Tests for the experiment harness, figure runners and reporting."""
+"""The paper's experiments through the bench runner: recipes, workspace
+cache, draws, figure views and the ablation tables, on tiny grids."""
+
+from dataclasses import replace
 
 import pytest
 
-from repro.core import CE, LBC
-from repro.experiments import (
-    ExperimentConfig,
-    WorkloadCache,
-    format_series,
-    run_experiment,
-    run_fig4a,
+from repro.bench import WorkloadCache, format_series, run_workload
+from repro.bench.figures import (
+    ABLATION_PANELS,
+    PAPER_PANELS,
+    FigureSeries,
+    figure_series,
+    panel_value,
     winner_summary,
 )
-from repro.experiments.figures import FigureSeries
-from repro.experiments.harness import AggregateStats
-
-
-TINY = ExperimentConfig(
-    network="CA", scale=0.03, omega=0.3, query_count=2, trials=2
+from repro.bench.suite import (
+    DEFAULT_BUFFER_BYTES,
+    REGION_FRACTION,
+    QueryWorkload,
+    suite_workloads,
 )
+
+TINY = QueryWorkload(
+    workload_id="query/LBC/ca/q2/tiny",
+    algorithm="LBC",
+    network="CA",
+    scale=0.03,
+    omega=0.3,
+    query_count=2,
+    trials=2,
+    repeats=1,
+)
+
+PANELS = {panel.figure: panel for panel in PAPER_PANELS + ABLATION_PANELS}
+
+
+def tiny(algorithm="LBC", **changes) -> QueryWorkload:
+    """TINY with a different algorithm or knobs, under a unique id."""
+    workload = replace(TINY, algorithm=algorithm, **changes)
+    return replace(workload, workload_id=f"{algorithm}/{sorted(changes.items())}")
 
 
 @pytest.fixture(scope="module")
@@ -26,19 +47,18 @@ def cache():
 
 
 class TestExperimentConfig:
-    def test_with_creates_modified_copy(self):
-        base = ExperimentConfig()
-        changed = base.with_(query_count=8)
-        assert changed.query_count == 8
-        assert base.query_count == 4
-        assert changed.network == base.network
+    """The paper's defaults, as the figure panels and suites pin them."""
 
     def test_defaults_match_paper(self):
-        base = ExperimentConfig()
-        assert base.network == "NA"
-        assert base.omega == 0.50
-        assert base.query_count == 4
-        assert base.region_fraction == 0.10
+        # ω = 50 %, |Q| = 4 and network NA wherever a panel holds them.
+        assert PANELS["Fig4a"].fixed == {"network": "NA", "omega": 0.5}
+        assert PANELS["Fig4b"].fixed == {"network": "NA", "query_count": 4}
+        assert PANELS["Fig4c"].fixed == {"omega": 0.5, "query_count": 4}
+        assert REGION_FRACTION == 0.10
+        assert DEFAULT_BUFFER_BYTES == 256 * 1024
+        paper = suite_workloads("paper")
+        assert {w.scale for w in paper} == {0.10}
+        assert {w.trials for w in paper} == {5}
 
 
 class TestWorkloadCache:
@@ -49,12 +69,12 @@ class TestWorkloadCache:
 
     def test_different_omega_different_workspace(self, cache):
         a = cache.workspace(TINY)
-        b = cache.workspace(TINY.with_(omega=0.6))
+        b = cache.workspace(replace(TINY, omega=0.6))
         assert a is not b
 
     def test_network_shared_across_omegas(self, cache):
         a = cache.workspace(TINY)
-        b = cache.workspace(TINY.with_(omega=0.6))
+        b = cache.workspace(replace(TINY, omega=0.6))
         assert a.network is b.network
 
     def test_clear(self):
@@ -66,36 +86,51 @@ class TestWorkloadCache:
 
 class TestRunExperiment:
     def test_aggregates_all_algorithms(self, cache):
-        out = run_experiment(TINY, [CE(), LBC()], cache=cache)
-        assert set(out) == {"CE", "LBC"}
-        for aggregate in out.values():
-            assert aggregate.trials == 2
-            assert aggregate.skyline_count >= 1
-            assert aggregate.total_response_s > 0
+        for algorithm in ("CE", "LBC"):
+            record = run_workload(tiny(algorithm), cache)
+            assert record["params"]["trials"] == 2
+            # Sums over two draws, each with a non-empty skyline.
+            assert record["counters"]["skyline_count"] >= 2
+            assert record["timing_s"]["p50"] > 0
 
     def test_metric_lookup(self, cache):
-        out = run_experiment(TINY, [LBC()], cache=cache)
-        aggregate = out["LBC"]
-        assert aggregate.metric("candidate_ratio") == aggregate.candidate_ratio
+        record = run_workload(TINY, cache)
+        counters = record["counters"]
+        assert panel_value(record, "candidate_ratio") == (
+            counters["candidate_count"] / counters["object_count"]
+        )
+        assert panel_value(record, "nodes_settled") == counters["nodes_settled"] / 2
 
     def test_aggregate_from_empty_rejected(self):
-        with pytest.raises(ValueError):
-            AggregateStats.from_stats([])
+        with pytest.raises(ValueError, match="no record"):
+            figure_series(PANELS["Fig4a"], [])
 
 
 class TestFigureRunners:
-    def test_fig4a_structure(self, cache):
-        series = run_fig4a(TINY, q_values=(2, 3), cache=cache)
-        assert series.figure == "Fig4a"
-        assert series.x_values == [2, 3]
-        assert set(series.series) == {"CE", "EDC", "LBC"}
-        for values in series.series.values():
+    @pytest.fixture(scope="class")
+    def fig4a(self):
+        # Fig 4(a)'s own declaration (NA, ω = 50 %) over a tiny |Q| sweep.
+        local = WorkloadCache()
+        records = [
+            run_workload(
+                tiny(algorithm, network="NA", scale=0.02, omega=0.5, query_count=q),
+                local,
+            )
+            for q in (2, 3)
+            for algorithm in ("CE", "EDC", "LBC")
+        ]
+        return figure_series(PANELS["Fig4a"], records)
+
+    def test_fig4a_structure(self, fig4a):
+        assert fig4a.figure == "Fig4a"
+        assert fig4a.x_values == [2, 3]
+        assert set(fig4a.series) == {"CE", "EDC", "LBC"}
+        for values in fig4a.series.values():
             assert len(values) == 2
             assert all(0 <= v <= 1 for v in values)
 
-    def test_format_series_contains_rows(self, cache):
-        series = run_fig4a(TINY, q_values=(2,), cache=cache)
-        text = format_series(series)
+    def test_format_series_contains_rows(self, fig4a):
+        text = format_series(fig4a)
         assert "Fig4a" in text
         assert "LBC" in text
         assert "|C|/|D|" in text
@@ -110,45 +145,51 @@ class TestFigureRunners:
 
 
 class TestAblations:
+    """The ablation panels over a tiny copy of the ``ablations`` grid."""
+
     @pytest.fixture(scope="class")
-    def tiny_cache(self):
-        return WorkloadCache()
+    def records(self):
+        local = WorkloadCache()
+        workloads = [
+            tiny(algorithm, network=network)
+            for network in ("CA", "AU", "NA")
+            for algorithm in ("LBC", "LBC-noplb", "LBC-lazy", "CE", "CE-min-radius")
+        ]
+        workloads += [
+            tiny("LBC", network=network, distance_backend="astar+landmarks")
+            for network in ("CA", "AU", "NA")
+        ]
+        workloads += [
+            tiny("CE", network="NA", buffer_bytes=kib * 1024) for kib in (64, 1024)
+        ]
+        return [run_workload(workload, local) for workload in workloads]
 
-    def test_plb_ablation_structure(self, tiny_cache):
-        from repro.experiments import run_ablation_plb
-
-        series = run_ablation_plb(TINY, tiny_cache)
+    def test_plb_ablation_structure(self, records):
+        series = figure_series(PANELS["Abl-plb"], records)
         assert set(series.series) == {"LBC", "LBC-noplb"}
         assert series.x_values == ["CA", "AU", "NA"]
 
-    def test_lazy_ablation_lazy_never_worse_overall(self, tiny_cache):
-        from repro.experiments import run_ablation_lazy
-
-        series = run_ablation_lazy(TINY, tiny_cache)
+    def test_lazy_ablation_lazy_never_worse_overall(self, records):
+        series = figure_series(PANELS["Abl-lazy"], records)
         total_eager = sum(series.series["LBC"])
         total_lazy = sum(series.series["LBC-lazy"])
         assert total_lazy <= total_eager * 1.2
 
-    def test_heuristic_ablation(self, tiny_cache):
-        from repro.experiments import run_ablation_heuristic
+    def test_heuristic_ablation(self, records):
+        # ALT bounds through the engine backend: Abl-backend's CA point.
+        series = figure_series(PANELS["Abl-backend"], records)
+        assert set(series.series) == {"dijkstra", "astar+landmarks"}
+        index = series.x_values.index("CA")
+        euclid = series.series["dijkstra"][index]
+        alt = series.series["astar+landmarks"][index]
+        assert alt <= euclid
 
-        series = run_ablation_heuristic(TINY, tiny_cache, landmark_count=4)
-        assert set(series.series) == {"LBC", "LBC-landmarks"}
-        lbc, alt = series.series["LBC"][0], series.series["LBC-landmarks"][0]
-        assert alt <= lbc
-
-    def test_ce_strategy_ablation(self, tiny_cache):
-        from repro.experiments import run_ablation_ce_strategy
-
-        series = run_ablation_ce_strategy(TINY, tiny_cache)
+    def test_ce_strategy_ablation(self, records):
+        series = figure_series(PANELS["Abl-ce"], records)
         assert set(series.series) == {"CE", "CE-min-radius"}
 
-    def test_buffer_ablation_monotone(self, tiny_cache):
-        from repro.experiments import run_ablation_buffer
-
-        series = run_ablation_buffer(
-            TINY.with_(network="NA", scale=0.05), buffer_kib=(64, 1024),
-            cache=tiny_cache,
-        )
-        small, big = series.series["CE"]
+    def test_buffer_ablation_monotone(self, records):
+        series = figure_series(PANELS["Abl-buf"], records)
+        assert series.x_values == [64 * 1024, 256 * 1024, 1024 * 1024]
+        small, _, big = series.series["CE"]
         assert big <= small

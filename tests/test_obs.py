@@ -240,7 +240,7 @@ class TestTracing:
         assert tracing.active_span_of_thread(ident) is None
 
     def test_prune_folds_children_into_totals(self):
-        with tracing.span("experiment.run") as root:
+        with tracing.span("xl.run") as root:
             with tracing.span("query.LBC"):
                 tracing.record("pages", 5)
             root.prune()

@@ -1,14 +1,8 @@
-"""Tests for route retrieval and figure CSV export."""
+"""Tests for route retrieval and figure table rendering."""
 
 import pytest
 
-from repro.experiments.figures import FigureSeries
-from repro.experiments.reporting import (
-    format_series,
-    series_to_csv,
-    winner_summary,
-    write_series_csv,
-)
+from repro.bench.figures import FigureSeries, format_series, winner_summary
 from repro.geometry import Point
 from repro.network import RoadNetwork, network_distance, route_to
 
@@ -72,6 +66,8 @@ class TestRouteTo:
 
 
 class TestCSVExport:
+    """Figure table rendering."""
+
     def _series(self):
         return FigureSeries(
             figure="Fig5a",
@@ -81,25 +77,6 @@ class TestCSVExport:
             x_values=["CA", "NA"],
             series={"CE": [4.5, 131.0], "LBC": [4.0, 30.0]},
         )
-
-    def test_csv_shape(self):
-        text = series_to_csv(self._series())
-        lines = text.strip().split("\n")
-        assert lines[0] == "network,CE,LBC"
-        assert lines[1].startswith("CA,")
-        assert len(lines) == 3
-
-    def test_csv_values_parse_back(self):
-        text = series_to_csv(self._series())
-        row = text.strip().split("\n")[2].split(",")
-        assert row[0] == "NA"
-        assert float(row[1]) == 131.0
-        assert float(row[2]) == 30.0
-
-    def test_write_csv(self, tmp_path):
-        path = tmp_path / "fig.csv"
-        write_series_csv(self._series(), path)
-        assert path.read_text().startswith("network,CE,LBC")
 
     def test_format_series_includes_values(self):
         text = format_series(self._series())

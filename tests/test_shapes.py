@@ -1,8 +1,8 @@
 """Unit tests for the figure shape-verification predicates."""
 
 
-from repro.experiments.figures import FigureSeries
-from repro.experiments.shapes import (
+from repro.bench.figures import FigureSeries
+from repro.bench.shapes import (
     check_flat,
     check_non_decreasing,
     check_pointwise_leq,
@@ -147,20 +147,40 @@ class TestMeasuredShapes:
     """The encoded claims hold on an actually-measured (small) run."""
 
     def test_fig5a_claims_on_real_measurement(self):
-        """A 2-trial run satisfies the ordering claims; the headline
-        CE/LBC >= 2x factor needs the full 5-trial average (some query
-        draws barely stress CE), so here we assert a softer 1.2x."""
-        from repro.experiments import ExperimentConfig, WorkloadCache, run_fig5
-        from repro.experiments.shapes import (
+        """A 2-draw run satisfies the ordering claims; the headline
+        CE/LBC >= 2x factor needs more draws (some query draws barely
+        stress CE), so here we assert a softer 1.2x."""
+        from repro.bench import WorkloadCache, run_workload
+        from repro.bench.figures import PAPER_PANELS, figure_series
+        from repro.bench.shapes import (
             check_non_decreasing,
             check_ratio_at,
             check_winner_at,
             verify_fig5c,
         )
+        from repro.bench.suite import QueryWorkload
 
-        base = ExperimentConfig(trials=2)
         cache = WorkloadCache()
-        pages, _, initial = run_fig5(base, cache=cache)
+        records = [
+            run_workload(
+                QueryWorkload(
+                    workload_id=f"query/{algorithm}/{network}",
+                    algorithm=algorithm,
+                    network=network,
+                    scale=0.10,
+                    omega=0.5,
+                    query_count=4,
+                    trials=2,
+                    repeats=1,
+                ),
+                cache,
+            )
+            for network in ("CA", "AU", "NA")
+            for algorithm in ("CE", "EDC", "LBC")
+        ]
+        panels = {panel.figure: panel for panel in PAPER_PANELS}
+        pages = figure_series(panels["Fig5a"], records)
+        initial = figure_series(panels["Fig5c"], records)
         for check in (
             check_non_decreasing(pages, "CE"),
             check_winner_at(pages, "NA", "LBC"),
