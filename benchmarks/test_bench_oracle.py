@@ -5,7 +5,7 @@ same query point as ``query/LBC/au/q4/cold`` but with a hub-label index
 built before the measured repeats.  The tentpole claim of the oracle
 layer is that the preprocessed state does **at least 5× less** work on
 the settled-node + page-miss axis than the cold online run — the index
-replaces graph wavefronts with O(|label|) merge scans whose records are
+replaces graph wavefronts with O(|label|) label scans whose records are
 spatially packed into a handful of pages.
 
 These assertions are exact (counters, not timings), so they run in the

@@ -18,9 +18,10 @@ Step 1 — next network NN of ``q``:
        object or subtree whose *Euclidean* lower-bound vector is
        dominated by a known skyline point's *network* vector;
   1.2  compute ``dN(q, p)`` for each streamed object (A*, resumable),
-       holding them in a buffer until the cheapest buffered network
-       distance is no larger than the next Euclidean distance — then
-       that buffered object is the true next network NN.
+       holding them in a buffer (a min-heap on network distance) until
+       the cheapest buffered network distance is no larger than the
+       next Euclidean distance — then that buffered object is the true
+       next network NN.
 
 Step 2 — resolve the network NN ``p``:
   maintain ``bounds = (dN(q,p), plb(q2,p), …, plb(qn,p), attrs…)``,
@@ -52,6 +53,7 @@ near *any* query point surface early.
 
 from __future__ import annotations
 
+import heapq
 from array import array
 from typing import Iterator
 
@@ -174,7 +176,8 @@ class LowerBoundConstraint(SkylineAlgorithm):
         Implements steps 1.1/1.2: Euclidean NNs stream from the R-tree
         (with dominance pruning against the *live* ``sky`` block, which
         the caller rebuilds); each gets its network distance and waits
-        in a buffer until provably the closest remaining.
+        in a heap until provably the closest remaining.  Ties pop in
+        object-id order.
         """
         source_point = source.point
         all_query_points = [q.point for q in queries]
@@ -195,7 +198,9 @@ class LowerBoundConstraint(SkylineAlgorithm):
             key=lambda mbr, _payload: mbr.mindist(source_point), prune=prune
         )
 
-        buffered: dict[int, tuple[SpatialObject, float]] = {}
+        # Min-heap of (network distance, object id, object): ids are
+        # unique, so the object itself is never compared.
+        buffered: list[tuple[float, int, SpatialObject]] = []
         stream_done = False
         next_euclid: tuple[float, SpatialObject] | None = None
 
@@ -216,7 +221,7 @@ class LowerBoundConstraint(SkylineAlgorithm):
             while not stream_done:
                 assert next_euclid is not None
                 euclid_dist, candidate = next_euclid
-                if buffered and min(d for _, d in buffered.values()) <= euclid_dist:
+                if buffered and buffered[0][0] <= euclid_dist:
                     break
                 with tracing.span("lbc.stream"):
                     network_dist = self._engine.distance_via(
@@ -224,15 +229,16 @@ class LowerBoundConstraint(SkylineAlgorithm):
                     )
                 tracing.record("distance_computations")
                 stats.candidate_count += 1
-                buffered[candidate.object_id] = (candidate, network_dist)
+                heapq.heappush(
+                    buffered, (network_dist, candidate.object_id, candidate)
+                )
                 pull()
             if not buffered:
                 return
             # Objects unreachable from the source surface here with an
             # inf source distance; they still get resolved (their other
             # dimensions may be finite and undominated).
-            object_id = min(buffered, key=lambda i: (buffered[i][1], i))
-            obj, network_dist = buffered.pop(object_id)
+            network_dist, _, obj = heapq.heappop(buffered)
             yield (obj, network_dist)
 
     # ------------------------------------------------------------------

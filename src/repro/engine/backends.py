@@ -211,7 +211,8 @@ class ChBackend:
 
 
 class HubLabelBackend(ChBackend):
-    """Hub labels on top of the CH: one merge scan per node pair."""
+    """Hub labels on top of the CH: per node pair, one scan of the
+    target's label probing the source's cached hub map."""
 
     name = "hublabel"
     kind = "hublabel"

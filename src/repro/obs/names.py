@@ -104,9 +104,11 @@ COUNTER_KEYS = frozenset(
         "middle_pages",
         "oracle_pages",
         # Distance-oracle query work (repro.oracle.runtime): nodes the
-        # CH bidirectional upward search settles, hub-label entries the
-        # merge scan reads, and lookups refused by a stale index (the
-        # engine then resolves online).
+        # CH bidirectional upward search settles, hub-label entries a
+        # sorted merge of the two labels visits (the lookup probes a
+        # cached source map, but charges the merge's count), and
+        # lookups refused by a stale index (the engine then resolves
+        # online).
         "oracle_nodes_settled",
         "oracle_label_entries",
         "oracle_fallbacks",

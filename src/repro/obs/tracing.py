@@ -28,9 +28,10 @@ via :meth:`Span.from_dict`) as indented text for ``repro trace``.
 from __future__ import annotations
 
 import contextlib
+import os
+import random
 import threading
 import time
-import uuid
 from contextvars import ContextVar
 from typing import Any, Iterator
 
@@ -46,8 +47,18 @@ _CURRENT: ContextVar["Span | None"] = ContextVar("repro_obs_span", default=None)
 _ACTIVE_BY_THREAD: dict[int, "Span | None"] = {}
 
 
+# Span and trace ids: 64 random bits from a private generator, seeded
+# from the OS once per process (and again in each forked child), so a
+# span costs no syscall and reseeding the ``random`` module cannot make
+# ids repeat.
+_IDS = random.Random(os.urandom(16))
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=lambda: _IDS.seed(os.urandom(16)))
+
+
 def _new_id() -> str:
-    return uuid.uuid4().hex[:16]
+    """16 lowercase hex digits."""
+    return f"{_IDS.getrandbits(64):016x}"
 
 
 class Span:
@@ -140,22 +151,6 @@ class Span:
             names.append(node.name)
             node = node.parent
         return tuple(reversed(names))
-
-    def prune(self) -> None:
-        """Detach accumulated children, folding their recursive totals
-        into this span's own counts first so ``totals()`` is unchanged.
-
-        For long-running driver spans (one root around a whole grid of
-        queries) that exist for timing/attribution only: thousands of
-        finished per-query subtrees would otherwise stay reachable for
-        the driver's entire lifetime.
-        """
-        for child in self.children:
-            for key, value in child.totals().items():
-                self.counts[key] = self.counts.get(key, 0.0) + value
-        for child in self.children:
-            child.parent = None
-        self.children = []
 
     # -- serialisation ------------------------------------------------
 

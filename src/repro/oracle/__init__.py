@@ -11,7 +11,9 @@ roadmap:
   search space is a tiny cone instead of a wavefront disc;
 * :mod:`repro.oracle.hublabel` — hub labels extracted from the CH:
   per-node sorted ``(hub, distance)`` lists answering any pair query
-  with one merge-intersection, no search at all;
+  with one scan of the target's label against the source's hub map, no
+  search at all (``oracle_label_entries`` charges what a sorted merge
+  of the two labels visits);
 * :mod:`repro.oracle.index` — the built artifact
   (:class:`OracleIndex`), its network signature (so a persisted index
   can refuse a mutated graph) and its JSON file round-trip;

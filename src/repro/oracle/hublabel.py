@@ -16,14 +16,20 @@ any pair, so dropping it keeps queries exact while shrinking labels
 substantially (the pruned-labeling argument of the hub-label
 literature).
 
-Queries are a single merge-intersection of two id-sorted lists:
-O(|label|) scanned entries, no graph search at all.  The scan count is
-what the engine charges to the ``oracle_label_entries`` counter.
+Queries need no graph search at all: the target's label is scanned
+once, probing a ``hub -> distance`` map of the source's label (the
+runtime caches one map per source node), so a lookup costs O(|label|)
+dict probes.  The engine still charges ``oracle_label_entries`` with
+what a sorted merge-intersection of the two labels would visit, a
+figure fixed by the labels alone, so the counter does not depend on
+how the lookup is carried out.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
+from operator import itemgetter
 
 from repro.oracle.ch import ContractionHierarchy, upward_search_space
 
@@ -32,33 +38,44 @@ INFINITY = math.inf
 Label = list[tuple[int, float]]
 """``(hub id, distance)`` entries sorted by hub id."""
 
+_hub = itemgetter(0)
 
-def hub_label_distance(a: Label, b: Label) -> tuple[float, int]:
-    """Merge-intersect two labels: ``(distance, entries scanned)``.
 
-    Distance is ``inf`` when the labels share no hub (nodes in
-    different connected components).
+def hub_label_distance(
+    a: Label, b: Label, a_hubs: dict[int, float]
+) -> tuple[float, int]:
+    """Distance between two labelled nodes: ``(distance, merge entries)``.
+
+    Probes every entry of ``b`` against ``a_hubs``, which must equal
+    ``dict(a)`` (callers cache it per source node), so the distance
+    is ``min(d(a, hub) + d(hub, b))`` over the shared hubs, and ``inf``
+    when the labels share no hub (nodes in different connected
+    components).  The count is the number of steps a sorted merge of
+    the two labels takes: it stops when the label with the smaller last
+    hub runs out, having visited every entry of that label and each
+    entry of the other up to that hub, shared hubs once.
     """
+    if not a or not b:
+        return INFINITY, 0
     best = INFINITY
-    scanned = 0
-    i = j = 0
-    len_a = len(a)
-    len_b = len(b)
-    while i < len_a and j < len_b:
-        scanned += 1
-        hub_a = a[i][0]
-        hub_b = b[j][0]
-        if hub_a == hub_b:
-            total = a[i][1] + b[j][1]
+    shared = 0
+    get = a_hubs.get
+    for hub, dist in b:
+        via = get(hub)
+        if via is not None:
+            shared += 1
+            total = via + dist
             if total < best:
                 best = total
-            i += 1
-            j += 1
-        elif hub_a < hub_b:
-            i += 1
-        else:
-            j += 1
-    return best, scanned
+    last_a = a[-1][0]
+    last_b = b[-1][0]
+    if last_a < last_b:
+        scanned = len(a) + bisect_right(b, last_a, key=_hub)
+    elif last_a > last_b:
+        scanned = len(b) + bisect_right(a, last_b, key=_hub)
+    else:
+        scanned = len(a) + len(b)
+    return best, scanned - shared
 
 
 def build_hub_labels(ch: ContractionHierarchy) -> dict[int, Label]:

@@ -15,8 +15,10 @@ resolves online, which is what makes oracle answers drop-in exact.
 Cost accounting per node-pair lookup:
 
 * ``hublabel`` — both labels are read (one page touch each through the
-  :class:`~repro.oracle.store.OracleStore`) and the merge scan charges
-  ``oracle_label_entries``;
+  :class:`~repro.oracle.store.OracleStore`); the target's label is
+  probed against the source's hub map, cached on the handle on first
+  use, and ``oracle_label_entries`` charges the entries a sorted merge
+  of the two labels visits;
 * ``ch`` — every node the bidirectional upward search settles reads
   its shortcut record (page touch) and charges
   ``oracle_nodes_settled``.
@@ -44,7 +46,7 @@ INFINITY = math.inf
 class DistanceOracle:
     """Query-side view of one preprocessed index."""
 
-    __slots__ = ("index", "kind", "network", "store", "stale", "lookups")
+    __slots__ = ("index", "kind", "network", "store", "stale", "_hub_maps")
 
     def __init__(
         self,
@@ -57,7 +59,11 @@ class DistanceOracle:
         self.network = network
         self.store = store
         self.stale = False
-        self.lookups = 0
+        # Source node -> dict(label): built on a node's first lookup as
+        # the source, and dropped with the handle, so a rebuilt index
+        # never sees another index's maps.  Two threads filling the
+        # same entry build equal maps.
+        self._hub_maps: dict[int, dict[int, float]] = {}
 
     def mark_stale(self) -> None:
         """Refuse further answers (the backing graph mutated)."""
@@ -69,13 +75,16 @@ class DistanceOracle:
     def node_distance(self, source: int, target: int) -> float:
         """Exact junction-to-junction distance (inf when disconnected)."""
         if self.kind == "hublabel":
-            assert self.index.labels is not None
+            labels = self.index.labels
+            assert labels is not None
             if self.store is not None:
                 self.store.touch(source)
                 self.store.touch(target)
-            best, scanned = hub_label_distance(
-                self.index.labels[source], self.index.labels[target]
-            )
+            source_label = labels[source]
+            hubs = self._hub_maps.get(source)
+            if hubs is None:
+                hubs = self._hub_maps[source] = dict(source_label)
+            best, scanned = hub_label_distance(source_label, labels[target], hubs)
             tracing.record("oracle_label_entries", scanned)
             return best
         store = self.store
@@ -91,7 +100,6 @@ class DistanceOracle:
 
     def distance(self, a: NetworkLocation, b: NetworkLocation) -> float:
         """Exact network distance between two locations."""
-        self.lookups += 1
         best = INFINITY
         direct = self.network.direct_edge_distance(a, b)
         if direct is not None:

@@ -24,13 +24,12 @@ from array import array
 from typing import Callable, Iterator, Sequence
 
 from repro.columnar import kernels
-from repro.columnar.store import CoordinateColumns, VectorTable
+from repro.columnar.store import CoordinateColumns, SkylineBlock, VectorTable
 from repro.geometry.mbr import MBR
 from repro.geometry.point import Point
 from repro.index.rtree import RTree
 from repro.network.objects import SpatialObject
 from repro.obs import tracing
-from repro.skyline.dominance import dominates, dominates_lower_bounds
 
 
 def euclidean_vector(
@@ -104,10 +103,15 @@ def incremental_euclidean_skyline(
     veto it — EDC's incremental mode uses this to skip entries inside
     already-covered candidate regions.  ``attribute_count`` must state
     how many static attributes the indexed objects carry so that MBR
-    lower-bound vectors have matching dimensionality.
+    lower-bound vectors have matching dimensionality; a yielded vector
+    of another width raises ``ValueError``.
+
+    The confirmed vectors live in a :class:`SkylineBlock`, so each
+    pruning probe is one columnar kernel call (charged to
+    ``dominance_checks``) with the scalar test's exact verdict.
     """
     query_list = list(query_points)
-    skyline_vectors: list[tuple[float, ...]] = []
+    sky = SkylineBlock(len(query_list) + attribute_count)
 
     def entry_vector(mbr: MBR, payload: SpatialObject | None) -> tuple[float, ...]:
         if payload is not None:
@@ -117,11 +121,10 @@ def incremental_euclidean_skyline(
     def prune(mbr: MBR, payload: SpatialObject | None) -> bool:
         vector = entry_vector(mbr, payload)
         if payload is not None:
-            if any(dominates(s, vector) for s in skyline_vectors):
+            if sky.dominates(vector):
                 return True
-        else:
-            if any(dominates_lower_bounds(s, vector) for s in skyline_vectors):
-                return True
+        elif sky.dominates_lb(vector):
+            return True
         return extra_prune is not None and extra_prune(vector)
 
     def key(mbr: MBR, payload: SpatialObject | None) -> float:
@@ -130,7 +133,7 @@ def incremental_euclidean_skyline(
     for _, _, payload in rtree.best_first(key, prune):
         obj: SpatialObject = payload
         vector = euclidean_vector(obj.point, query_list, obj.attributes)
-        skyline_vectors.append(vector)
+        sky.append(vector)
         yield (obj, vector)
 
 

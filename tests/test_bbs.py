@@ -11,6 +11,8 @@ from repro.index import RTree
 from repro.network.graph import NetworkLocation
 from repro.network.objects import SpatialObject
 from repro.skyline import (
+    dominates,
+    dominates_lower_bounds,
     euclidean_skyline,
     euclidean_vector,
     incremental_euclidean_skyline,
@@ -128,3 +130,72 @@ class TestEuclideanSkyline:
         got = sorted(o.object_id for o, _ in euclidean_skyline(tree, queries))
         vecs = [euclidean_vector(p, queries) for p in points]
         assert got == sorted(skyline_of(vecs))
+
+
+def scalar_bbs(tree, queries, attribute_count=0):
+    """BBS pruned by scalar dominance over a list of tuples: the
+    reference the columnar prune must reproduce, order included."""
+    confirmed = []
+
+    def entry_vector(mbr, payload):
+        if payload is not None:
+            return euclidean_vector(payload.point, queries, payload.attributes)
+        return mbr_lower_bound_vector(mbr, queries, attribute_count)
+
+    def prune(mbr, payload):
+        vector = entry_vector(mbr, payload)
+        if payload is not None:
+            return any(dominates(s, vector) for s in confirmed)
+        return any(dominates_lower_bounds(s, vector) for s in confirmed)
+
+    out = []
+    for _, _, obj in tree.best_first(lambda m, p: sum(entry_vector(m, p)), prune):
+        vector = euclidean_vector(obj.point, queries, obj.attributes)
+        confirmed.append(vector)
+        out.append((obj, vector))
+    return out
+
+
+# Coordinates on a coarse grid so points (and whole vectors) repeat.
+grid_point = st.builds(
+    Point,
+    st.integers(0, 6).map(lambda v: v / 4),
+    st.integers(0, 6).map(lambda v: v / 4),
+)
+
+
+class TestColumnarPrune:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(grid_point, min_size=1, max_size=50),
+        st.lists(grid_point, min_size=1, max_size=3),
+        st.lists(st.integers(0, 3).map(float), min_size=50, max_size=50),
+        st.booleans(),
+    )
+    def test_equals_scalar_reference_in_order(
+        self, points, queries, prices, with_attributes
+    ):
+        attributes = prices[: len(points)] if with_attributes else None
+        objs = as_objects(points, attributes)
+        tree = build_rtree(objs, max_entries=4)
+        attribute_count = 1 if with_attributes else 0
+        got = euclidean_skyline(tree, queries, attribute_count=attribute_count)
+        assert got == scalar_bbs(tree, queries, attribute_count)
+        vecs = [
+            euclidean_vector(o.point, queries, o.attributes) for o in objs
+        ]
+        assert sorted(o.object_id for o, _ in got) == sorted(skyline_of(vecs))
+
+    def test_duplicate_points_all_survive(self):
+        objs = as_objects([Point(0.5, 0.5)] * 3 + [Point(0.9, 0.9)])
+        tree = build_rtree(objs)
+        got = euclidean_skyline(tree, [Point(0, 0), Point(1, 0)])
+        assert sorted(o.object_id for o, _ in got) == [0, 1, 2]
+
+    @pytest.mark.parametrize("carried, declared", [(1, 0), (0, 1)])
+    def test_width_mismatch_raises(self, carried, declared):
+        points = [Point(0.1 * i, 0.3) for i in range(8)]
+        attributes = [float(i) for i in range(8)] if carried else None
+        tree = build_rtree(as_objects(points, attributes))
+        with pytest.raises(ValueError):
+            euclidean_skyline(tree, [Point(0, 0)], attribute_count=declared)

@@ -6,8 +6,11 @@ suite in test_property_algorithms.py.
 """
 
 
+import random
+
 import pytest
 
+from repro.columnar.store import SkylineBlock
 from repro.core import (
     CE,
     EDC,
@@ -16,9 +19,12 @@ from repro.core import (
     LBCLazy,
     LBCRoundRobin,
     NaiveSkyline,
+    QueryStats,
     Workspace,
 )
-from repro.network import ObjectSet, SpatialObject
+from repro.engine import DistanceEngine
+from repro.geometry import Point
+from repro.network import ObjectSet, RoadNetwork, SpatialObject
 
 from conftest import build_random_network, place_random_objects, random_locations
 
@@ -259,6 +265,69 @@ class TestLBCSpecifics:
         stats = LBC().run(workspace, queries).stats
         assert stats.lb_expansions >= 0
         assert stats.distance_computations > 0
+
+
+def tie_grid(side: int = 6) -> tuple[RoadNetwork, ObjectSet]:
+    """A grid whose every edge is 0.1 long, with co-located object
+    pairs at quarter-edge, mid-edge and junction offsets: network
+    distances tie everywhere."""
+    network = RoadNetwork()
+    for i in range(side):
+        for j in range(side):
+            network.add_node(i * side + j, Point(0.09 * i, 0.09 * j))
+    for i in range(side):
+        for j in range(side):
+            node = i * side + j
+            if i + 1 < side:
+                network.add_edge(node, node + side, length=0.1)
+            if j + 1 < side:
+                network.add_edge(node, node + 1, length=0.1)
+    rng = random.Random(5)
+    edges = sorted(network.edge_ids())
+    objects = []
+    for k in range(20):
+        edge = rng.choice(edges)
+        location = network.location_on_edge(edge, rng.choice((0.025, 0.05, 0.1)))
+        objects.append(SpatialObject(2 * k, location, ()))
+        objects.append(SpatialObject(2 * k + 1, location, ()))
+    return network, ObjectSet.build(network, objects)
+
+
+class TestLBCStream:
+    def test_unpruned_stream_is_network_order_with_id_ties(self):
+        network, objects = tie_grid()
+        workspace = Workspace.build(network, objects, paged=False)
+        queries = [
+            network.location_at_node(7),
+            network.location_on_edge(sorted(network.edge_ids())[30], 0.05),
+        ]
+        lbc = LBC()
+        lbc._engine = workspace.engine
+        source = queries[0]
+        stream = lbc._network_nn_stream(
+            workspace,
+            queries,
+            source,
+            workspace.engine.astar_expander(source, slot=0),
+            SkylineBlock(len(queries)),  # empty: nothing is pruned
+            QueryStats(),
+        )
+        got = [(distance, obj.object_id) for obj, distance in stream]
+        reference = DistanceEngine(network, backend="dijkstra")
+        expected = sorted(
+            (reference.distance(source, obj.location), obj.object_id)
+            for obj in objects.objects
+        )
+        assert got == expected
+        assert len({d for d, _ in got}) < len(got) // 2  # ties dominate
+
+    @pytest.mark.parametrize("algorithm_cls", [LBC, LBCRoundRobin])
+    def test_tie_grid_matches_naive(self, algorithm_cls):
+        network, objects = tie_grid()
+        workspace = Workspace.build(network, objects, paged=False)
+        queries = [network.location_at_node(n) for n in (0, 14, 33)]
+        reference = NaiveSkyline().run(workspace, queries)
+        assert algorithm_cls().run(workspace, queries).same_answer(reference)
 
 
 class TestNaiveSpecifics:

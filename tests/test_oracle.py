@@ -13,6 +13,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine import DistanceEngine
 from repro.geometry import Point
@@ -22,6 +24,7 @@ from repro.oracle import (
     DistanceOracle,
     OracleIndexError,
     build_oracle_index,
+    hub_label_distance,
     load_oracle_index,
     network_signature,
     save_oracle_index,
@@ -133,6 +136,96 @@ class TestExactEquivalence:
         # Same-component pairs stay finite and exact.
         for a, b in node_pairs(net, 77, 30):
             assert oracle.distance(a, b) == reference.distance(a, b)
+
+
+# ----------------------------------------------------------------------
+# Hub-label lookup: probing a source hub map against a sorted merge
+# ----------------------------------------------------------------------
+def merge_reference(a, b):
+    """Merge-intersect two id-sorted labels: ``(distance, loop steps)``."""
+    best = INF
+    steps = 0
+    i = j = 0
+    while i < len(a) and j < len(b):
+        steps += 1
+        if a[i][0] == b[j][0]:
+            total = a[i][1] + b[j][1]
+            if total < best:
+                best = total
+            i += 1
+            j += 1
+        elif a[i][0] < b[j][0]:
+            i += 1
+        else:
+            j += 1
+    return best, steps
+
+
+label_distance = st.floats(
+    min_value=0.0, max_value=1e4, allow_nan=False, allow_infinity=False
+)
+labels = st.dictionaries(st.integers(0, 30), label_distance, max_size=10).map(
+    lambda entries: sorted(entries.items())
+)
+
+
+@st.composite
+def label_pairs(draw):
+    """Two labels related in one of the shapes a merge treats apart."""
+    a = draw(labels)
+    shape = draw(
+        st.sampled_from(
+            ["random", "disjoint", "identical", "nested", "equal-last", "singleton"]
+        )
+    )
+    if shape == "random":
+        b = draw(labels)
+    elif shape == "disjoint":
+        b = [(hub + 31, d) for hub, d in draw(labels)]
+    elif shape == "identical":
+        b = list(a)
+    elif shape == "nested":
+        b = [(hub, draw(label_distance)) for hub, _ in a if draw(st.booleans())]
+    elif shape == "equal-last":
+        b = draw(labels)
+        top = max([hub for hub, _ in a + b], default=0) + 1
+        a = a + [(top, draw(label_distance))]
+        b = b + [(top, draw(label_distance))]
+    else:
+        b = [(draw(st.integers(0, 31)), draw(label_distance))]
+    return (b, a) if draw(st.booleans()) else (a, b)
+
+
+class TestHubLabelProbe:
+    @settings(max_examples=300, deadline=None)
+    @given(label_pairs())
+    def test_probe_equals_sorted_merge(self, pair):
+        a, b = pair
+        assert hub_label_distance(a, b, dict(a)) == merge_reference(a, b)
+
+    def test_disjoint_labels_are_inf(self):
+        # The merge steps 1|2, 4|2, 4|5 and stops when the first runs out.
+        a = [(1, 2.0), (4, 1.0)]
+        b = [(2, 1.0), (5, 0.5)]
+        assert hub_label_distance(a, b, dict(a)) == (INF, 3)
+        assert hub_label_distance(b, a, dict(b)) == (INF, 3)
+
+    def test_oracle_lookups_charge_the_merge_count(self):
+        net = integer_network(3, node_count=30, extra_edges=20)
+        index = build_oracle_index(net, kind="hublabel")
+        oracle = DistanceOracle(index, net)
+        nodes = sorted(net.node_ids())
+        with tracing.span("query.hub-probe") as root:
+            for u in nodes:
+                for w in nodes:
+                    want, _ = merge_reference(index.labels[u], index.labels[w])
+                    assert oracle.node_distance(u, w) == want
+        expected_entries = sum(
+            merge_reference(index.labels[u], index.labels[w])[1]
+            for u in nodes
+            for w in nodes
+        )
+        assert root.total("oracle_label_entries") == expected_entries
 
 
 # ----------------------------------------------------------------------
