@@ -1,7 +1,8 @@
 """Access methods built from scratch for the reproduction.
 
-* :class:`~repro.index.heap.AddressableHeap` — decrease-key binary heap
-  backing the Dijkstra/A* wavefronts.
+* :class:`~repro.index.heap.AddressableHeap` — decrease-key heap on
+  ``heapq`` (lazy invalidation, deterministic tie order) backing the
+  Dijkstra/A* wavefronts.
 * :class:`~repro.index.bptree.BPlusTree` — the middle layer's edge-id
   index (Section 3 of the paper).
 * :class:`~repro.index.rtree.RTree` — object and edge index with the

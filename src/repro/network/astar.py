@@ -53,15 +53,18 @@ weights, and has a zero heuristic.
 class AStarExpander:
     """Persistent A* state for one source location.
 
-    ``heuristic`` optionally replaces the Euclidean distance estimate:
+    ``heuristic`` optionally tightens the Euclidean distance estimate:
     it receives ``(node_id, target_location)`` and must return a
     *consistent* lower bound of the network distance from the node to
-    the target (``h(x) <= w(x, y) + h(y)`` for every edge).  The
-    landmark heuristic in :mod:`repro.network.landmarks` is the shipped
-    alternative — tighter than Euclidean on high-detour networks, which
-    strengthens LBC's path-distance lower bounds.  An inconsistent
-    heuristic silently breaks the settled-distance reuse; there is no
-    runtime check (it would cost more than the search).
+    the target (``h(x) <= w(x, y) + h(y)`` for every edge); searches
+    key nodes by ``max(euclidean, heuristic)``, cached per node for the
+    life of one search.  The Euclidean-only default is computed inline
+    and not cached.  The landmark heuristic in
+    :mod:`repro.network.landmarks` is the shipped alternative — tighter
+    than Euclidean on high-detour networks, which strengthens LBC's
+    path-distance lower bounds.  An inconsistent heuristic silently
+    breaks the settled-distance reuse; there is no runtime check (it
+    would cost more than the search).
     """
 
     __slots__ = (
@@ -120,7 +123,6 @@ class LowerBoundSearch:
         "_goal_edge",
         "_goal_node",
         "_h",
-        "_h_cache",
         "_heap",
         "_plb",
         "distance",
@@ -145,20 +147,32 @@ class LowerBoundSearch:
             self._goal_node = None
             self._goal_edge = network.edge(target.edge_id)
 
-        target_point = target.point
-        self._h_cache: dict[int, float] = {}
+        # The Euclidean heuristic is math.hypot(x - tx, y - ty) computed
+        # inline wherever a key is made: the operands of
+        # Point.distance_to(node point, target point), in that order, so
+        # every key is bit-identical to the method call's.  Only a custom
+        # heuristic goes through _h, which caches max(euclid, custom) per
+        # node for the life of this search.
+        points = network.node_points
+        tx = target.point.x
+        ty = target.point.y
         custom = expander.heuristic
+        self._h: Callable[[int], float] | None = None
+        if custom is not None:
+            h_cache: dict[int, float] = {}
 
-        def h(node: int) -> float:
-            value = self._h_cache.get(node)
-            if value is None:
-                value = network.node_point(node).distance_to(target_point)
-                if custom is not None:
-                    value = max(value, custom(node, target))
-                self._h_cache[node] = value
-            return value
+            def h(node: int) -> float:
+                value = h_cache.get(node)
+                if value is None:
+                    point = points[node]
+                    value = max(
+                        math.hypot(point.x - tx, point.y - ty),
+                        custom(node, target),
+                    )
+                    h_cache[node] = value
+                return value
 
-        self._h = h
+            self._h = h
         self.done = False
         self.distance = INFINITY
         self.expansions = 0
@@ -194,9 +208,17 @@ class LowerBoundSearch:
                 return
 
         # Re-key the live frontier under this target's heuristic.
-        self._heap = AddressableHeap.from_items(
-            [(node, g + h(node)) for node, g in expander.frontier.items()]
-        )
+        frontier = expander.frontier
+        if self._h is None:
+            hypot = math.hypot
+            keyed = [
+                (node, g + hypot((point := points[node]).x - tx, point.y - ty))
+                for node, g in frontier.items()
+            ]
+        else:
+            h = self._h
+            keyed = [(node, g + h(node)) for node, g in frontier.items()]
+        self._heap = AddressableHeap.from_items(keyed)
 
         if self._goal_edge is not None:
             goal_cost = self._goal_candidate_from_settled()
@@ -280,6 +302,13 @@ class LowerBoundSearch:
             expander.store.touch_node(node)
 
         goal_edge = self._goal_edge
+        heap = self._heap
+        settled = expander.settled
+        frontier = expander.frontier
+        h = self._h
+        points = network.node_points
+        tx = self.target.point.x
+        ty = self.target.point.y
         for neighbor, edge_id in network.neighbors(node):
             edge = network.edge(edge_id)
             if goal_edge is not None and edge_id == goal_edge.edge_id:
@@ -287,15 +316,21 @@ class LowerBoundSearch:
                     along = self.target.offset
                 else:
                     along = goal_edge.length - self.target.offset
-                self._heap.push_or_decrease(_VIRTUAL_GOAL, g + along)
-            if neighbor in expander.settled:
+                heap.push_or_decrease(_VIRTUAL_GOAL, g + along)
+            if neighbor in settled:
                 continue
             expander.relaxations += 1
             new_g = g + edge.length
-            old_g = expander.frontier.get(neighbor)
+            old_g = frontier.get(neighbor)
             if old_g is None or new_g < old_g:
-                expander.frontier[neighbor] = new_g
-                self._heap.update(neighbor, new_g + self._h(neighbor))
+                frontier[neighbor] = new_g
+                if h is None:
+                    point = points[neighbor]
+                    heap.update(
+                        neighbor, new_g + math.hypot(point.x - tx, point.y - ty)
+                    )
+                else:
+                    heap.update(neighbor, new_g + h(neighbor))
 
         if self._goal_node is not None and node == self._goal_node:
             self._finish(g)

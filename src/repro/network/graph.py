@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Mapping
 
 from repro.geometry.mbr import MBR
 from repro.geometry.point import Point
@@ -213,6 +213,15 @@ class RoadNetwork:
 
     def node_point(self, node_id: int) -> Point:
         return self._points[node_id]
+
+    @property
+    def node_points(self) -> Mapping[int, Point]:
+        """The node id -> :class:`Point` map (read-only; do not mutate).
+
+        For loops that read many coordinates, such as A*'s frontier
+        re-key, where a method call per node would dominate.
+        """
+        return self._points
 
     def has_node(self, node_id: int) -> bool:
         return node_id in self._points

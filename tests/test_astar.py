@@ -141,6 +141,29 @@ class TestLowerBoundSearch:
         distance = search.run_to_completion()
         assert search.expand_step() == distance
 
+    def test_rekey_matches_point_distance_bit_for_bit(self, medium_network):
+        """The inline Euclidean key is ``g + Point.distance_to`` exactly;
+        only a custom heuristic goes through the cached ``_h``."""
+        from repro.network import LandmarkHeuristic
+
+        source = medium_network.location_at_node(0)
+        landmarks = LandmarkHeuristic(medium_network, count=3, seed=4)
+        for heuristic in (None, landmarks):
+            expander = AStarExpander(medium_network, source, heuristic=heuristic)
+            expander.search_toward(medium_network.location_at_node(30)).expand_step()
+            for target in random_locations(medium_network, 6, seed=31):
+                search = expander.search_toward(target)
+                if search.done:
+                    continue
+                assert (search._h is None) == (heuristic is None)
+                for node, key in search._heap.items():
+                    if node < 0:
+                        continue  # the on-edge goal's virtual node
+                    h = medium_network.node_point(node).distance_to(target.point)
+                    if heuristic is not None:
+                        h = max(h, heuristic(node, target))
+                    assert key == expander.frontier[node] + h
+
     def test_partial_expansion_settles_fewer_nodes(self, medium_network):
         """The point of LBC: stopping early saves network access."""
         source = medium_network.location_at_node(0)

@@ -1,5 +1,6 @@
 """Unit and property tests for the addressable min-heap."""
 
+import math
 import random
 
 import pytest
@@ -7,6 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.index import AddressableHeap
+
+TIED_PRIORITIES = [0.0, 1.0, 2.0, math.inf]
 
 
 class TestHeapBasics:
@@ -115,6 +118,20 @@ class TestHeapUpdates:
         with pytest.raises(KeyError):
             AddressableHeap().remove("x")
 
+    def test_stale_entries_stay_invisible(self):
+        heap = AddressableHeap()
+        heap.push("a", 5.0)
+        heap.push("b", 3.0)
+        heap.decrease_key("a", 1.0)
+        heap.update("b", 4.0)
+        heap.remove("b")
+        assert len(heap) == 1
+        assert dict(heap.items()) == {"a": 1.0}
+        assert heap.pop() == ("a", 1.0)
+        assert not heap
+        with pytest.raises(IndexError):
+            heap.min_priority()
+
     def test_items_iterates_everything(self):
         heap = AddressableHeap()
         heap.push("a", 1.0)
@@ -124,8 +141,11 @@ class TestHeapUpdates:
 
 class TestFromItems:
     def test_heapify_matches_pushes(self):
+        # Three priorities plus inf: ties are the rule, and only the
+        # list-order counter separates them.
         rng = random.Random(3)
-        pairs = [(i, rng.random()) for i in range(200)]
+        pairs = [(i, rng.choice(TIED_PRIORITIES)) for i in range(200)]
+        rng.shuffle(pairs)
         heap = AddressableHeap.from_items(pairs)
         heap.validate()
         reference = AddressableHeap()
@@ -133,7 +153,13 @@ class TestFromItems:
             reference.push(item, priority)
         got = [heap.pop() for _ in range(len(pairs))]
         expected = [reference.pop() for _ in range(len(pairs))]
-        assert [g[1] for g in got] == [e[1] for e in expected]
+        assert got == expected
+        assert got == [
+            pair for _, pair in sorted(
+                ((priority, counter), (item, priority))
+                for counter, (item, priority) in enumerate(pairs)
+            )
+        ]
 
     def test_duplicate_items_rejected(self):
         with pytest.raises(KeyError):
@@ -144,17 +170,30 @@ class TestFromItems:
         assert not heap
 
 
+OPERATIONS = [
+    "push",
+    "pop",
+    "pop_and_repush",
+    "update",
+    "push_or_decrease",
+    "decrease_key",
+    "remove",
+    "min_priority",
+    "peek",
+]
+
+
 @st.composite
 def operation_sequences(draw):
-    n = draw(st.integers(min_value=1, max_value=40))
+    n = draw(st.integers(min_value=1, max_value=60))
     ops = []
     for _ in range(n):
         ops.append(
             draw(
                 st.tuples(
-                    st.sampled_from(["push", "pop", "update", "remove"]),
-                    st.integers(min_value=0, max_value=10),
-                    st.floats(min_value=-100, max_value=100, allow_nan=False),
+                    st.sampled_from(OPERATIONS),
+                    st.integers(min_value=0, max_value=6),
+                    st.sampled_from(TIED_PRIORITIES),
                 )
             )
         )
@@ -172,22 +211,85 @@ class TestHeapProperties:
 
     @given(operation_sequences())
     def test_random_operations_keep_invariants(self, ops):
+        """The ordering contract against a model of
+        ``item -> (priority, first-insertion counter)``: a push draws a
+        fresh counter, every re-key keeps it, and every pop, peek and
+        min_priority answers the model's argmin."""
         heap = AddressableHeap()
-        model = {}
+        model: dict[int, tuple[float, int]] = {}
+        counter = 0
+
+        def model_min():
+            item = min(model, key=model.__getitem__)
+            return item, model[item][0]
+
         for op, key, value in ops:
-            if op == "push" and key not in model:
-                heap.push(key, value)
-                model[key] = value
+            if op == "push":
+                if key in model:
+                    with pytest.raises(KeyError):
+                        heap.push(key, value)
+                else:
+                    heap.push(key, value)
+                    model[key] = (value, counter)
+                    counter += 1
             elif op == "update":
                 heap.update(key, value)
-                model[key] = value
-            elif op == "remove" and key in model:
-                heap.remove(key)
-                del model[key]
-            elif op == "pop" and model:
-                item, priority = heap.pop()
-                assert priority == min(model.values())
-                assert model[item] == priority
-                del model[item]
+                if key in model:
+                    model[key] = (value, model[key][1])
+                else:
+                    model[key] = (value, counter)
+                    counter += 1
+            elif op == "push_or_decrease":
+                changed = heap.push_or_decrease(key, value)
+                if key not in model:
+                    assert changed
+                    model[key] = (value, counter)
+                    counter += 1
+                elif value < model[key][0]:
+                    assert changed
+                    model[key] = (value, model[key][1])
+                else:
+                    assert not changed
+            elif op == "decrease_key":
+                if key not in model:
+                    with pytest.raises(KeyError):
+                        heap.decrease_key(key, value)
+                elif value > model[key][0]:
+                    with pytest.raises(ValueError):
+                        heap.decrease_key(key, value)
+                else:
+                    heap.decrease_key(key, value)
+                    model[key] = (value, model[key][1])
+            elif op == "remove":
+                if key in model:
+                    assert heap.remove(key) == model.pop(key)[0]
+                else:
+                    with pytest.raises(KeyError):
+                        heap.remove(key)
+            elif not model:
+                with pytest.raises(IndexError):
+                    getattr(heap, "pop" if op == "pop_and_repush" else op)()
+            elif op in ("pop", "pop_and_repush"):
+                expected = model_min()
+                assert heap.pop() == expected
+                del model[expected[0]]
+                if op == "pop_and_repush":
+                    heap.push(expected[0], value)
+                    model[expected[0]] = (value, counter)
+                    counter += 1
+            elif op == "peek":
+                assert heap.peek() == model_min()
+            else:
+                assert heap.min_priority() == model_min()[1]
             heap.validate()
-        assert len(heap) == len(model)
+            assert len(heap) == len(model)
+            assert bool(heap) == bool(model)
+            assert dict(heap.items()) == {
+                item: priority for item, (priority, _) in model.items()
+            }
+            for item in range(7):
+                assert (item in heap) == (item in model)
+        drained = [heap.pop() for _ in range(len(model))]
+        assert drained == [
+            (item, model[item][0]) for item in sorted(model, key=model.__getitem__)
+        ]
