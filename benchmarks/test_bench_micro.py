@@ -4,8 +4,6 @@ r"""Micro-benchmarks for the design choices DESIGN.md lists.
   paper's explanation for EDC beating CE on response time (Section 6.3).
 * **substrate ops** — R-tree NN streaming and B+-tree probes, the
   per-operation costs everything above is built from.
-* **replacement policy** — CE's page misses under LRU, FIFO and CLOCK.
-* **aggregate NN** — the plb transfer to aggregate nearest neighbours.
 * **engine cache** — warm vs cold distance engine (a CI assertion).
 
 The algorithm ablations (plb, LBC-lazy, CE strategy, buffer size, ALT
@@ -18,7 +16,7 @@ import pytest
 from repro.core import LBC
 from repro.network import AStarExpander, DijkstraExpander, NetworkStore
 
-from conftest import attach_stats, run_cold
+from conftest import run_cold
 
 
 class TestAStarVsDijkstra:
@@ -92,58 +90,6 @@ class TestSubstrateOps:
 
         nodes = benchmark(expand)
         benchmark.extra_info["nodes_settled"] = nodes
-
-
-class TestAggregateNNExtension:
-    """The conclusion's plb transfer: aggregate NN with vs without it."""
-
-    @pytest.mark.parametrize("variant", ["baseline", "lowerbound"], ids=str)
-    @pytest.mark.parametrize("aggregate", ["sum", "max"], ids=str)
-    def test_aggregate_nn(self, benchmark, workloads, variant, aggregate):
-        from repro.extensions import AggregateNNBaseline, AggregateNNLowerBound
-
-        workspace = workloads.workspace("AU", 0.50)
-        queries = workloads.queries("AU", 4)
-        if variant == "baseline":
-            processor = AggregateNNBaseline(aggregate)
-        else:
-            processor = AggregateNNLowerBound(aggregate)
-
-        def run():
-            workspace.reset_io(cold=True)
-            return processor.run(workspace, queries, k=3)
-
-        result = benchmark.pedantic(run, rounds=2, iterations=1)
-        benchmark.extra_info.update(
-            {
-                "nodes_settled": result.nodes_settled,
-                "distance_computations": result.distance_computations,
-                "lb_expansions": result.lb_expansions,
-            }
-        )
-
-
-class TestReplacementPolicy:
-    """Page-replacement ablation: LRU (the paper's) vs FIFO vs CLOCK."""
-
-    @pytest.mark.parametrize("policy", ["lru", "fifo", "clock"], ids=str)
-    def test_ce_under_policy(self, benchmark, workloads, policy):
-        from repro.core import CE, Workspace
-
-        network = workloads.network("NA")
-        objects = workloads.workspace("NA", 0.50).objects
-        workspace = Workspace.build(
-            network,
-            objects,
-            paged=True,
-            buffer_bytes=128 * 1024,
-            buffer_policy=policy,
-        )
-        queries = workloads.queries("NA", 4)
-        result = benchmark.pedantic(
-            run_cold, args=(workspace, CE(), queries), rounds=1, iterations=1
-        )
-        attach_stats(benchmark, result)
 
 
 class TestEngineCache:

@@ -108,64 +108,6 @@ class TestTracingOverhead:
         attach_stats(benchmark, result)
 
 
-class TestSamplerOverhead:
-    def test_overhead_under_ten_percent(self, workloads):
-        """A workload under the sampling profiler (default 2 ms period)
-        must run within 10 % of its unprofiled time: the sampler reads
-        ``sys._current_frames`` on its own thread and never touches the
-        sampled code's hot path."""
-        from repro.profiling import SamplingProfiler
-
-        network = workloads.network("NA")
-        source = workloads.queries("NA", 1, seed=3)[0]
-
-        def expand():
-            with tracing.span("bench.expansion"):
-                expander = DijkstraExpander(network, source)
-                while expander.expand_next() is not None:
-                    pass
-
-        def profiled():
-            with SamplingProfiler(keep_stacks=False):
-                expand()
-
-        expand(), profiled()  # warm caches and code paths
-        rounds = 7
-        base = float("inf")
-        instrumented = float("inf")
-        for _ in range(rounds):
-            base = min(base, _min_of(expand, 1))
-            instrumented = min(instrumented, _min_of(profiled, 1))
-        overhead = (instrumented - base) / base
-        assert overhead < 0.10, (
-            f"sampler overhead {overhead:.1%} "
-            f"(bare {base * 1e3:.2f}ms, profiled {instrumented * 1e3:.2f}ms)"
-        )
-
-    def test_profile_attributes_query_phases(self, workloads):
-        """Profiling a real LBC query attributes samples to registered
-        span names (the ``query.*`` root and ``lbc.*`` phases)."""
-        from repro.obs.names import is_registered_span_name
-        from repro.profiling import SamplingProfiler
-
-        workspace = workloads.workspace("AU", 0.50)
-        queries = workloads.queries("AU", 4)
-        algorithm = LBC()
-
-        profiler = SamplingProfiler(interval_s=0.001)
-        with profiler:
-            while profiler.report.attributed_samples < 50:
-                run_cold(workspace, algorithm, queries)
-        report = profiler.report
-        assert report.dominant_root() == "query.LBC"
-        assert all(
-            is_registered_span_name(name) for name in report.self_samples
-        )
-        # Collapsed stacks lead with the span path.
-        line = report.collapsed_lines()[0]
-        assert line.startswith("query.LBC")
-
-
 class TestCompletionOverhead:
     def test_sinks_under_five_percent(self, workloads, tmp_path):
         """One completion record per query, sent through the service's

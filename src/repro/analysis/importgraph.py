@@ -32,7 +32,6 @@ LAYERS: dict[str, int] = {
     "concurrency": 0,
     "insight": 1,  # telemetry analysis over obs exhaust; service and
     # bench both import it, so it sits just above the foundation
-    "profiling": 1,  # samples via obs only; never imports sampled code
     "geometry": 1,
     "columnar": 2,  # array-backed data plane: stdlib + obs only
     "storage": 2,
@@ -44,7 +43,6 @@ LAYERS: dict[str, int] = {
     "core": 7,
     "datasets": 8,
     "service": 9,
-    "extensions": 10,
     "viz": 10,
     "analysis": 11,
     "bench": 11,  # drives core, datasets and service; only the CLI is above
@@ -74,9 +72,9 @@ class ArchLayerViolation(Rule):
     id = "REPRO-ARCH01"
     summary = (
         "import from a package at an equal or higher layer rank; the "
-        "package DAG is obs/concurrency < geometry < columnar/storage "
-        "< index < network < skyline < engine < core < datasets < "
-        "service < extensions/viz < analysis/bench < cli"
+        "package DAG is obs/concurrency < insight/geometry < "
+        "columnar/storage < index < network < skyline/oracle < engine "
+        "< core < datasets < service < viz < analysis/bench < cli"
     )
 
     def check(self, info: ModuleInfo) -> Iterator[Finding]:

@@ -94,7 +94,7 @@ class PageRawTraversal(Rule):
         "(.neighbors()/.seed_frontier()/._adjacency); route through "
         "DistanceEngine expanders so page accounting is charged"
     )
-    packages = frozenset({"core", "engine", "skyline", "extensions"})
+    packages = frozenset({"core", "engine", "skyline"})
 
     def check(self, info: ModuleInfo) -> Iterator[Finding]:
         for node in ast.walk(info.tree):
@@ -299,7 +299,7 @@ class LockUnguardedMutation(Rule):
         "Workspace state mutation (.objects/.middle/.object_rtree/"
         ".network writers) outside a with ...mutating() block"
     )
-    packages = frozenset({"core", "service", "engine", "extensions"})
+    packages = frozenset({"core", "service", "engine"})
 
     def check(self, info: ModuleInfo) -> Iterator[Finding]:
         for node in ast.walk(info.tree):

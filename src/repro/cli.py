@@ -28,10 +28,6 @@ Installed as the ``repro`` console script (also runnable as
 * ``insight``    — cohort digests, regression detection and slow-event
   listings over wide-event logs and bench artifacts
   (:mod:`repro.insight`; also ``python -m repro.insight``);
-* ``profile``    — sampling profiler over a preset workload, with
-  per-span self time and collapsed-stack flamegraph export;
-* ``heatmap``    — page-access heatmaps per buffer pool (adjacency
-  vs R-tree vs B+-tree) for a preset workload;
 * ``lint``       — run the repo's own architecture & concurrency
   linter (:mod:`repro.analysis`; also ``python -m repro.analysis``).
 
@@ -255,46 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     insight.add_argument("rest", nargs=argparse.REMAINDER)
 
-    profile = sub.add_parser(
-        "profile",
-        help="sampling profiler: per-span self time + collapsed stacks",
-    )
-    _add_workload_arguments(profile)
-    profile.add_argument(
-        "--interval-ms",
-        type=float,
-        default=2.0,
-        help="sampling interval in milliseconds (default: 2.0)",
-    )
-    profile.add_argument(
-        "--min-samples",
-        type=int,
-        default=200,
-        help="re-run the workload until this many samples are captured",
-    )
-    profile.add_argument(
-        "--collapsed",
-        help="write collapsed stacks here (flamegraph.pl / speedscope)",
-    )
-    profile.add_argument(
-        "--top", type=int, default=20, help="rows in the self-time table"
-    )
-
-    heatmap = sub.add_parser(
-        "heatmap",
-        help="page-access heatmaps per buffer pool after a workload",
-    )
-    _add_workload_arguments(heatmap)
-    heatmap.add_argument(
-        "--out", help="write the page heats as JSON here"
-    )
-    heatmap.add_argument(
-        "--top", type=int, default=8, help="hottest pages listed per pool"
-    )
-    heatmap.add_argument(
-        "--width", type=int, default=64, help="intensity strip width"
-    )
-
     lint = sub.add_parser(
         "lint",
         help="run the architecture & concurrency linter (repro.analysis)",
@@ -303,40 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument("rest", nargs=argparse.REMAINDER)
 
     return parser
-
-
-def _add_workload_arguments(parser: argparse.ArgumentParser) -> None:
-    """The shared preset-workload knobs of ``profile`` and ``heatmap``."""
-    parser.add_argument(
-        "--preset", choices=["CA", "AU", "NA"], default="AU"
-    )
-    parser.add_argument("--scale", type=float, default=0.05)
-    parser.add_argument("--omega", type=float, default=0.5)
-    parser.add_argument(
-        "--algorithm", choices=sorted(ALGORITHMS), default="LBC"
-    )
-    parser.add_argument(
-        "--queries", type=int, default=4, help="|Q| query points"
-    )
-    parser.add_argument("--seed", type=int, default=100)
-    parser.add_argument(
-        "--distance-backend",
-        choices=list(BACKEND_NAMES),
-        default=DEFAULT_BACKEND,
-    )
-
-
-def _build_preset_workload(args):
-    """Workspace + query points for the profile/heatmap subcommands."""
-    network = build_preset(args.preset, scale=args.scale)
-    objects = extract_objects(network, omega=args.omega, seed=1)
-    workspace = Workspace.build(
-        network, objects, paged=True, distance_backend=args.distance_backend
-    )
-    queries = select_query_points(
-        network, args.queries, region_fraction=0.10, seed=args.seed
-    )
-    return workspace, queries
 
 
 def _cmd_generate(args) -> int:
@@ -713,69 +635,6 @@ def _cmd_oracle_verify(args) -> int:
     return 0
 
 
-def _cmd_profile(args) -> int:
-    from repro.profiling import SamplingProfiler, format_self_time_table
-
-    workspace, queries = _build_preset_workload(args)
-    algorithm = ALGORITHMS[args.algorithm]()
-    interval_s = args.interval_ms / 1000.0
-    profiler = SamplingProfiler(interval_s=interval_s)
-    runs = 0
-    with profiler:
-        # Re-run the workload until enough samples exist for a stable
-        # profile; counters are not being measured here, so repetition
-        # is free of determinism concerns.
-        while profiler.report.total_samples < args.min_samples:
-            workspace.reset_io(cold=True)
-            algorithm.run(workspace, queries)
-            runs += 1
-    report = profiler.report
-    print(
-        f"profiled {runs} run(s) of {algorithm.name} on "
-        f"{args.preset}@{args.scale} |Q|={len(queries)}"
-    )
-    print(format_self_time_table(report, top=args.top))
-    if args.collapsed:
-        count = report.write_collapsed(args.collapsed)
-        print(f"wrote {args.collapsed} ({count} collapsed stacks)")
-    return 0
-
-
-def _cmd_heatmap(args) -> int:
-    from repro.storage.heatmap import heat_dict, render_component
-
-    workspace, queries = _build_preset_workload(args)
-    algorithm = ALGORITHMS[args.algorithm]()
-    workspace.reset_io(cold=True)
-    result = algorithm.run(workspace, queries)
-    components = {}
-    if workspace.store is not None:
-        components["network"] = workspace.store.pool.page_accesses()
-    if workspace.rtree_pager is not None:
-        components["index"] = workspace.rtree_pager.pool.page_accesses()
-    if workspace.middle_pager is not None:
-        components["middle"] = workspace.middle_pager.pool.page_accesses()
-    oracle_store = (
-        workspace.engine.oracle_store() if workspace.engine is not None else None
-    )
-    if oracle_store is not None:
-        components["oracle"] = oracle_store.pool.page_accesses()
-    print(
-        f"{algorithm.name} on {args.preset}@{args.scale} |Q|={len(queries)}: "
-        f"{len(result)} skyline points, "
-        f"{result.stats.total_pages} physical page reads"
-    )
-    for name, accesses in components.items():
-        print(render_component(name, accesses, top=args.top, width=args.width))
-    if args.out:
-        import json
-
-        with open(args.out, "w") as handle:
-            json.dump(heat_dict(components), handle, indent=1, sort_keys=True)
-        print(f"wrote {args.out}")
-    return 0
-
-
 def _cmd_lint(args) -> int:
     from repro.analysis.cli import main as lint_main
 
@@ -823,8 +682,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "serve": _cmd_serve,
         "bench": _cmd_bench,
         "insight": _cmd_insight,
-        "profile": _cmd_profile,
-        "heatmap": _cmd_heatmap,
         "lint": _cmd_lint,
     }
     return handlers[args.command](args)

@@ -230,16 +230,15 @@ class Workspace:
         buffer_bytes: int = DEFAULT_BUFFER_BYTES,
         rtree_max_entries: int = DEFAULT_MAX_ENTRIES,
         bptree_order: int = 64,
-        buffer_policy: str = "lru",
         distance_backend: str = DEFAULT_BACKEND,
     ) -> "Workspace":
         """Assemble the workspace, clustering and indexing the dataset.
 
-        ``buffer_policy`` selects the page-replacement policy for every
-        pool ("lru" — the paper's setup — "fifo" or "clock");
-        ``distance_backend`` picks the engine's default distance backend
-        (``"dijkstra"``, ``"astar"``, ``"astar+landmarks"``, or the
-        preprocessed oracles ``"ch"`` / ``"hublabel"``).
+        Every paged structure sits behind its own LRU pool of
+        ``buffer_bytes`` (the paper's setup); ``distance_backend`` picks
+        the engine's default distance backend (``"dijkstra"``,
+        ``"astar"``, ``"astar+landmarks"``, or the preprocessed oracles
+        ``"ch"`` / ``"hublabel"``).
         """
         if objects.network is not network:
             raise ValueError("object set was built for a different network")
@@ -249,12 +248,10 @@ class Workspace:
                 network,
                 page_size=page_size,
                 buffer_bytes=buffer_bytes,
-                policy=buffer_policy,
             )
             middle_pager = NodePager(
                 buffer_bytes=buffer_bytes,
                 page_size=page_size,
-                policy=buffer_policy,
                 component="middle",
             )
             middle: MiddleLayer | InMemoryPlacements = MiddleLayer.build(
@@ -263,7 +260,6 @@ class Workspace:
             rtree_pager = NodePager(
                 buffer_bytes=buffer_bytes,
                 page_size=page_size,
-                policy=buffer_policy,
                 component="index",
             )
             object_rtree = objects.build_rtree(

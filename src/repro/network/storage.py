@@ -55,7 +55,6 @@ class NetworkStore:
         buffer_bytes: int = DEFAULT_BUFFER_BYTES,
         stats: IOStats | None = None,
         hilbert_order: int = 10,
-        policy: str = "lru",
     ) -> None:
         self.network = network
         self.disk = DiskManager(page_size=page_size)
@@ -63,7 +62,6 @@ class NetworkStore:
             self.disk,
             capacity_bytes=buffer_bytes,
             stats=stats,
-            policy=policy,
             component="network",
         )
         self._page_of_node: dict[int, int] = {}

@@ -80,7 +80,6 @@ from repro.obs.tracing import (
     Span,
     activate,
     active_roots,
-    active_span_of_thread,
     active_spans,
     current_span,
     format_trace,
@@ -113,7 +112,6 @@ __all__ = [
     "Span",
     "activate",
     "active_roots",
-    "active_span_of_thread",
     "active_spans",
     "current_span",
     "format_flight_record",

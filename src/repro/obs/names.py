@@ -47,10 +47,6 @@ SPAN_NAMES = frozenset(
         # LBC phases (repro.core.lbc)
         "lbc.stream",
         "lbc.resolve",
-        # Aggregate-NN extension runs (repro.extensions.ann)
-        "ann.ce",
-        "ann.lb",
-        "ann.brute",
         # Columnar block kernels (repro.skyline over repro.columnar)
         "columnar.skyline",
         "columnar.distances",

@@ -39,11 +39,11 @@ _CURRENT: ContextVar["Span | None"] = ContextVar("repro_obs_span", default=None)
 
 # Thread id -> innermost active span, mirrored from the contextvar by
 # the span()/activate()/suppressed() context managers.  The contextvar
-# is invisible from outside the owning thread, so the sampling profiler
-# (:mod:`repro.profiling`) reads this map instead to attribute a
-# ``sys._current_frames()`` sample to the span the sampled thread was
-# executing under.  Two dict writes per *span* (not per record()) keep
-# the hot path untouched.
+# is invisible from outside the owning thread, so the flight recorder
+# and ``/debugz`` read this map instead (:func:`active_spans`,
+# :func:`active_roots`) to show what every thread is executing under.
+# Two dict writes per *span* (not per record()) keep the hot path
+# untouched.
 _ACTIVE_BY_THREAD: dict[int, "Span | None"] = {}
 
 
@@ -141,9 +141,8 @@ class Span:
     def path(self) -> tuple[str, ...]:
         """Span names from the root down to this span.
 
-        The sampling profiler uses this as the prefix of a collapsed
-        stack line, so a flamegraph groups Python frames under the
-        query phase that was executing when the sample was taken.
+        ``/debugz`` lists it per thread, so an in-flight leaf phase is
+        shown under the query it belongs to.
         """
         names: list[str] = []
         node: Span | None = self
@@ -200,22 +199,11 @@ def current_span() -> Span | None:
     return _CURRENT.get()
 
 
-def active_span_of_thread(thread_id: int) -> Span | None:
-    """The innermost span thread ``thread_id`` is currently under.
-
-    Cross-thread read for the sampling profiler; anything inside the
-    running thread should use :func:`current_span` instead.  Reads the
-    mirror map the context managers below maintain, so it only sees
-    spans opened through :func:`span`/:func:`activate` (which is all of
-    them).
-    """
-    return _ACTIVE_BY_THREAD.get(thread_id)
-
-
 def active_spans() -> dict[int, Span]:
     """Snapshot of every thread's innermost active span.
 
-    Cross-thread read (flight recorder, ``/debugz``): the dict copy is
+    Cross-thread read (flight recorder, ``/debugz``); inside the
+    running thread use :func:`current_span` instead.  The dict copy is
     atomic under the GIL; the spans inside are live and may still be
     mutating.
     """
@@ -309,8 +297,8 @@ def suppressed() -> Iterator[None]:
     For shared, amortised work that must not be billed to whichever
     query happened to trigger it (lazy landmark-table builds, cache
     warmups): inside this context, :func:`record` and :func:`span`
-    behave as if no trace were active — and the profiler attributes
-    samples taken here to no span.
+    behave as if no trace were active, and :func:`active_spans` shows
+    the thread under no span.
     """
     previous = _CURRENT.get()
     token = _CURRENT.set(None)

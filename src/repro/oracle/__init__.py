@@ -19,8 +19,8 @@ roadmap:
   can refuse a mutated graph) and its JSON file round-trip;
 * :mod:`repro.oracle.store` — page-clustered layout of the shortcut /
   label records behind a :class:`~repro.storage.buffer.BufferPool`, so
-  oracle reads pay page accounting (``oracle_pages``) and show up in
-  heatmaps like every other structure;
+  oracle reads pay page accounting (``oracle_pages``) like every other
+  structure;
 * :mod:`repro.oracle.runtime` — :class:`DistanceOracle`, the queryable
   handle the engine consults before falling back to online search.
 

@@ -12,8 +12,8 @@ and its candidates' endpoints) share pages.
 
 Reading a node's record is one logical page access through a
 :class:`~repro.storage.buffer.BufferPool` with ``component="oracle"``:
-physical misses are charged to the active span as ``oracle_pages`` and
-the per-page heat shows up in ``repro heatmap`` beside the other pools.
+physical misses are charged to the active span as ``oracle_pages``,
+beside the other pools' ``network``/``index``/``middle`` pages.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ class OracleStore:
         buffer_bytes: int = DEFAULT_BUFFER_BYTES,
         stats: IOStats | None = None,
         hilbert_order: int = 10,
-        policy: str = "lru",
     ) -> None:
         self.kind = index.kind
         self.disk = DiskManager(page_size=page_size)
@@ -52,7 +51,6 @@ class OracleStore:
             self.disk,
             capacity_bytes=buffer_bytes,
             stats=stats,
-            policy=policy,
             component="oracle",
         )
         self._page_of_node: dict[int, int] = {}

@@ -15,7 +15,7 @@ from repro.storage.page import (
     Page,
     PageOverflowError,
 )
-from repro.storage.stats import IOSnapshot, IOStats, StatsRegistry
+from repro.storage.stats import IOStats
 
 __all__ = [
     "DEFAULT_BUFFER_BYTES",
@@ -23,11 +23,9 @@ __all__ = [
     "PAGE_HEADER_SIZE",
     "BufferPool",
     "DiskManager",
-    "IOSnapshot",
     "IOStats",
     "NodePager",
     "Page",
     "PageNotFoundError",
     "PageOverflowError",
-    "StatsRegistry",
 ]

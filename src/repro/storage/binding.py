@@ -27,7 +27,6 @@ class NodePager:
         buffer_bytes: int = DEFAULT_BUFFER_BYTES,
         page_size: int = DEFAULT_PAGE_SIZE,
         stats: IOStats | None = None,
-        policy: str = "lru",
         component: str | None = None,
     ) -> None:
         self.disk = disk if disk is not None else DiskManager(page_size=page_size)
@@ -36,7 +35,6 @@ class NodePager:
                 self.disk,
                 capacity_bytes=buffer_bytes,
                 stats=stats,
-                policy=policy,
                 component=component,
             )
         self.pool = pool

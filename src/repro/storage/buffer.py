@@ -1,15 +1,13 @@
-"""Buffer pool over the simulated disk, with pluggable replacement.
+"""LRU buffer pool over the simulated disk.
 
 The paper runs every experiment behind a **1 MiB LRU buffer** of
 **4 KiB pages** (256 frames).  :class:`BufferPool` reproduces that cost
 model: a page request is a *hit* (free) when the page is resident, a
-*miss* (one physical read) otherwise.  LRU is the default (and the
-paper's) policy; FIFO and CLOCK (second-chance) are provided for the
-replacement-policy ablation in the benchmarks — CLOCK is what real
-buffer managers approximate LRU with.
+*miss* (one physical read) otherwise, and a miss on a full pool evicts
+the least recently used page.
 
 The pool is **thread-safe**: one internal lock covers the resident
-map, the replacement state *and* the :class:`IOStats` increments, so
+map, its recency order *and* the :class:`IOStats` increments, so
 workers sharing a store never corrupt the recency order or lose
 hit/miss updates (unguarded ``+=`` on the counters is a classic lost
 update, and would make ``--stats`` undercount physical reads).
@@ -28,18 +26,15 @@ from repro.storage.stats import IOStats
 DEFAULT_BUFFER_BYTES = 1024 * 1024
 """Default total buffer size (1 MiB), matching the paper's setup."""
 
-REPLACEMENT_POLICIES = ("lru", "fifo", "clock")
-
 
 class BufferPool:
-    """Fixed-capacity page cache with hit/miss accounting."""
+    """Fixed-capacity LRU page cache with hit/miss accounting."""
 
     def __init__(
         self,
         disk: DiskManager,
         capacity_bytes: int = DEFAULT_BUFFER_BYTES,
         stats: IOStats | None = None,
-        policy: str = "lru",
         component: str | None = None,
     ) -> None:
         frames = capacity_bytes // disk.page_size
@@ -48,27 +43,12 @@ class BufferPool:
                 f"buffer of {capacity_bytes} bytes holds no "
                 f"{disk.page_size}-byte page"
             )
-        if policy not in REPLACEMENT_POLICIES:
-            raise ValueError(
-                f"unknown replacement policy {policy!r}; "
-                f"choose from {REPLACEMENT_POLICIES}"
-            )
         self._disk = disk
         self._frames = frames
-        self._policy = policy
+        # Resident pages, least recently used first.
         self._resident: OrderedDict[int, Page] = OrderedDict()
-        # CLOCK state: reference bits per resident page and a hand over
-        # the insertion order.
-        self._referenced: dict[int, bool] = {}
-        # Access-frequency heatmap: per page id, how often it was
-        # requested (hit) and how often that request went to disk
-        # (miss).  O(distinct pages) memory, one dict increment per
-        # fetch under the existing lock; `repro heatmap` renders it per
-        # structure (adjacency vs R-tree vs B+-tree).
-        self._page_hits: dict[int, int] = {}
-        self._page_misses: dict[int, int] = {}
-        # Guards residency, replacement state and stats increments; see
-        # the module docstring.
+        # Guards residency, recency order and stats increments; see the
+        # module docstring.
         self._lock = threading.Lock()
         self.stats = stats if stats is not None else IOStats()
         # Span-accounting key: a physical read is charged to the active
@@ -87,51 +67,22 @@ class BufferPool:
         """Pages currently cached."""
         return len(self._resident)
 
-    @property
-    def policy(self) -> str:
-        return self._policy
-
     def fetch(self, page_id: int) -> Page:
-        """Return a page, updating replacement state and counters."""
+        """Return a page, updating recency order and counters."""
         with self._lock:
             page = self._resident.get(page_id)
             if page is not None:
                 self.stats.record_read(hit=True)
-                self._page_hits[page_id] = self._page_hits.get(page_id, 0) + 1
-                if self._policy == "lru":
-                    self._resident.move_to_end(page_id)
-                elif self._policy == "clock":
-                    self._referenced[page_id] = True
+                self._resident.move_to_end(page_id)
                 return page
             page = self._disk.read(page_id)
             self.stats.record_read(hit=False)
-            self._page_misses[page_id] = self._page_misses.get(page_id, 0) + 1
             if self._miss_key is not None:
                 tracing.record(self._miss_key)
             if len(self._resident) >= self._frames:
-                self._evict()
+                self._resident.popitem(last=False)
             self._resident[page_id] = page
-            if self._policy == "clock":
-                self._referenced[page_id] = False
             return page
-
-    def _evict(self) -> None:
-        if self._policy in ("lru", "fifo"):
-            # LRU keeps recency order by move_to_end; FIFO never
-            # reorders, so the head is the oldest either way.
-            self._resident.popitem(last=False)
-            return
-        # CLOCK: sweep in residence order, clearing reference bits,
-        # evicting the first unreferenced page.
-        while True:
-            page_id, page = next(iter(self._resident.items()))
-            if self._referenced.get(page_id, False):
-                self._referenced[page_id] = False
-                self._resident.move_to_end(page_id)
-            else:
-                del self._resident[page_id]
-                self._referenced.pop(page_id, None)
-                return
 
     def is_resident(self, page_id: int) -> bool:
         """True if the page is currently cached (no state change)."""
@@ -142,28 +93,8 @@ class BufferPool:
         """Drop every cached page (a 'cold' restart between experiments)."""
         with self._lock:
             self._resident.clear()
-            self._referenced.clear()
-
-    def page_accesses(self) -> dict[int, tuple[int, int]]:
-        """Per-page ``(hits, misses)`` since the last stats reset.
-
-        A consistent copy taken under the pool lock; the sum over all
-        pages reconciles with ``stats.logical_reads`` /
-        ``stats.physical_reads`` by construction.
-        """
-        with self._lock:
-            pages = set(self._page_hits) | set(self._page_misses)
-            return {
-                page_id: (
-                    self._page_hits.get(page_id, 0),
-                    self._page_misses.get(page_id, 0),
-                )
-                for page_id in pages
-            }
 
     def reset_stats(self) -> None:
         """Zero the hit/miss counters without evicting pages."""
         with self._lock:
             self.stats.reset()
-            self._page_hits.clear()
-            self._page_misses.clear()

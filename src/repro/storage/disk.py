@@ -1,8 +1,8 @@
 """The simulated disk: a flat address space of pages.
 
 :class:`DiskManager` owns every page of one storage stack and hands out
-new page ids.  All *reads must go through a buffer pool* — the manager
-itself only counts raw accesses, the pool adds LRU caching on top.
+new page ids.  All *reads must go through a buffer pool*, which adds LRU
+caching and the read counters on top.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from repro.storage.page import DEFAULT_PAGE_SIZE, Page
 
 
 class DiskManager:
-    """Allocates and serves fixed-size pages, counting raw accesses."""
+    """Allocates and serves fixed-size pages."""
 
     def __init__(self, page_size: int = DEFAULT_PAGE_SIZE) -> None:
         if page_size <= 0:
@@ -19,8 +19,6 @@ class DiskManager:
         self._page_size = page_size
         self._pages: dict[int, Page] = {}
         self._next_id = 0
-        self.raw_reads = 0
-        self.raw_writes = 0
 
     @property
     def page_size(self) -> int:
@@ -35,24 +33,14 @@ class DiskManager:
         page = Page(page_id=self._next_id, capacity=self._page_size)
         self._pages[self._next_id] = page
         self._next_id += 1
-        self.raw_writes += 1
         return page
 
     def read(self, page_id: int) -> Page:
-        """Fetch a page from 'disk' (one raw read)."""
+        """Fetch a page from 'disk'."""
         try:
-            page = self._pages[page_id]
+            return self._pages[page_id]
         except KeyError:
             raise PageNotFoundError(f"no page with id {page_id}") from None
-        self.raw_reads += 1
-        return page
-
-    def exists(self, page_id: int) -> bool:
-        return page_id in self._pages
-
-    def page_ids(self) -> list[int]:
-        """All allocated page ids in allocation order."""
-        return sorted(self._pages)
 
 
 class PageNotFoundError(KeyError):

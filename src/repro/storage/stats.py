@@ -10,29 +10,21 @@ exactly the quantity Figures 5(a) and 6(a)/(d) plot.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
 class IOStats:
-    """Mutable counters for logical and physical page accesses."""
+    """Mutable counters for logical and physical page reads."""
 
     logical_reads: int = 0
     physical_reads: int = 0
-    logical_writes: int = 0
-    physical_writes: int = 0
 
     def record_read(self, hit: bool) -> None:
         """Record one logical read; a miss also counts one physical read."""
         self.logical_reads += 1
         if not hit:
             self.physical_reads += 1
-
-    def record_write(self, flushed: bool) -> None:
-        """Record one logical write; a flush also counts physically."""
-        self.logical_writes += 1
-        if flushed:
-            self.physical_writes += 1
 
     @property
     def hit_ratio(self) -> float:
@@ -45,64 +37,3 @@ class IOStats:
         """Zero all counters."""
         self.logical_reads = 0
         self.physical_reads = 0
-        self.logical_writes = 0
-        self.physical_writes = 0
-
-    def snapshot(self) -> "IOSnapshot":
-        """An immutable copy of the current counters."""
-        return IOSnapshot(
-            logical_reads=self.logical_reads,
-            physical_reads=self.physical_reads,
-            logical_writes=self.logical_writes,
-            physical_writes=self.physical_writes,
-        )
-
-
-@dataclass(frozen=True, slots=True)
-class IOSnapshot:
-    """Immutable point-in-time view of :class:`IOStats`."""
-
-    logical_reads: int
-    physical_reads: int
-    logical_writes: int
-    physical_writes: int
-
-    def __sub__(self, earlier: "IOSnapshot") -> "IOSnapshot":
-        """Counter deltas between two snapshots (``later - earlier``)."""
-        return IOSnapshot(
-            logical_reads=self.logical_reads - earlier.logical_reads,
-            physical_reads=self.physical_reads - earlier.physical_reads,
-            logical_writes=self.logical_writes - earlier.logical_writes,
-            physical_writes=self.physical_writes - earlier.physical_writes,
-        )
-
-
-@dataclass
-class StatsRegistry:
-    """Groups the per-component stats of one storage stack.
-
-    A :class:`repro.network.storage.NetworkStore` and the indexes built
-    over the same dataset each get their own :class:`IOStats`; the
-    registry lets an experiment snapshot and diff all of them at once.
-    """
-
-    components: dict[str, IOStats] = field(default_factory=dict)
-
-    def stats_for(self, name: str) -> IOStats:
-        """The (lazily created) stats object for component ``name``."""
-        if name not in self.components:
-            self.components[name] = IOStats()
-        return self.components[name]
-
-    def total_physical_reads(self) -> int:
-        """Physical reads summed over every registered component."""
-        return sum(s.physical_reads for s in self.components.values())
-
-    def reset(self) -> None:
-        """Zero every component's counters."""
-        for stats in self.components.values():
-            stats.reset()
-
-    def snapshot(self) -> dict[str, IOSnapshot]:
-        """Immutable copies of every component's counters."""
-        return {name: stats.snapshot() for name, stats in self.components.items()}

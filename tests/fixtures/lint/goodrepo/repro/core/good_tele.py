@@ -7,8 +7,8 @@ def run(name):
     tracing.record("nodes_settled")
     with tracing.span("ce.filter"):
         pass
-    # Extension spans minted in obs/names.py are vocabulary too.
-    with tracing.span("ann.ce"):
+    # Phase spans minted in obs/names.py are vocabulary too.
+    with tracing.span("lbc.resolve"):
         tracing.record("distance_computations")
     with tracing.span("xl.run"):
         pass

@@ -13,6 +13,7 @@ import pytest
 
 from repro.analysis import RULES, run_lint
 from repro.analysis import baseline as baseline_mod
+from repro.analysis import importgraph
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures" / "lint"
 FAKE = FIXTURES / "fakerepo" / "repro"
@@ -206,3 +207,16 @@ def test_rule_catalogue_is_complete():
     for rule in RULES.values():
         assert rule.summary
         assert rule.scope in ("module", "project")
+
+
+def test_layer_table_matches_the_source_tree():
+    """``LAYERS`` ranks exactly the top-level modules and packages.
+
+    REPRO-ARCH01 skips a module whose package has no rank, so an
+    unranked package's own imports would go unchecked; a rank for a
+    package that no longer exists would go unnoticed.
+    """
+    root = Path(importgraph.__file__).resolve().parents[1]
+    modules = {path.stem for path in root.glob("*.py")} - {"__init__"}
+    packages = {path.parent.name for path in root.glob("*/__init__.py")}
+    assert set(importgraph.LAYERS) == modules | packages

@@ -1,4 +1,4 @@
-"""Property tests: buffer policies against exact reference models."""
+"""Property tests: the LRU buffer pool against an exact reference model."""
 
 from collections import OrderedDict
 
@@ -27,54 +27,11 @@ class _LRUModel:
             self.resident.popitem(last=False)
 
 
-class _FIFOModel:
-    def __init__(self, frames):
-        self.frames = frames
-        self.resident = OrderedDict()
-        self.misses = 0
-
-    def fetch(self, page):
-        if page in self.resident:
-            return
-        self.misses += 1
-        self.resident[page] = True
-        if len(self.resident) > self.frames:
-            self.resident.popitem(last=False)
-
-
-class _ClockModel:
-    def __init__(self, frames):
-        self.frames = frames
-        self.resident = OrderedDict()  # page -> referenced bit
-        self.misses = 0
-
-    def fetch(self, page):
-        if page in self.resident:
-            self.resident[page] = True
-            return
-        self.misses += 1
-        if len(self.resident) >= self.frames:
-            while True:
-                victim, referenced = next(iter(self.resident.items()))
-                if referenced:
-                    self.resident[victim] = False
-                    self.resident.move_to_end(victim)
-                else:
-                    del self.resident[victim]
-                    break
-        self.resident[page] = False
-
-
-MODELS = {"lru": _LRUModel, "fifo": _FIFOModel, "clock": _ClockModel}
-
-
-def _run_both(policy, frames, sequence):
+def _run_both(frames, sequence):
     disk = DiskManager()
     page_ids = [disk.allocate().page_id for _ in range(15)]
-    pool = BufferPool(
-        disk, capacity_bytes=DEFAULT_PAGE_SIZE * frames, policy=policy
-    )
-    model = MODELS[policy](frames)
+    pool = BufferPool(disk, capacity_bytes=DEFAULT_PAGE_SIZE * frames)
+    model = _LRUModel(frames)
     for index in sequence:
         pool.fetch(page_ids[index])
         model.fetch(page_ids[index])
@@ -82,9 +39,9 @@ def _run_both(policy, frames, sequence):
 
 
 @settings(max_examples=60, deadline=None)
-@given(accesses, frame_counts, st.sampled_from(sorted(MODELS)))
-def test_policy_matches_reference_model(sequence, frames, policy):
-    pool, model, page_ids = _run_both(policy, frames, sequence)
+@given(accesses, frame_counts)
+def test_policy_matches_reference_model(sequence, frames):
+    pool, model, page_ids = _run_both(frames, sequence)
     assert pool.stats.physical_reads == model.misses
     for page_id in page_ids:
         assert pool.is_resident(page_id) == (page_id in model.resident)
@@ -92,22 +49,6 @@ def test_policy_matches_reference_model(sequence, frames, policy):
 
 @settings(max_examples=30, deadline=None)
 @given(accesses, frame_counts)
-def test_clock_never_beats_repeated_lru_much(sequence, frames):
-    """Sanity bound: CLOCK approximates LRU — its miss count stays
-    within the FIFO/LRU envelope extremes on any workload here."""
-    results = {}
-    for policy in MODELS:
-        pool, _, _ = _run_both(policy, frames, sequence)
-        results[policy] = pool.stats.physical_reads
-    # All policies share compulsory misses and never exceed the number
-    # of accesses.
-    distinct = len(set(sequence))
-    for misses in results.values():
-        assert distinct <= misses <= max(len(sequence), distinct)
-
-
-@settings(max_examples=30, deadline=None)
-@given(accesses, frame_counts, st.sampled_from(sorted(MODELS)))
-def test_residency_bounded(sequence, frames, policy):
-    pool, _, _ = _run_both(policy, frames, sequence)
+def test_residency_bounded(sequence, frames):
+    pool, _, _ = _run_both(frames, sequence)
     assert pool.resident_count <= frames

@@ -49,12 +49,6 @@ class TestExamples:
         assert "LBC" in proc.stdout
         assert "naive" in proc.stdout
 
-    def test_group_trip(self):
-        proc = run_example("group_trip.py")
-        assert proc.returncode == 0, proc.stderr
-        assert "top-3 by total travel" in proc.stdout
-        assert "skyline members" in proc.stdout
-
     def test_visualize_search(self, tmp_path):
         proc = run_example("visualize_search.py", str(tmp_path), timeout=420)
         assert proc.returncode == 0, proc.stderr

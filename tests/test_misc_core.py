@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import EDC, LBC, NaiveSkyline, Workspace, object_vector
+from repro.core import EDC, NaiveSkyline, Workspace, object_vector
 from repro.core.base import insert_skyline_point
 from repro.core.result import SkylinePoint
 from repro.network import ObjectSet, SpatialObject
@@ -103,22 +103,3 @@ class TestEDCClosureAccounting:
         # Low detours: the published region almost always suffices.
         assert stats.extras.get("closure_candidates", 0.0) <= stats.candidate_count
 
-
-class TestWorkspacePolicy:
-    def test_bad_policy_rejected_at_build(self):
-        network = build_random_network(20, 10, seed=940)
-        objects = place_random_objects(network, 5, seed=941)
-        with pytest.raises(ValueError):
-            Workspace.build(network, objects, buffer_policy="mru")
-
-    def test_policies_do_not_change_answers(self):
-        network = build_random_network(50, 30, seed=950)
-        objects = place_random_objects(network, 30, seed=951)
-        queries = random_locations(network, 3, seed=952)
-        answers = []
-        for policy in ("lru", "fifo", "clock"):
-            workspace = Workspace.build(
-                network, objects, buffer_policy=policy, buffer_bytes=32 * 1024
-            )
-            answers.append(LBC().run(workspace, queries).object_ids())
-        assert answers[0] == answers[1] == answers[2]

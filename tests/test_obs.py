@@ -13,11 +13,13 @@ rest of the stack relies on:
 
 from __future__ import annotations
 
+import ast
 import json
 import math
 import os
 import random
 import re
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +30,7 @@ from repro.obs import (
     MetricRegistry,
     Span,
     format_trace,
+    names,
     parse_prometheus_text,
     tracing,
 )
@@ -247,13 +250,13 @@ class TestTracing:
         import threading
 
         ident = threading.get_ident()
-        assert tracing.active_span_of_thread(ident) is None
-        with tracing.span("query.LBC"):
+        assert ident not in tracing.active_spans()
+        with tracing.span("query.LBC") as root:
             with tracing.span("lbc.resolve") as inner:
-                assert tracing.active_span_of_thread(ident) is inner
-            outer = tracing.active_span_of_thread(ident)
-            assert outer is not None and outer.name == "query.LBC"
-        assert tracing.active_span_of_thread(ident) is None
+                assert tracing.active_spans()[ident] is inner
+                assert tracing.active_roots()[ident] is root
+            assert tracing.active_spans()[ident] is root
+        assert ident not in tracing.active_spans()
 
     def test_thread_mirror_restored_by_suppressed_and_activate(self):
         import threading
@@ -261,12 +264,27 @@ class TestTracing:
         ident = threading.get_ident()
         with tracing.span("query.LBC") as root:
             with tracing.suppressed():
-                assert tracing.active_span_of_thread(ident) is None
-            assert tracing.active_span_of_thread(ident) is root
+                assert ident not in tracing.active_spans()
+            assert tracing.active_spans()[ident] is root
         detached = Span("request.CE")
         with tracing.activate(detached):
-            assert tracing.active_span_of_thread(ident) is detached
-        assert tracing.active_span_of_thread(ident) is None
+            assert tracing.active_spans()[ident] is detached
+        assert ident not in tracing.active_spans()
+
+
+def test_every_registered_name_is_used_in_src():
+    """Each span name and metric family appears as a literal outside
+    ``obs/names.py``; a name nothing mints is dead vocabulary."""
+    names_path = Path(names.__file__).resolve()
+    literals: set[str] = set()
+    for path in names_path.parents[1].rglob("*.py"):
+        if path == names_path:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                literals.add(node.value)
+    assert names.SPAN_NAMES - literals == set()
+    assert names.METRIC_FAMILIES - literals == set()
 
 
 # ----------------------------------------------------------------------

@@ -11,7 +11,6 @@ from repro.storage import (
     Page,
     PageNotFoundError,
     PageOverflowError,
-    StatsRegistry,
 )
 
 
@@ -48,13 +47,6 @@ class TestDiskManager:
         assert [disk.allocate().page_id for _ in range(3)] == [0, 1, 2]
         assert disk.page_count == 3
 
-    def test_read_counts_raw_reads(self):
-        disk = DiskManager()
-        page = disk.allocate()
-        disk.read(page.page_id)
-        disk.read(page.page_id)
-        assert disk.raw_reads == 2
-
     def test_read_missing_raises(self):
         disk = DiskManager()
         with pytest.raises(PageNotFoundError):
@@ -63,12 +55,6 @@ class TestDiskManager:
     def test_bad_page_size_rejected(self):
         with pytest.raises(ValueError):
             DiskManager(page_size=0)
-
-    def test_page_ids_sorted(self):
-        disk = DiskManager()
-        for _ in range(4):
-            disk.allocate()
-        assert disk.page_ids() == [0, 1, 2, 3]
 
 
 class TestBufferPool:
@@ -137,29 +123,9 @@ class TestIOStats:
     def test_reset(self):
         stats = IOStats()
         stats.record_read(hit=False)
-        stats.record_write(flushed=True)
         stats.reset()
+        assert stats.logical_reads == 0
         assert stats.physical_reads == 0
-        assert stats.physical_writes == 0
-
-    def test_snapshot_subtraction(self):
-        stats = IOStats()
-        stats.record_read(hit=False)
-        before = stats.snapshot()
-        stats.record_read(hit=False)
-        stats.record_read(hit=True)
-        delta = stats.snapshot() - before
-        assert delta.physical_reads == 1
-        assert delta.logical_reads == 2
-
-    def test_registry_totals(self):
-        registry = StatsRegistry()
-        registry.stats_for("network").record_read(hit=False)
-        registry.stats_for("rtree").record_read(hit=False)
-        registry.stats_for("rtree").record_read(hit=True)
-        assert registry.total_physical_reads() == 2
-        registry.reset()
-        assert registry.total_physical_reads() == 0
 
 
 class TestNodePager:
@@ -185,174 +151,3 @@ class TestNodePager:
         # Re-registering allocates a fresh page.
         assert pager.register("x") == 1
 
-
-class TestReplacementPolicies:
-    def _pool(self, policy, frames=2):
-        disk = DiskManager()
-        pages = [disk.allocate().page_id for _ in range(5)]
-        pool = BufferPool(
-            disk, capacity_bytes=DEFAULT_PAGE_SIZE * frames, policy=policy
-        )
-        return pool, pages
-
-    def test_unknown_policy_rejected(self):
-        disk = DiskManager()
-        with pytest.raises(ValueError):
-            BufferPool(disk, policy="mru")
-
-    def test_fifo_ignores_recency(self):
-        pool, pages = self._pool("fifo")
-        pool.fetch(pages[0])
-        pool.fetch(pages[1])
-        pool.fetch(pages[0])  # touch does NOT protect page 0 under FIFO
-        pool.fetch(pages[2])  # evicts 0 (oldest arrival)
-        assert not pool.is_resident(pages[0])
-        assert pool.is_resident(pages[1])
-
-    def test_lru_respects_recency(self):
-        pool, pages = self._pool("lru")
-        pool.fetch(pages[0])
-        pool.fetch(pages[1])
-        pool.fetch(pages[0])
-        pool.fetch(pages[2])  # evicts 1
-        assert pool.is_resident(pages[0])
-        assert not pool.is_resident(pages[1])
-
-    def test_clock_second_chance(self):
-        pool, pages = self._pool("clock")
-        pool.fetch(pages[0])
-        pool.fetch(pages[1])
-        pool.fetch(pages[0])  # sets 0's reference bit
-        pool.fetch(pages[2])  # 0 gets a second chance; 1 evicted
-        assert pool.is_resident(pages[0])
-        assert not pool.is_resident(pages[1])
-
-    def test_clock_eventually_evicts_referenced(self):
-        pool, pages = self._pool("clock")
-        pool.fetch(pages[0])
-        pool.fetch(pages[1])
-        pool.fetch(pages[0])
-        pool.fetch(pages[1])  # both referenced
-        pool.fetch(pages[2])  # sweep clears both bits, evicts one
-        assert pool.resident_count == 2
-        assert pool.is_resident(pages[2])
-
-    @pytest.mark.parametrize("policy", ["lru", "fifo", "clock"])
-    def test_all_policies_bounded_and_correct(self, policy):
-        import random
-
-        rng = random.Random(13)
-        disk = DiskManager()
-        pages = [disk.allocate().page_id for _ in range(20)]
-        pool = BufferPool(
-            disk, capacity_bytes=DEFAULT_PAGE_SIZE * 4, policy=policy
-        )
-        for _ in range(500):
-            page = pool.fetch(rng.choice(pages))
-            assert page.page_id in pages
-            assert pool.resident_count <= 4
-        # Sanity: some hits, some misses under a working-set larger
-        # than the pool.
-        assert 0 < pool.stats.physical_reads < pool.stats.logical_reads
-
-    def test_lru_beats_fifo_on_skewed_access(self):
-        """A hot page with cold scans: recency tracking must win."""
-        disk = DiskManager()
-        pages = [disk.allocate().page_id for _ in range(30)]
-        results = {}
-        for policy in ("lru", "fifo"):
-            pool = BufferPool(
-                disk, capacity_bytes=DEFAULT_PAGE_SIZE * 3, policy=policy
-            )
-            for i in range(600):
-                pool.fetch(pages[0])  # hot page every step
-                pool.fetch(pages[1 + (i % 29)])  # cold scan
-            results[policy] = pool.stats.physical_reads
-        assert results["lru"] < results["fifo"]
-
-
-class TestPageAccessHeat:
-    def test_page_accesses_reconcile_with_iostats(self):
-        disk = DiskManager()
-        pages = [disk.allocate().page_id for _ in range(3)]
-        pool = BufferPool(disk, capacity_bytes=DEFAULT_PAGE_SIZE * 4)
-        for page_id in (pages[0], pages[0], pages[1], pages[0], pages[2]):
-            pool.fetch(page_id)
-        accesses = pool.page_accesses()
-        assert accesses[pages[0]] == (2, 1)
-        assert accesses[pages[1]] == (0, 1)
-        assert accesses[pages[2]] == (0, 1)
-        assert (
-            sum(h + m for h, m in accesses.values())
-            == pool.stats.logical_reads
-        )
-        assert sum(m for _, m in accesses.values()) == pool.stats.physical_reads
-
-    def test_eviction_and_refetch_counts_second_miss(self):
-        disk = DiskManager()
-        pages = [disk.allocate().page_id for _ in range(3)]
-        pool = BufferPool(disk, capacity_bytes=DEFAULT_PAGE_SIZE * 2)
-        pool.fetch(pages[0])
-        pool.fetch(pages[1])
-        pool.fetch(pages[2])  # evicts pages[0]
-        pool.fetch(pages[0])  # second physical read of the same page
-        assert pool.page_accesses()[pages[0]] == (0, 2)
-
-    def test_reset_stats_clears_heat(self):
-        disk = DiskManager()
-        page = disk.allocate()
-        pool = BufferPool(disk, capacity_bytes=DEFAULT_PAGE_SIZE * 2)
-        pool.fetch(page.page_id)
-        pool.reset_stats()
-        assert pool.page_accesses() == {}
-        pool.fetch(page.page_id)  # still resident: a pure hit now
-        assert pool.page_accesses()[page.page_id] == (1, 0)
-
-    def test_page_accesses_returns_copy(self):
-        disk = DiskManager()
-        page = disk.allocate()
-        pool = BufferPool(disk, capacity_bytes=DEFAULT_PAGE_SIZE * 2)
-        pool.fetch(page.page_id)
-        snapshot = pool.page_accesses()
-        pool.fetch(page.page_id)
-        assert snapshot[page.page_id] == (0, 1)
-        assert pool.page_accesses()[page.page_id] == (1, 1)
-
-
-class TestHeatmapRendering:
-    def test_page_heats_sorted_and_ranked(self):
-        from repro.storage.heatmap import hottest, page_heats
-
-        heats = page_heats({5: (1, 1), 2: (9, 1), 9: (0, 1)})
-        assert [h.page_id for h in heats] == [2, 5, 9]
-        assert [h.page_id for h in hottest(heats, top=2)] == [2, 5]
-
-    def test_bin_heats_covers_sparse_range(self):
-        from repro.storage.heatmap import bin_heats, page_heats
-
-        heats = page_heats({0: (2, 1), 100: (0, 1)})
-        rows = bin_heats(heats, bins=4)
-        assert len(rows) == 4
-        assert sum(accesses for _, _, accesses, _ in rows) == 4
-        assert rows[0][2] == 3 and rows[-1][2] == 1
-
-    def test_render_strip_scales_intensity(self):
-        from repro.storage.heatmap import page_heats, render_strip
-
-        strip = render_strip(
-            page_heats({0: (99, 1), 1: (0, 1), 2: (0, 0)}), width=3
-        )
-        assert len(strip) == 3
-        assert strip[0] == "@"  # the hot page saturates the ramp
-        assert render_strip([], width=8) == "(no page accesses)"
-
-    def test_heat_dict_round_trips_counts(self):
-        from repro.storage.heatmap import heat_dict
-
-        data = heat_dict({"network": {3: (4, 2)}})
-        assert data["network"]["pages_touched"] == 1
-        assert data["network"]["accesses"] == 6
-        assert data["network"]["physical_reads"] == 2
-        assert data["network"]["pages"][0] == {
-            "page_id": 3, "hits": 4, "misses": 2,
-        }
