@@ -23,12 +23,11 @@ from __future__ import annotations
 import threading
 import time
 
-from repro.core import Workspace
+from repro.core import ALGORITHMS, Workspace
 from repro.datasets import build_preset, extract_objects
 from repro.service import (
     BatchPlanner,
     QueryService,
-    SERVICE_ALGORITHMS,
     ServiceRequest,
     execute_plan,
 )
@@ -70,7 +69,7 @@ class TestBatchedNodeSavings:
         for request in requests:
             serial_ws.reset_io(cold=True)
             before = serial_ws.engine.nodes_settled()
-            algorithm = SERVICE_ALGORITHMS[request.algorithm]()
+            algorithm = ALGORITHMS[request.algorithm]()
             serial_results[request.request_id] = algorithm.run(
                 serial_ws, request.queries
             )
@@ -85,7 +84,7 @@ class TestBatchedNodeSavings:
         def run_batched():
             batch_ws.reset_io(cold=True)
             before = batch_ws.engine.nodes_settled()
-            outcomes = execute_plan(batch_ws, plans[0], SERVICE_ALGORITHMS)
+            outcomes = execute_plan(batch_ws, plans[0], ALGORITHMS)
             return outcomes, batch_ws.engine.nodes_settled() - before
 
         outcomes, batch_nodes = benchmark.pedantic(
@@ -121,7 +120,7 @@ class TestClosedLoopLoad:
         ]
         direct = {}
         for i, queries in enumerate(query_sets):
-            direct[i] = SERVICE_ALGORITHMS["EDC"]().run(workspace, queries)
+            direct[i] = ALGORITHMS["EDC"]().run(workspace, queries)
 
         def closed_loop():
             errors: list = []

@@ -22,7 +22,7 @@ Quickstart::
 """
 
 from repro.core import (
-    ALL_ALGORITHMS,
+    ALGORITHMS,
     CE,
     EDC,
     EDCIncremental,
@@ -58,7 +58,7 @@ from repro.network import (
 __version__ = "1.0.0"
 
 __all__ = [
-    "ALL_ALGORITHMS",
+    "ALGORITHMS",
     "BACKEND_NAMES",
     "CE",
     "DistanceEngine",

@@ -19,8 +19,7 @@ Five rule families (catalogue in ``docs/architecture.md``):
   (:mod:`repro.analysis.rules`).
 
 Findings are suppressed per line with ``# repro: ignore[RULE-ID]``
-(:mod:`repro.analysis.suppressions`) or absorbed by a reviewed
-baseline file (:mod:`repro.analysis.baseline`).
+(:mod:`repro.analysis.suppressions`).
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ import os
 from fnmatch import fnmatchcase
 from typing import Iterable, Sequence
 
-from repro.analysis import baseline as baseline_mod
 from repro.analysis import suppressions as suppress_mod
 
 # Importing these modules registers their rules.
@@ -90,14 +88,12 @@ def _selected(rule: Rule, select: Iterable[str] | None) -> bool:
 
 
 def run_lint(
-    paths: Sequence[str],
-    select: Iterable[str] | None = None,
-    baseline_path: str | None = None,
+    paths: Sequence[str], select: Iterable[str] | None = None
 ) -> LintResult:
     """Lint ``paths`` and return the structured result.
 
     ``select`` restricts to matching rule ids (exact, prefix, or
-    glob).  ``baseline_path`` absorbs previously-recorded findings.
+    glob).
     """
     result = LintResult()
     files = discover_files(paths)
@@ -141,16 +137,5 @@ def run_lint(
         ):
             result.unused_suppressions.append((path, line))
     result.unused_suppressions.sort()
-
-    lines_by_path = {info.path: info.lines for info in modules}
-    if baseline_path:
-        try:
-            prints = baseline_mod.load(baseline_path)
-        except (ValueError, OSError) as exc:
-            result.errors.append(f"baseline: {exc}")
-            prints = set()
-        kept, result.baselined = baseline_mod.filter_new(
-            kept, prints, lines_by_path
-        )
     result.findings = sorted(kept, key=Finding.sort_key)
     return result

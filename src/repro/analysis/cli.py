@@ -1,7 +1,7 @@
 """Command-line entry point: ``repro lint`` / ``python -m repro.analysis``.
 
-Exit codes: 0 clean (baselined findings do not fail the run), 1 new
-findings, 2 operational errors (unparseable file, bad baseline).
+Exit codes: 0 clean, 1 findings, 2 operational errors (unparseable
+file).
 """
 
 from __future__ import annotations
@@ -12,9 +12,7 @@ import sys
 from typing import Sequence
 
 from repro.analysis import all_rules, run_lint
-from repro.analysis import baseline as baseline_mod
 from repro.analysis.reporters import render_json, render_text
-from repro.analysis.walker import load_module
 
 
 def _default_paths() -> list[str]:
@@ -52,16 +50,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        help="baseline file of accepted findings (suppresses matches)",
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite --baseline to cover the current findings and exit 0",
-    )
-    parser.add_argument(
         "--output",
         metavar="FILE",
         help="write the report here as well as stdout",
@@ -82,27 +70,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0
 
     paths = args.paths or _default_paths()
-    if args.update_baseline:
-        if not args.baseline:
-            print(
-                "error: --update-baseline requires --baseline FILE",
-                file=sys.stderr,
-            )
-            return 2
-        result = run_lint(paths, select=args.select)
-        lines_by_path = {}
-        for finding in result.findings:
-            if finding.path not in lines_by_path:
-                lines_by_path[finding.path] = load_module(
-                    finding.path
-                ).lines
-        count = baseline_mod.save(
-            args.baseline, result.findings, lines_by_path
-        )
-        print(f"baseline written: {count} findings -> {args.baseline}")
-        return 0
-
-    result = run_lint(paths, select=args.select, baseline_path=args.baseline)
+    result = run_lint(paths, select=args.select)
     report = (
         render_json(result) if args.format == "json" else render_text(result)
     )

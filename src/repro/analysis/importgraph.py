@@ -18,7 +18,6 @@ rationale.
 
 from __future__ import annotations
 
-import ast
 from typing import Iterator
 
 from repro.analysis.rules import Rule, register

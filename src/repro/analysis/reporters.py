@@ -14,7 +14,6 @@ class LintResult:
     """Everything one lint run produced."""
 
     findings: list[Finding] = field(default_factory=list)
-    baselined: int = 0
     errors: list[str] = field(default_factory=list)
     unused_suppressions: list[tuple[str, int]] = field(default_factory=list)
     files_checked: int = 0
@@ -53,8 +52,6 @@ def render_text(result: LintResult) -> str:
         f"{result.files_checked} files checked, "
         f"{total} finding{'s' if total != 1 else ''}"
     )
-    if result.baselined:
-        summary += f" ({result.baselined} baselined)"
     lines.append(summary)
     return "\n".join(lines)
 
@@ -72,7 +69,6 @@ def render_json(result: LintResult) -> str:
             }
             for finding in sorted(result.findings, key=Finding.sort_key)
         ],
-        "baselined": result.baselined,
         "unused_suppressions": [
             {"path": _display_path(path), "line": line}
             for path, line in result.unused_suppressions

@@ -13,8 +13,8 @@ Families shipped here:
 The import-layering family (``REPRO-ARCH``) lives in
 :mod:`repro.analysis.importgraph` and the lock-order family
 (``REPRO-ORDER``) in :mod:`repro.analysis.lockorder`; both register
-here.  Per-line suppression (``# repro: ignore[RULE-ID]``) and the
-baseline file are applied by the driver, not by individual rules.
+here.  Per-line suppression (``# repro: ignore[RULE-ID]``) is applied
+by :func:`repro.analysis.run_lint`, not by individual rules.
 """
 
 from __future__ import annotations

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.bench.suite import DEFAULT_BUFFER_BYTES
 from repro.core.stats import QueryStats
 from repro.datasets.presets import DENSITY_ORDER
 
@@ -195,16 +194,6 @@ ABLATION_PANELS = (
         "network",
         "nodes_settled",
         {"algorithm": ("LBC", "LBC-lazy"), "distance_backend": "dijkstra"},
-    ),
-    Panel(
-        "Abl-ce",
-        "CE alternation: round-robin vs min-radius",
-        "network",
-        "network_pages",
-        {
-            "algorithm": ("CE", "CE-min-radius"),
-            "buffer_bytes": DEFAULT_BUFFER_BYTES,
-        },
     ),
     Panel(
         "Abl-buf",

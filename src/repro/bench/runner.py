@@ -46,7 +46,8 @@ import time
 from dataclasses import replace
 from functools import partial
 
-from repro.core import CE, EDC, LBC, LBCLazy, Workspace
+from repro.core import ALGORITHMS as CORE_ALGORITHMS
+from repro.core import LBC, Workspace
 from repro.core.stats import QueryStats
 from repro.datasets import build_preset, extract_objects, select_query_points
 from repro.bench.suite import (
@@ -65,20 +66,9 @@ from repro.bench.xl import run_xl_workload
 ARTIFACT_SCHEMA = "repro-bench"
 ARTIFACT_SCHEMA_VERSION = 1
 
-ALGORITHMS = {
-    factory().name: factory
-    for factory in (
-        CE,
-        EDC,
-        LBC,
-        LBCLazy,
-        partial(LBC, use_lower_bounds=False),
-        partial(CE, strategy="min_radius"),
-    )
-}
-"""Algorithm factories keyed by the ``.name`` each instance carries
-(``CE``, ``EDC``, ``LBC``, ``LBC-lazy``, ``LBC-noplb``,
-``CE-min-radius``)."""
+ALGORITHMS = {**CORE_ALGORITHMS, "LBC-noplb": partial(LBC, use_lower_bounds=False)}
+"""Algorithm factories by name: :data:`repro.core.ALGORITHMS` plus the
+``LBC-noplb`` ablation."""
 
 #: The deterministic counter keys every benchmark record carries.
 COUNTER_KEYS = (

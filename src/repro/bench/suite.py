@@ -22,9 +22,9 @@ Suites:
   draws per point.  Each distinct point is measured once; the figure
   panels (:mod:`repro.bench.figures`) are views over these records.
 * ``ablations`` — the design-choice comparisons: LBC with/without path
-  lower bounds, LBC vs LBC-lazy, CE alternation strategies, CE under
-  shrinking buffers, and LBC over the Euclidean vs landmark (ALT)
-  engine backends; three draws per point.
+  lower bounds, LBC vs LBC-lazy, CE under shrinking buffers, and LBC
+  over the Euclidean vs landmark (ALT) engine backends; three draws per
+  point.
 * ``xl`` / ``xl-smoke`` — the columnar out-of-core scaling ladder
   (:mod:`repro.bench.xl`), |D| up to 10⁶ objects.
 """
@@ -327,7 +327,7 @@ def _paper(
 
 
 def _ablations(trials: int = 3) -> list[Workload]:
-    variants = ("LBC", "LBC-noplb", "LBC-lazy", "CE", "CE-min-radius")
+    variants = ("LBC", "LBC-noplb", "LBC-lazy", "CE")
     return _unique(
         [
             *(

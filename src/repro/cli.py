@@ -44,16 +44,7 @@ import argparse
 import sys
 from typing import Sequence
 
-from repro.core import (
-    CE,
-    EDC,
-    EDCIncremental,
-    LBC,
-    LBCLazy,
-    LBCRoundRobin,
-    NaiveSkyline,
-    Workspace,
-)
+from repro.core import ALGORITHMS, Workspace
 from repro.datasets import (
     build_preset,
     delaunay_road_network,
@@ -67,16 +58,6 @@ from repro.datasets import (
     select_query_points,
 )
 from repro.engine import BACKEND_NAMES, DEFAULT_BACKEND
-
-ALGORITHMS = {
-    "CE": CE,
-    "EDC": EDC,
-    "EDC-inc": EDCIncremental,
-    "LBC": LBC,
-    "LBC-lazy": LBCLazy,
-    "LBC-rr": LBCRoundRobin,
-    "naive": NaiveSkyline,
-}
 
 
 def build_parser() -> argparse.ArgumentParser:

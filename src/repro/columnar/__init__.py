@@ -31,7 +31,6 @@ from repro.columnar.kernels import (
     batch_euclidean,
     block_skyline,
     dominates_block,
-    dominates_block_lb,
     dominates_flat,
     fill_column,
     is_covered_by_any_block,
@@ -53,7 +52,6 @@ __all__ = [
     "batch_euclidean",
     "block_skyline",
     "dominates_block",
-    "dominates_block_lb",
     "dominates_flat",
     "fill_column",
     "hilbert_index",

@@ -177,17 +177,6 @@ def dominates_block(
     return hits
 
 
-def dominates_block_lb(
-    vector, block, count: int, width: int, out, offset: int = 0
-) -> int:
-    """Lower-bound variant of :func:`dominates_block`.
-
-    Rows hold lower bounds; a marked row is *provably* dominated (the
-    strictness requirement carries over to the unknown true values).
-    """
-    return dominates_block(vector, block, count, width, out, offset)
-
-
 def block_skyline(block, count: int, width: int) -> list[int]:
     """Row indices of the block's skyline, in SFS preference order.
 

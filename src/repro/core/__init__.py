@@ -17,10 +17,15 @@ Algorithms:
   Section 4.2's progressive variant;
 * :class:`LowerBoundConstraint` (``LBC``) — Section 4.3, the paper's
   instance-optimal algorithm;
-* :class:`NaiveSkyline` — exhaustive oracle (not in the paper).
+* :class:`LowerBoundConstraintLazy` (``LBC-lazy``) — LBC with a
+  lazily-bounded source dimension (not in the paper);
+* :class:`NaiveSkyline` (``naive``) — exhaustive oracle (not in the
+  paper).
 
 All return identical answers; they differ in how much of the network
 they touch, which is exactly what the benchmarks measure.
+:data:`ALGORITHMS` maps each name to its class: the CLI, the service and
+``repro bench`` accept exactly these names.
 """
 
 from repro.core.base import SkylineAlgorithm
@@ -36,11 +41,7 @@ from repro.core.edc import (
     EuclideanDistanceConstraint,
     EuclideanDistanceConstraintIncremental,
 )
-from repro.core.lbc import (
-    LowerBoundConstraint,
-    LowerBoundConstraintLazy,
-    LowerBoundConstraintRoundRobin,
-)
+from repro.core.lbc import LowerBoundConstraint, LowerBoundConstraintLazy
 from repro.core.naive import NaiveSkyline
 from repro.core.query import Workspace
 from repro.core.result import SkylinePoint, SkylineResult
@@ -50,20 +51,24 @@ CE = CollaborativeExpansion
 EDC = EuclideanDistanceConstraint
 EDCIncremental = EuclideanDistanceConstraintIncremental
 LBC = LowerBoundConstraint
-LBCRoundRobin = LowerBoundConstraintRoundRobin
 LBCLazy = LowerBoundConstraintLazy
 
-ALL_ALGORITHMS = (
-    CollaborativeExpansion,
-    EuclideanDistanceConstraint,
-    EuclideanDistanceConstraintIncremental,
-    LowerBoundConstraint,
-    LowerBoundConstraintLazy,
-    LowerBoundConstraintRoundRobin,
-)
+ALGORITHMS: dict[str, type[SkylineAlgorithm]] = {
+    cls.name: cls
+    for cls in (
+        CollaborativeExpansion,
+        EuclideanDistanceConstraint,
+        EuclideanDistanceConstraintIncremental,
+        LowerBoundConstraint,
+        LowerBoundConstraintLazy,
+        NaiveSkyline,
+    )
+}
+"""Every algorithm by name: ``CE``, ``EDC``, ``EDC-inc``, ``LBC``,
+``LBC-lazy`` and ``naive``."""
 
 __all__ = [
-    "ALL_ALGORITHMS",
+    "ALGORITHMS",
     "CE",
     "CollaborativeExpansion",
     "DominanceWitness",
@@ -77,10 +82,8 @@ __all__ = [
     "EuclideanDistanceConstraintIncremental",
     "LBC",
     "LBCLazy",
-    "LBCRoundRobin",
     "LowerBoundConstraint",
     "LowerBoundConstraintLazy",
-    "LowerBoundConstraintRoundRobin",
     "NaiveSkyline",
     "QueryStats",
     "SkylineAlgorithm",

@@ -66,8 +66,6 @@ class _AttributeRank:
         )
         self._attribute_index = attribute_index
         self._position = 0
-        self.last_emitted_distance = -math.inf
-        self.nodes_settled = 0
 
     @property
     def exhausted(self) -> bool:
@@ -78,52 +76,17 @@ class _AttributeRank:
             return None
         obj = self._ordered[self._position]
         self._position += 1
-        value = obj.attributes[self._attribute_index]
-        self.last_emitted_distance = value
-        return (obj, value)
+        return (obj, obj.attributes[self._attribute_index])
 
 
 class CollaborativeExpansion(SkylineAlgorithm):
     """The paper's straightforward multi-wavefront algorithm.
 
-    ``strategy`` picks how the wavefronts alternate:
-
-    * ``"round_robin"`` (default) — one emission per dimension per
-      cycle, the literal reading of "expanded in a collaborative way";
-    * ``"min_radius"`` — always advance the wavefront whose last
-      emission is nearest its query point, keeping all search circles
-      the same size.  Balanced circles reach the first
-      visited-by-all object with less total area when query points have
-      unequal object densities around them.
-
-    Both produce identical answers; the benchmark suite compares costs.
+    The wavefronts alternate round-robin, one emission per dimension per
+    cycle: the literal reading of "expanded in a collaborative way".
     """
 
     name = "CE"
-
-    STRATEGIES = ("round_robin", "min_radius")
-
-    def __init__(self, strategy: str = "round_robin") -> None:
-        if strategy not in self.STRATEGIES:
-            raise ValueError(
-                f"unknown strategy {strategy!r}; choose from {self.STRATEGIES}"
-            )
-        self.strategy = strategy
-        if strategy != "round_robin":
-            self.name = f"CE-{strategy.replace('_', '-')}"
-
-    def _next_dimension(
-        self, expanders, exhausted: list[bool], dimensions: range
-    ) -> int | None:
-        """The dimension whose wavefront should emit next (or None)."""
-        live = [i for i in dimensions if not exhausted[i]]
-        if not live:
-            return None
-        if self.strategy == "round_robin":
-            return live[0]
-        return min(
-            live, key=lambda i: (expanders[i].last_emitted_distance, i)
-        )
 
     def _execute(
         self,
@@ -188,16 +151,10 @@ class CollaborativeExpansion(SkylineAlgorithm):
         completing_index = 0
         with tracing.span("ce.filter"):
             while first_complete is None and not all(exhausted):
-                if self.strategy == "round_robin":
-                    order = [i for i in range(m) if not exhausted[i]]
-                else:
-                    chosen = self._next_dimension(expanders, exhausted, range(m))
-                    order = [] if chosen is None else [chosen]
-                if not order:
-                    break
-                for i in order:
-                    expander = expanders[i]
-                    emission = expander.next_nearest_object()
+                for i in range(m):
+                    if exhausted[i]:
+                        continue
+                    emission = expanders[i].next_nearest_object()
                     if emission is None:
                         exhausted[i] = True
                         continue

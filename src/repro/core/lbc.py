@@ -40,15 +40,6 @@ measured in.
 Tie safety beyond the paper: a newly confirmed point evicts previously
 confirmed points it dominates (possible only under exact distance
 ties, e.g. co-located objects reached in different emission order).
-
-Section 4.3 also notes LBC "can easily be extended to process multiple
-source query points, by selecting network nearest neighbor points from
-multiple query points alternatively", as a user-preference knob on
-reporting order.  :class:`LowerBoundConstraintRoundRobin` implements
-that: every query point runs its own network-NN stream, streams take
-turns, and each emitted candidate is resolved with the same partial
-lower-bound machinery.  The answer set is identical; skyline points
-near *any* query point surface early.
 """
 
 from __future__ import annotations
@@ -62,6 +53,8 @@ from repro.core.base import SkylineAlgorithm, _ResponseTimer, insert_skyline_poi
 from repro.core.query import Workspace
 from repro.core.result import SkylinePoint
 from repro.core.stats import QueryStats
+from repro.geometry.mbr import MBR
+from repro.geometry.point import Point
 from repro.network.astar import AStarExpander
 from repro.network.graph import NetworkLocation
 from repro.network.objects import SpatialObject
@@ -79,19 +72,8 @@ class LowerBoundConstraint(SkylineAlgorithm):
 
     name = "LBC"
 
-    def __init__(
-        self,
-        source_index: int = 0,
-        use_lower_bounds: bool = True,
-        heuristic=None,
-    ) -> None:
+    def __init__(self, source_index: int = 0, use_lower_bounds: bool = True) -> None:
         self.source_index = source_index
-        # Optional consistent heuristic (e.g. the landmark/ALT bound of
-        # repro.network.landmarks) replacing the Euclidean estimate in
-        # every A* search; tighter bounds mean earlier dominance
-        # verdicts.  Note: pre-computed distance information steps
-        # outside Theorem 1's algorithm class (see landmarks module).
-        self.heuristic = heuristic
         # Ablation knob: with use_lower_bounds=False, step 2 computes
         # every candidate's full distance vector immediately (EDC-style
         # resolution) instead of expanding lower bounds one node at a
@@ -123,13 +105,8 @@ class LowerBoundConstraint(SkylineAlgorithm):
         # queries from the same points resume earlier wavefronts.  The
         # slot keeps co-located query points on separate expanders (an
         # expander carries at most one live LowerBoundSearch).
-        source_expander = engine.astar_expander(
-            source, heuristic=self.heuristic, slot=self.source_index
-        )
-        other_expanders = {
-            i: engine.astar_expander(q, heuristic=self.heuristic, slot=i)
-            for i, q in others
-        }
+        source_expander = engine.astar_expander(source, slot=self.source_index)
+        other_expanders = {i: engine.astar_expander(q, slot=i) for i, q in others}
 
         skyline: list[SkylinePoint] = []
         # Columnar mirror of the confirmed vectors: every prune probe
@@ -179,24 +156,7 @@ class LowerBoundConstraint(SkylineAlgorithm):
         in a heap until provably the closest remaining.  Ties pop in
         object-id order.
         """
-        source_point = source.point
-        all_query_points = [q.point for q in queries]
-        attribute_count = workspace.attribute_count
-
-        def prune(mbr, payload) -> bool:
-            if payload is None:
-                bounds = mbr_lower_bound_vector(
-                    mbr, all_query_points, attribute_count
-                )
-            else:
-                bounds = tuple(
-                    payload.point.distance_to(q) for q in all_query_points
-                ) + payload.attributes
-            return sky.dominates_lb(bounds)
-
-        euclid_stream = workspace.object_rtree.best_first(
-            key=lambda mbr, _payload: mbr.mindist(source_point), prune=prune
-        )
+        euclid_stream = _euclidean_stream(workspace, queries, source.point, sky)
 
         # Min-heap of (network distance, object id, object): ids are
         # unique, so the object itself is never compared.
@@ -253,11 +213,9 @@ class LowerBoundConstraint(SkylineAlgorithm):
         other_expanders: dict[int, AStarExpander],
         sky: SkylineBlock,
         stats: QueryStats,
-        source_index: int | None = None,
     ) -> tuple[float, ...] | None:
         """Return ``p``'s full vector, or None when provably dominated."""
-        if source_index is None:
-            source_index = self.source_index
+        source_index = self.source_index
         n = len(queries)
         # One scratch row per candidate (distances then attributes);
         # dominance probes read it in place — the boundary tuple is
@@ -336,86 +294,6 @@ class LowerBoundConstraint(SkylineAlgorithm):
                     self._engine.record(queries[target], p.location, search.distance)
 
 
-class LowerBoundConstraintRoundRobin(LowerBoundConstraint):
-    """LBC with alternating source query points (Section 4.3 extension).
-
-    Every query point runs its own network-NN enumeration; the streams
-    take turns emitting candidates, so skyline points close to *any*
-    query point are reported early instead of only those close to one
-    chosen source.  Candidates are resolved exactly as in plain LBC
-    (partial lower-bound expansion against the shared skyline set), and
-    an object emitted by several streams is resolved only once.
-
-    ``candidate_count`` sums the streams' pulls, so an object pulled by
-    two streams counts twice — the cost of the balanced reporting.
-    """
-
-    name = "LBC-rr"
-
-    def __init__(self, use_lower_bounds: bool = True, heuristic=None) -> None:
-        super().__init__(
-            source_index=0, use_lower_bounds=use_lower_bounds, heuristic=heuristic
-        )
-        self.name = "LBC-rr" if use_lower_bounds else "LBC-rr-noplb"
-
-    def _execute(
-        self,
-        workspace: Workspace,
-        queries: list[NetworkLocation],
-        stats: QueryStats,
-        timer: _ResponseTimer,
-    ) -> list[SkylinePoint]:
-        engine = workspace.engine
-        self._engine = engine
-        n = len(queries)
-        expanders = {
-            i: engine.astar_expander(q, heuristic=self.heuristic, slot=i)
-            for i, q in enumerate(queries)
-        }
-
-        skyline: list[SkylinePoint] = []
-        sky = SkylineBlock(n + workspace.attribute_count)
-        resolved_ids: set[int] = set()
-
-        streams = [
-            self._network_nn_stream(
-                workspace, queries, queries[i], expanders[i], sky, stats
-            )
-            for i in range(n)
-        ]
-        live = [True] * n
-        while any(live):
-            for i in range(n):
-                if not live[i]:
-                    continue
-                try:
-                    p, source_dist = next(streams[i])
-                except StopIteration:
-                    live[i] = False
-                    continue
-                if p.object_id in resolved_ids:
-                    continue
-                resolved_ids.add(p.object_id)
-                others = [(j, queries[j]) for j in range(n) if j != i]
-                vector = self._resolve_candidate(
-                    p,
-                    source_dist,
-                    queries,
-                    others,
-                    expanders,
-                    sky,
-                    stats,
-                    source_index=i,
-                )
-                if vector is None:
-                    continue
-                insert_skyline_point(skyline, SkylinePoint(obj=p, vector=vector))
-                sky.rebuild(s.vector for s in skyline)
-                timer.mark_first_result()
-
-        return skyline
-
-
 class LowerBoundConstraintLazy(LowerBoundConstraint):
     """LBC with a lazily-bounded *source* dimension (our extension).
 
@@ -444,18 +322,8 @@ class LowerBoundConstraintLazy(LowerBoundConstraint):
 
     name = "LBC-lazy"
 
-    def __init__(
-        self,
-        source_index: int = 0,
-        use_lower_bounds: bool = True,
-        heuristic=None,
-    ) -> None:
-        super().__init__(
-            source_index=source_index,
-            use_lower_bounds=use_lower_bounds,
-            heuristic=heuristic,
-        )
-        self.name = "LBC-lazy" if use_lower_bounds else "LBC-lazy-noplb"
+    def __init__(self, source_index: int = 0) -> None:
+        super().__init__(source_index=source_index)
 
     def _execute(
         self,
@@ -472,33 +340,15 @@ class LowerBoundConstraintLazy(LowerBoundConstraint):
         self._engine = engine
         source = queries[self.source_index]
         expanders = {
-            i: engine.astar_expander(q, heuristic=self.heuristic, slot=i)
-            for i, q in enumerate(queries)
+            i: engine.astar_expander(q, slot=i) for i, q in enumerate(queries)
         }
         all_dims = list(enumerate(queries))
 
         skyline: list[SkylinePoint] = []
 
         source_point = source.point
-        all_query_points = [q.point for q in queries]
-        attribute_count = workspace.attribute_count
-        sky = SkylineBlock(len(queries) + attribute_count)
-
-        def prune(mbr, payload) -> bool:
-            if payload is None:
-                bounds = mbr_lower_bound_vector(
-                    mbr, all_query_points, attribute_count
-                )
-            else:
-                bounds = tuple(
-                    payload.point.distance_to(q) for q in all_query_points
-                ) + payload.attributes
-            return sky.dominates_lb(bounds)
-
-        stream = workspace.object_rtree.best_first(
-            key=lambda mbr, _payload: mbr.mindist(source_point), prune=prune
-        )
-        for _, _, p in stream:
+        sky = SkylineBlock(len(queries) + workspace.attribute_count)
+        for _, _, p in _euclidean_stream(workspace, queries, source_point, sky):
             stats.candidate_count += 1
             vector = self._resolve_candidate(
                 p,
@@ -508,7 +358,6 @@ class LowerBoundConstraintLazy(LowerBoundConstraint):
                 expanders,
                 sky,
                 stats,
-                source_index=self.source_index,
             )
             if vector is None:
                 continue
@@ -517,3 +366,32 @@ class LowerBoundConstraintLazy(LowerBoundConstraint):
             timer.mark_first_result()
 
         return skyline
+
+
+def _euclidean_stream(
+    workspace: Workspace,
+    queries: list[NetworkLocation],
+    source_point: Point,
+    sky: SkylineBlock,
+) -> Iterator[tuple[float, MBR, SpatialObject]]:
+    """Euclidean NNs of ``source_point`` from the object R-tree (step 1.1).
+
+    Entries whose Euclidean lower-bound vector the *live* ``sky`` block
+    dominates are pruned, subtrees included; the caller rebuilds
+    ``sky`` in place as points are confirmed.
+    """
+    all_query_points = [q.point for q in queries]
+    attribute_count = workspace.attribute_count
+
+    def prune(mbr, payload) -> bool:
+        if payload is None:
+            bounds = mbr_lower_bound_vector(mbr, all_query_points, attribute_count)
+        else:
+            bounds = tuple(
+                payload.point.distance_to(q) for q in all_query_points
+            ) + payload.attributes
+        return sky.dominates_lb(bounds)
+
+    return workspace.object_rtree.best_first(
+        key=lambda mbr, _payload: mbr.mindist(source_point), prune=prune
+    )

@@ -49,4 +49,5 @@ __all__ = [
     "HubLabelBackend",
     "MemoCounters",
     "location_key",
+    "make_backend",
 ]

@@ -12,7 +12,7 @@ engine's pool.  Three ship with the engine:
 * ``"astar+landmarks"`` — A* guided by a lazily built
   :class:`~repro.network.landmarks.LandmarkHeuristic` (ALT bounds),
   typically the fewest settled nodes on high-detour networks at the
-  cost of ``count`` full Dijkstra runs of precomputation;
+  cost of :data:`LANDMARK_COUNT` full Dijkstra runs of precomputation;
 * ``"ch"`` / ``"hublabel"`` — preprocessed distance oracles
   (:mod:`repro.oracle`): a contraction hierarchy queried by
   bidirectional upward search, or hub labels answering in one merge
@@ -45,7 +45,8 @@ from repro.oracle.runtime import DistanceOracle
 from repro.oracle.store import OracleStore
 
 DEFAULT_BACKEND = "dijkstra"
-DEFAULT_LANDMARK_COUNT = 8
+LANDMARK_COUNT = 8
+"""Landmarks the ``astar+landmarks`` backend places (farthest-point, seed 0)."""
 
 ORACLE_BACKEND_NAMES = ("ch", "hublabel")
 """Backends whose distances come from a preprocessed oracle index."""
@@ -130,23 +131,16 @@ class AStarBackend:
 class AStarLandmarksBackend(AStarBackend):
     """A* with ALT (landmark) lower bounds, built on first use.
 
-    The landmark tables are precomputation (``count`` full Dijkstra
-    runs), so they are shared across every expander the backend makes
-    and rebuilt only after a network mutation invalidates them.
+    The landmark tables are precomputation (:data:`LANDMARK_COUNT`
+    full Dijkstra runs), so they are shared across every expander the
+    backend makes; :meth:`reset` drops them after a network mutation
+    and the next query rebuilds them on the new graph.
     """
 
     name = "astar+landmarks"
 
-    def __init__(
-        self,
-        network: RoadNetwork,
-        store: NetworkStore | None = None,
-        landmark_count: int = DEFAULT_LANDMARK_COUNT,
-        landmark_seed: int = 0,
-    ):
+    def __init__(self, network: RoadNetwork, store: NetworkStore | None = None):
         super().__init__(network, store)
-        self.landmark_count = landmark_count
-        self.landmark_seed = landmark_seed
         self._landmarks: LandmarkHeuristic | None = None
 
     def heuristic(self) -> LandmarkHeuristic:
@@ -156,9 +150,7 @@ class AStarLandmarksBackend(AStarBackend):
             # trace span happened to trigger the build.
             with tracing.suppressed():
                 self._landmarks = LandmarkHeuristic(
-                    self.network,
-                    count=max(1, min(self.landmark_count, self.network.node_count)),
-                    seed=self.landmark_seed,
+                    self.network, count=LANDMARK_COUNT
                 )
         return self._landmarks
 
@@ -230,23 +222,12 @@ BACKEND_NAMES = tuple(sorted(BACKENDS))
 
 
 def make_backend(
-    name: str,
-    network: RoadNetwork,
-    store: NetworkStore | None = None,
-    landmark_count: int = DEFAULT_LANDMARK_COUNT,
-    landmark_seed: int = 0,
+    name: str, network: RoadNetwork, store: NetworkStore | None = None
 ) -> DistanceBackend:
     """Instantiate a backend by name (ValueError for unknown names)."""
     cls = BACKENDS.get(name)
     if cls is None:
         raise ValueError(
             f"unknown distance backend {name!r}; choose from {BACKEND_NAMES}"
-        )
-    if cls is AStarLandmarksBackend:
-        return cls(
-            network,
-            store=store,
-            landmark_count=landmark_count,
-            landmark_seed=landmark_seed,
         )
     return cls(network, store=store)

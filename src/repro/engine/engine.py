@@ -62,7 +62,6 @@ from typing import Sequence
 from repro.engine.backends import (
     BACKEND_NAMES,
     DEFAULT_BACKEND,
-    DEFAULT_LANDMARK_COUNT,
     ORACLE_BACKEND_NAMES,
     DistanceBackend,
     make_backend,
@@ -70,7 +69,7 @@ from repro.engine.backends import (
 )
 from repro.columnar.store import VectorTable
 from repro.engine.cache import DEFAULT_MEMO_CAPACITY, DistanceMemo
-from repro.network.astar import AStarExpander, HeuristicFn
+from repro.network.astar import AStarExpander
 from repro.network.dijkstra import DijkstraExpander
 from repro.network.graph import NetworkLocation, RoadNetwork
 from repro.network.storage import NetworkStore
@@ -132,8 +131,6 @@ class DistanceEngine:
         backend: str = DEFAULT_BACKEND,
         memo_capacity: int = DEFAULT_MEMO_CAPACITY,
         pool_capacity: int = DEFAULT_POOL_CAPACITY,
-        landmark_count: int = DEFAULT_LANDMARK_COUNT,
-        landmark_seed: int = 0,
     ) -> None:
         if backend not in BACKEND_NAMES:
             raise ValueError(
@@ -147,8 +144,6 @@ class DistanceEngine:
         self.placements = placements
         self.backend_name = backend
         self.pool_capacity = pool_capacity
-        self.landmark_count = landmark_count
-        self.landmark_seed = landmark_seed
 
         self._backends: dict[str, DistanceBackend] = {}
         self._attached_oracle: DistanceOracle | None = None
@@ -172,13 +167,7 @@ class DistanceEngine:
         with self._lock:
             backend = self._backends.get(name)
             if backend is None:
-                backend = make_backend(
-                    name,
-                    self.network,
-                    store=self.store,
-                    landmark_count=self.landmark_count,
-                    landmark_seed=self.landmark_seed,
-                )
+                backend = make_backend(name, self.network, store=self.store)
                 self._backends[name] = backend
             return backend
 
@@ -186,7 +175,7 @@ class DistanceEngine:
         """The A*-family backend matching the engine's configuration.
 
         Algorithms whose cost model is built on goal-directed search
-        (EDC, LBC, the ANN lower-bound processor) stay on A* even when
+        (EDC, LBC, LBC-lazy) stay on A* even when
         the engine default is ``"dijkstra"``; a landmark configuration
         is honoured as-is.  Oracle backends also map to plain A*: their
         answers come from the index via :meth:`oracle_distance`, so the
@@ -330,28 +319,17 @@ class DistanceEngine:
         return self._checkout(key, lambda: chosen.make_expander(source))
 
     def astar_expander(
-        self,
-        source: NetworkLocation,
-        heuristic: HeuristicFn | None = None,
-        slot: int | None = None,
+        self, source: NetworkLocation, slot: int | None = None
     ) -> AStarExpander:
         """A pooled A*-family expander for goal-directed algorithms.
 
-        Without ``heuristic`` the engine's A* backend supplies one
-        (landmarks when configured, Euclidean otherwise).  ``slot``
-        separates pool entries for callers that interleave
-        ``search_toward`` handles across several expanders — two
-        co-located query points must not collapse onto one expander, or
-        one dimension's live search would invalidate the other's.
+        The engine's A* backend supplies the heuristic: landmarks under
+        ``"astar+landmarks"``, Euclidean otherwise.  ``slot`` separates
+        pool entries for callers that interleave ``search_toward``
+        handles across several expanders — two co-located query points
+        must not collapse onto one expander, or one dimension's live
+        search would invalidate the other's.
         """
-        if heuristic is not None:
-            key = (f"astar@{id(heuristic):x}", _location_key(source), slot)
-            return self._checkout(
-                key,
-                lambda: AStarExpander(
-                    self.network, source, store=self.store, heuristic=heuristic
-                ),
-            )
         chosen = self._backend(self._astar_backend_name())
         key = (chosen.name, _location_key(source), slot)
         return self._checkout(key, lambda: chosen.make_expander(source))

@@ -14,9 +14,9 @@ with R-trees.  Three traversal styles are needed:
   whole subtrees.
 
 All three are provided by one generic :meth:`RTree.best_first`; the
-convenience wrappers (:meth:`nearest`, :meth:`aggregate_nearest`) build
-on it.  An optional :class:`~repro.storage.binding.NodePager` charges a
-page access per node visited.
+convenience wrapper :meth:`nearest` builds on it.  An optional
+:class:`~repro.storage.binding.NodePager` charges a page access per node
+visited.
 """
 
 from __future__ import annotations
@@ -533,23 +533,6 @@ class RTree:
     ) -> Iterator[tuple[float, MBR, Any]]:
         """Incremental nearest-neighbour stream ordered by ``mindist``."""
         return self.best_first(lambda mbr, _payload: mbr.mindist(point), prune)
-
-    def aggregate_nearest(
-        self,
-        points: list[Point],
-        prune: Callable[[MBR, Any | None], bool] | None = None,
-    ) -> Iterator[tuple[float, MBR, Any]]:
-        """Incremental *aggregate* NN: ordered by sum of mindists.
-
-        This is the heap order of the paper's Euclidean multi-source
-        skyline algorithm (Section 4.2): the mindist of an object is the
-        sum of its Euclidean distances to all query points, and the
-        mindist of an intermediate entry sums the per-query-point
-        minimum distances to its MBR.
-        """
-        return self.best_first(
-            lambda mbr, _payload: sum(mbr.mindist(q) for q in points), prune
-        )
 
     # ------------------------------------------------------------------
     # Invariant checking (used by property tests)

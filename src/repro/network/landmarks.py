@@ -19,6 +19,11 @@ pre-computation, so LBC-with-landmarks trades the theorem's scope for
 measured speed.  The precomputation is ``count`` full Dijkstra runs and
 ``O(count · |V|)`` memory.
 
+Algorithms get these bounds only through the engine's
+``astar+landmarks`` backend, which drops its tables on every network
+mutation: a table built on another graph can overestimate a distance,
+and A* then settles a wrong one.
+
 For an on-edge target ``t`` on ``(u, v)`` at offsets ``(a, b)``, every
 path enters via an endpoint, so
 ``dN(x, t) >= min(h(x, u) + a, h(x, v) + b)`` — also consistent (the
@@ -41,17 +46,9 @@ class LandmarkHeuristic:
     :data:`repro.network.astar.HeuristicFn`.
     """
 
-    def __init__(
-        self,
-        network: RoadNetwork,
-        count: int = 8,
-        seed: int = 0,
-        strategy: str = "farthest",
-    ) -> None:
+    def __init__(self, network: RoadNetwork, count: int = 8, seed: int = 0) -> None:
         if count < 1:
             raise ValueError(f"need at least one landmark, got {count}")
-        if strategy not in ("farthest", "random"):
-            raise ValueError(f"unknown landmark strategy {strategy!r}")
         self.network = network
         node_ids = sorted(network.node_ids())
         if not node_ids:
@@ -65,16 +62,10 @@ class LandmarkHeuristic:
         first = rng.choice(node_ids)
         self._add_landmark(first)
         while len(self.landmarks) < count:
-            if strategy == "random":
-                remaining = [n for n in node_ids if n not in set(self.landmarks)]
-                if not remaining:
-                    break
-                self._add_landmark(rng.choice(remaining))
-            else:
-                candidate = self._farthest_node(node_ids)
-                if candidate is None:
-                    break
-                self._add_landmark(candidate)
+            candidate = self._farthest_node(node_ids)
+            if candidate is None:
+                break
+            self._add_landmark(candidate)
 
     def _add_landmark(self, node_id: int) -> None:
         expander = DijkstraExpander(

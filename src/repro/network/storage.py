@@ -20,7 +20,6 @@ served through the experiment's shared LRU buffer pool — this is the
 from __future__ import annotations
 
 from repro.columnar.curve import hilbert_index
-from repro.geometry.mbr import MBR
 from repro.index.rtree import DEFAULT_MAX_ENTRIES, RTree
 from repro.network.graph import RoadNetwork
 from repro.storage.binding import NodePager

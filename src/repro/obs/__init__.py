@@ -56,9 +56,6 @@ from repro.obs.names import (
     METRIC_FAMILIES,
     SPAN_NAME_PATTERNS,
     SPAN_NAMES,
-    is_registered_counter_key,
-    is_registered_metric_family,
-    is_registered_span_name,
 )
 from repro.obs.recorder import (
     FlightRecorder,
@@ -106,9 +103,6 @@ __all__ = [
     "SPAN_NAMES",
     "SPAN_NAME_PATTERNS",
     "StallWatchdog",
-    "is_registered_counter_key",
-    "is_registered_metric_family",
-    "is_registered_span_name",
     "Span",
     "activate",
     "active_roots",

@@ -25,8 +25,6 @@ at lint time, and ``obs`` sits at the bottom of the layer DAG.
 
 from __future__ import annotations
 
-from fnmatch import fnmatchcase
-
 SPAN_NAMES = frozenset(
     {
         # Batch execution (repro.service.batching)
@@ -49,7 +47,6 @@ SPAN_NAMES = frozenset(
         "lbc.resolve",
         # Columnar block kernels (repro.skyline over repro.columnar)
         "columnar.skyline",
-        "columnar.distances",
         # xl scaling-tier phases (repro.bench.xl)
         "xl.run",
         "xl.generate",
@@ -153,22 +150,3 @@ METRIC_FAMILIES = frozenset(
     }
 )
 """Every Prometheus metric family ``/metricsz`` may expose."""
-
-
-def is_registered_span_name(name: str) -> bool:
-    """True when ``name`` is in the registered span vocabulary."""
-    return name in SPAN_NAMES or any(
-        fnmatchcase(name, pattern) for pattern in SPAN_NAME_PATTERNS
-    )
-
-
-def is_registered_counter_key(key: str) -> bool:
-    """True when ``key`` is in the registered counter vocabulary."""
-    return key in COUNTER_KEYS or any(
-        fnmatchcase(key, pattern) for pattern in COUNTER_KEY_PATTERNS
-    )
-
-
-def is_registered_metric_family(name: str) -> bool:
-    """True when ``name`` is a registered Prometheus family."""
-    return name in METRIC_FAMILIES

@@ -43,7 +43,6 @@ from repro.service.service import (
     DEFAULT_QUEUE_LIMIT,
     DEFAULT_TIMEOUT_S,
     DEFAULT_WORKERS,
-    SERVICE_ALGORITHMS,
     PendingQuery,
     QueryService,
 )
@@ -64,7 +63,6 @@ __all__ = [
     "PendingQuery",
     "QueryService",
     "ReadWriteLock",
-    "SERVICE_ALGORITHMS",
     "ServiceClosed",
     "ServiceError",
     "ServiceHTTPServer",

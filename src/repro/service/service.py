@@ -49,7 +49,7 @@ from collections import deque
 from typing import Callable, Mapping
 
 from repro import __version__
-from repro.core import ALL_ALGORITHMS, NaiveSkyline, Workspace
+from repro.core import ALGORITHMS, Workspace
 from repro.core.result import SkylineResult
 from repro.network.graph import NetworkLocation
 from repro.obs import (
@@ -75,10 +75,6 @@ from repro.service.errors import (
 )
 
 _log = logging.getLogger(__name__)
-
-SERVICE_ALGORITHMS: Mapping[str, type] = {
-    cls.name: cls for cls in (*ALL_ALGORITHMS, NaiveSkyline)
-}
 
 DEFAULT_WORKERS = 4
 DEFAULT_QUEUE_LIMIT = 64
@@ -163,7 +159,7 @@ class QueryService:
         self.default_timeout_s = default_timeout_s
         self.max_batch = max_batch
         self.batch_window_s = batch_window_s
-        self.algorithms = dict(algorithms or SERVICE_ALGORITHMS)
+        self.algorithms = dict(algorithms or ALGORITHMS)
 
         self._planner = BatchPlanner()
         self._cond = threading.Condition()

@@ -14,7 +14,6 @@ The hot paths are block entry points over the columnar data plane
 from repro.skyline.bbs import (
     euclidean_skyline,
     euclidean_vector,
-    euclidean_vectors_block,
     incremental_euclidean_skyline,
     mbr_lower_bound_vector,
 )
@@ -28,7 +27,6 @@ from repro.skyline.dominance import (
     is_dominated_by_any,
     is_dominated_by_any_block,
     skyline_of,
-    skyline_of_block,
     skyline_of_scalar,
 )
 from repro.skyline.sfs import sfs_skyline, sfs_skyline_block, sfs_skyline_progressive
@@ -44,7 +42,6 @@ __all__ = [
     "dominates_or_equal",
     "euclidean_skyline",
     "euclidean_vector",
-    "euclidean_vectors_block",
     "incremental_euclidean_skyline",
     "is_dominated_by_any",
     "is_dominated_by_any_block",
@@ -53,6 +50,5 @@ __all__ = [
     "sfs_skyline_block",
     "sfs_skyline_progressive",
     "skyline_of",
-    "skyline_of_block",
     "skyline_of_scalar",
 ]

@@ -20,16 +20,13 @@ Euclidean skyline point at a time and injects its own extra pruning.
 
 from __future__ import annotations
 
-from array import array
 from typing import Callable, Iterator, Sequence
 
-from repro.columnar import kernels
-from repro.columnar.store import CoordinateColumns, SkylineBlock, VectorTable
+from repro.columnar.store import SkylineBlock
 from repro.geometry.mbr import MBR
 from repro.geometry.point import Point
 from repro.index.rtree import RTree
 from repro.network.objects import SpatialObject
-from repro.obs import tracing
 
 
 def euclidean_vector(
@@ -37,44 +34,6 @@ def euclidean_vector(
 ) -> tuple[float, ...]:
     """A location's vector of Euclidean distances (plus static attrs)."""
     return tuple(point.distance_to(q) for q in query_points) + tuple(attributes)
-
-
-def euclidean_vectors_block(
-    coords: CoordinateColumns,
-    query_points: Sequence[Point],
-    attributes=None,
-    attribute_count: int = 0,
-) -> VectorTable:
-    """Euclidean distance vectors for a whole coordinate block at once.
-
-    Row ``i`` holds the distances of point ``i`` to every query point,
-    followed by its static attributes read from the flat ``attributes``
-    buffer (``count * attribute_count`` floats, row-major) when given.
-    One :func:`~repro.columnar.kernels.batch_euclidean` sweep per query
-    point fills a column in place — no per-object tuples.
-    """
-    count = len(coords)
-    width = len(query_points) + attribute_count
-    data = array("d", bytes(8 * count * width))
-    with tracing.span("columnar.distances", points=count, queries=len(query_points)):
-        for column, q in enumerate(query_points):
-            kernels.batch_euclidean(
-                coords.xs, coords.ys, count, q.x, q.y, data, column, width
-            )
-        if attributes is not None:
-            # ``attributes`` is row-major as well; column j of the source
-            # strides by attribute_count starting at offset j.
-            for j in range(attribute_count):
-                kernels.fill_column(
-                    data,
-                    width,
-                    len(query_points) + j,
-                    attributes,
-                    count,
-                    src_offset=j,
-                    src_stride=attribute_count,
-                )
-    return VectorTable(width, data)
 
 
 def mbr_lower_bound_vector(

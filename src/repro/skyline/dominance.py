@@ -106,11 +106,6 @@ def skyline_of(vectors: Sequence[Vector]) -> list[int]:
     return sorted(kernels.block_skyline(table.data, len(table), table.width))
 
 
-def skyline_of_block(table: VectorTable) -> list[int]:
-    """Skyline row indices of a column block, ascending."""
-    return sorted(kernels.block_skyline(table.data, len(table), table.width))
-
-
 def skyline_of_scalar(vectors: Sequence[Vector]) -> list[int]:
     """Indices of the skyline members of ``vectors`` (quadratic scan).
 

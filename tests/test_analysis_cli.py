@@ -1,7 +1,6 @@
 """CLI-level tests: `repro lint` / `python -m repro.analysis`.
 
-Includes the PR's acceptance gate: the real source tree lints clean
-with no baseline.
+Includes the acceptance gate: the real source tree lints clean.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ def test_repo_lints_clean_with_no_baseline():
     assert result.findings == [], [
         f"{f.path}:{f.line}: {f.rule_id}" for f in result.findings
     ]
-    assert result.baselined == 0
     assert result.files_checked > 50
     assert result.exit_code == 0
 
@@ -100,17 +98,3 @@ def test_syntax_error_exits_2(tmp_path, capsys):
     broken.write_text("def oops(:\n", encoding="utf-8")
     assert lint_main([str(broken)]) == 2
     assert "syntax error" in capsys.readouterr().out
-
-
-def test_update_baseline_then_clean(tmp_path, capsys):
-    baseline = tmp_path / "baseline.json"
-    target = FAKE / "core" / "bad_page.py"
-    assert lint_main(
-        [str(target), "--baseline", str(baseline), "--update-baseline"]
-    ) == 0
-    assert lint_main([str(target), "--baseline", str(baseline)]) == 0
-    out = capsys.readouterr().out
-    assert "baselined" in out
-    payload = json.loads(baseline.read_text(encoding="utf-8"))
-    assert payload["version"] == 1
-    assert len(payload["findings"]) == 3

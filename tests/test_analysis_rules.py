@@ -12,7 +12,6 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import RULES, run_lint
-from repro.analysis import baseline as baseline_mod
 from repro.analysis import importgraph
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures" / "lint"
@@ -126,64 +125,6 @@ def _mini_tree(tmp_path: Path, body: str) -> Path:
     target = tmp_path / "repro" / "core" / "sample.py"
     target.write_text(body, encoding="utf-8")
     return target
-
-
-def test_baseline_roundtrip(tmp_path):
-    target = _mini_tree(
-        tmp_path,
-        "def walk(network, node):\n"
-        "    return network.neighbors(node)\n",
-    )
-    first = run_lint([str(target)])
-    assert [f.rule_id for f in first.findings] == ["REPRO-PAGE01"]
-
-    baseline_file = tmp_path / "baseline.json"
-    lines = {
-        str(target): target.read_text(encoding="utf-8").splitlines()
-    }
-    count = baseline_mod.save(str(baseline_file), first.findings, lines)
-    assert count == 1
-
-    second = run_lint([str(target)], baseline_path=str(baseline_file))
-    assert second.findings == []
-    assert second.baselined == 1
-    assert second.exit_code == 0
-
-
-def test_baseline_survives_line_shifts_but_not_edits(tmp_path):
-    target = _mini_tree(
-        tmp_path,
-        "def walk(network, node):\n"
-        "    return network.neighbors(node)\n",
-    )
-    first = run_lint([str(target)])
-    baseline_file = tmp_path / "baseline.json"
-    lines = {
-        str(target): target.read_text(encoding="utf-8").splitlines()
-    }
-    baseline_mod.save(str(baseline_file), first.findings, lines)
-
-    # Prepending lines shifts the finding; the content fingerprint
-    # still matches the baseline entry.
-    target.write_text(
-        "# a new leading comment\n\n"
-        "def walk(network, node):\n"
-        "    return network.neighbors(node)\n",
-        encoding="utf-8",
-    )
-    shifted = run_lint([str(target)], baseline_path=str(baseline_file))
-    assert shifted.findings == []
-    assert shifted.baselined == 1
-
-    # Editing the offending line itself invalidates the entry.
-    target.write_text(
-        "def walk(network, other_node):\n"
-        "    return network.neighbors(other_node)\n",
-        encoding="utf-8",
-    )
-    edited = run_lint([str(target)], baseline_path=str(baseline_file))
-    assert [f.rule_id for f in edited.findings] == ["REPRO-PAGE01"]
-    assert edited.baselined == 0
 
 
 def test_select_prefix_limits_rules():

@@ -31,7 +31,7 @@ from repro.bench.runner import (
 )
 from repro.bench.suite import QueryWorkload, ServiceWorkload, XLWorkload
 from repro.bench.xl import run_xl_workload
-from repro.core import LBC
+from repro.core import ALGORITHMS, LBC
 from repro.core.stats import QueryStats
 from repro.index.rtree import RTree
 
@@ -131,6 +131,19 @@ def test_paper_suites_deduplicate_shared_points():
     assert len(suite_workloads("paper-quick")) == 7 * 3
     assert {w.trials for w in suite_workloads("paper")} == {5}
     assert {w.trials for w in suite_workloads("ablations")} == {3}
+
+
+def test_every_registered_algorithm_is_measured():
+    # A variant stays only if it is a paper algorithm, the reference,
+    # or measured by a suite that can show it best somewhere.
+    measured = {
+        w.algorithm
+        for suite in ("paper-quick", "ablations")
+        for w in suite_workloads(suite)
+    }
+    allowed = {"CE", "EDC", "EDC-inc", "LBC", "naive"} | measured
+    assert set(ALGORITHMS) - allowed == set()
+    assert set(runner.ALGORITHMS) - allowed == set()
 
 
 def _placeholder_record(workload) -> dict:

@@ -17,7 +17,6 @@ from repro.core import (
     EDCIncremental,
     LBC,
     LBCLazy,
-    LBCRoundRobin,
     NaiveSkyline,
     QueryStats,
     Workspace,
@@ -43,7 +42,7 @@ def _lbc_noplb():
     return LBC(use_lower_bounds=False)
 
 
-ALGORITHMS = [CE, EDC, EDCIncremental, LBC, LBCLazy, LBCRoundRobin, _lbc_noplb]
+ALGORITHMS = [CE, EDC, EDCIncremental, LBC, LBCLazy, _lbc_noplb]
 
 
 class TestAllAlgorithms:
@@ -321,7 +320,7 @@ class TestLBCStream:
         assert got == expected
         assert len({d for d, _ in got}) < len(got) // 2  # ties dominate
 
-    @pytest.mark.parametrize("algorithm_cls", [LBC, LBCRoundRobin])
+    @pytest.mark.parametrize("algorithm_cls", [LBC])
     def test_tie_grid_matches_naive(self, algorithm_cls):
         network, objects = tie_grid()
         workspace = Workspace.build(network, objects, paged=False)
@@ -343,37 +342,3 @@ class TestNaiveSpecifics:
         queries = random_locations(network, 2, seed=49)
         result = NaiveSkyline().run(ws, queries)
         assert result.object_ids() == [0]
-
-
-class TestCEStrategies:
-    def test_unknown_strategy_rejected(self):
-        with pytest.raises(ValueError):
-            CE(strategy="fastest")
-
-    def test_min_radius_matches_round_robin(self, workload):
-        _, workspace, queries, reference = workload
-        result = CE(strategy="min_radius").run(workspace, queries)
-        assert result.same_answer(reference)
-        assert result.stats.algorithm == "CE-min-radius"
-
-    def test_min_radius_with_attributes(self):
-        network = build_random_network(50, 30, seed=57)
-        objects = place_random_objects(network, 30, seed=58, attribute_count=1)
-        workspace = Workspace.build(network, objects, paged=False)
-        queries = random_locations(network, 3, seed=59)
-        reference = NaiveSkyline().run(workspace, queries)
-        assert CE(strategy="min_radius").run(workspace, queries).same_answer(
-            reference
-        )
-
-    def test_min_radius_balances_radii(self):
-        """With unequal object densities the balanced strategy keeps the
-        wavefront radii closer together than round-robin does."""
-        network = build_random_network(80, 50, seed=61)
-        objects = place_random_objects(network, 50, seed=62)
-        workspace = Workspace.build(network, objects, paged=False)
-        queries = random_locations(network, 3, seed=63)
-        # Radii comparison is heuristic; just assert both run and agree.
-        a = CE(strategy="round_robin").run(workspace, queries)
-        b = CE(strategy="min_radius").run(workspace, queries)
-        assert a.same_answer(b)

@@ -1,7 +1,6 @@
 """Tests for the resumable Dijkstra wavefront and INE object search."""
 
 import math
-import random
 
 import networkx as nx
 import pytest

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.core import CE, EDC, LBC, NaiveSkyline, Workspace
+from repro.core import CE, EDC, LBC, LBCLazy, NaiveSkyline, Workspace
 from repro.network import SpatialObject
 
 from conftest import build_random_network, place_random_objects, random_locations
@@ -157,19 +157,30 @@ class TestEngineInvalidation:
             assert algorithm.run(workspace, queries).same_answer(reference)
 
     def test_landmark_backend_survives_network_mutation(self):
-        network = build_random_network(50, 30, seed=2051, detour_max=0.7)
-        objects = place_random_objects(network, 25, seed=2052)
-        workspace = Workspace.build(
-            network, objects, paged=False, distance_backend="astar+landmarks"
-        )
-        queries = random_locations(network, 2, seed=2053)
-        LBC().run(workspace, queries)  # builds the landmark tables
-        edge = max(network.edges(), key=lambda e: e.length)
-        workspace.update_edge_length(edge.edge_id, edge.length * 4.0)
-        # Stale landmark tables would break A* admissibility and could
-        # return wrong distances; invalidate_network rebuilds them.
-        result = LBC().run(workspace, queries)
-        assert result.same_answer(NaiveSkyline().run(workspace, queries))
+        # Tables built while ten edges are 6x longer overestimate
+        # distances once the edges are restored; unless
+        # invalidate_network drops them, A* settles wrong distances.
+        # Seeds 2053 and 2063 return a wrong skyline if it does not.
+        for seed in (2051, 2053, 2063):
+            network = build_random_network(50, 30, seed=seed, detour_max=0.7)
+            objects = place_random_objects(network, 25, seed=seed + 1)
+            workspace = Workspace.build(
+                network, objects, paged=False, distance_backend="astar+landmarks"
+            )
+            queries = random_locations(network, 2, seed=seed + 2)
+            edge_ids = random.Random(seed).sample(
+                sorted(e.edge_id for e in network.edges()), 10
+            )
+            lengths = {e: network.edge(e).length for e in edge_ids}
+            for edge_id, length in lengths.items():
+                workspace.update_edge_length(edge_id, length * 6.0)
+            LBC().run(workspace, queries)  # builds the tables on the long graph
+            for edge_id, length in lengths.items():
+                workspace.update_edge_length(edge_id, length)
+            reference = NaiveSkyline().run(workspace, queries)
+            for algorithm in (LBC(), LBCLazy()):
+                result = algorithm.run(workspace, queries)
+                assert result.same_answer(reference), (seed, algorithm.name)
 
     def test_update_edge_length_rejects_misfit_objects(self):
         network, workspace = fresh_workspace(2061, paged=False)

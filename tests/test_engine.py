@@ -280,9 +280,7 @@ class TestBackendEquivalence:
     def test_distances_identical_on_grids(self, seed):
         network = grid_network(5, 6, jitter=0.25, detour=1.3, seed=seed)
         plain = DistanceEngine(network, backend="dijkstra")
-        guided = DistanceEngine(
-            network, backend="astar+landmarks", landmark_count=4
-        )
+        guided = DistanceEngine(network, backend="astar+landmarks")
         locations = random_locations(network, 8, seed=seed + 50)
         for a in locations[:4]:
             for b in locations[4:]:

@@ -153,7 +153,7 @@ class TestAblations:
         workloads = [
             tiny(algorithm, network=network)
             for network in ("CA", "AU", "NA")
-            for algorithm in ("LBC", "LBC-noplb", "LBC-lazy", "CE", "CE-min-radius")
+            for algorithm in ("LBC", "LBC-noplb", "LBC-lazy", "CE")
         ]
         workloads += [
             tiny("LBC", network=network, distance_backend="astar+landmarks")
@@ -183,10 +183,6 @@ class TestAblations:
         euclid = series.series["dijkstra"][index]
         alt = series.series["astar+landmarks"][index]
         assert alt <= euclid
-
-    def test_ce_strategy_ablation(self, records):
-        series = figure_series(PANELS["Abl-ce"], records)
-        assert set(series.series) == {"CE", "CE-min-radius"}
 
     def test_buffer_ablation_monotone(self, records):
         series = figure_series(PANELS["Abl-buf"], records)

@@ -107,10 +107,11 @@ def on_both_heaps(monkeypatch, run):
     """``run(heap_class)`` under the reference heap, then the production
     heap; ``run`` returns its trace and asserts its heaps are of the
     class it was given, so a missed swap cannot pass silently."""
+    reference = reference_heap.AddressableHeap
     with monkeypatch.context() as patch:
-        patch.setattr(dijkstra_module, "AddressableHeap", reference_heap.AddressableHeap)
-        patch.setattr(astar_module, "AddressableHeap", reference_heap.AddressableHeap)
-        expected = run(reference_heap.AddressableHeap)
+        patch.setattr(dijkstra_module, "AddressableHeap", reference)
+        patch.setattr(astar_module, "AddressableHeap", reference)
+        expected = run(reference)
     got = run(AddressableHeap)
     return expected, got
 

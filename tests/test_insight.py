@@ -15,7 +15,7 @@ from conftest import (
     place_random_objects,
     random_locations,
 )
-from repro.core import Workspace
+from repro.core import ALGORITHMS, Workspace
 from repro.core.result import SkylineResult
 from repro.core.stats import QueryStats
 from repro.insight import (
@@ -40,7 +40,6 @@ from repro.insight import (
 from repro.insight.cli import main as insight_main
 from repro.obs import Completion, read_events, tracing
 from repro.service import QueryService
-from repro.service.service import SERVICE_ALGORITHMS
 
 
 def make_event(
@@ -471,7 +470,7 @@ def _run_service_log(tmp_path, name, delay_s, queries_per_algo=6):
         workers=2,
         batch_window_s=0.0,
         event_log_path=path,
-        algorithms={**SERVICE_ALGORITHMS, "molasses": _Sleepy},
+        algorithms={**ALGORITHMS, "molasses": _Sleepy},
     )
     try:
         for i in range(queries_per_algo):

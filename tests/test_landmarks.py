@@ -1,6 +1,7 @@
 """Tests for the landmark (ALT) heuristic and its use in A*/LBC."""
 
 import math
+import random
 
 import pytest
 
@@ -38,12 +39,6 @@ class TestConstruction:
     def test_bad_parameters(self, detour_network):
         with pytest.raises(ValueError):
             LandmarkHeuristic(detour_network, count=0)
-        with pytest.raises(ValueError):
-            LandmarkHeuristic(detour_network, strategy="kmeans")
-
-    def test_random_strategy(self, detour_network):
-        lm = LandmarkHeuristic(detour_network, count=3, seed=5, strategy="random")
-        assert len(lm.landmarks) == 3
 
     def test_empty_network_rejected(self):
         from repro.network import RoadNetwork
@@ -55,28 +50,26 @@ class TestConstruction:
         """Farthest-point landmarks should be pairwise farther apart (by
         network distance) than a random draw, on average."""
         far = LandmarkHeuristic(detour_network, count=4, seed=7)
-        rnd = LandmarkHeuristic(detour_network, count=4, seed=7, strategy="random")
+        rnd = random.Random(7).sample(sorted(detour_network.node_ids()), 4)
 
-        def mean_pairwise(lm):
+        def mean_pairwise(landmarks):
             total = count = 0
-            for i, a in enumerate(lm.landmarks):
+            for i, a in enumerate(landmarks):
                 expander = DijkstraExpander(
                     detour_network, detour_network.location_at_node(a)
                 )
-                for b in lm.landmarks[i + 1 :]:
+                for b in landmarks[i + 1 :]:
                     d = expander.distance_to_node(b)
                     if math.isfinite(d):
                         total += d
                         count += 1
             return total / max(count, 1)
 
-        assert mean_pairwise(far) >= mean_pairwise(rnd) * 0.8
+        assert mean_pairwise(far.landmarks) >= mean_pairwise(rnd) * 0.8
 
 
 class TestBoundValidity:
     def test_node_bound_never_exceeds_truth(self, detour_network, landmarks):
-        import random
-
         rng = random.Random(9)
         nodes = sorted(detour_network.node_ids())
         for _ in range(30):
@@ -147,12 +140,14 @@ class TestSearchIntegration:
             truth = DijkstraExpander(detour_network, source).distance_to(target)
             assert search.distance == pytest.approx(truth)
 
-    def test_lbc_with_landmarks_matches_oracle(self, detour_network, landmarks):
+    def test_lbc_with_landmarks_matches_oracle(self, detour_network):
         objects = place_random_objects(detour_network, 35, seed=23)
-        workspace = Workspace.build(detour_network, objects, paged=False)
+        workspace = Workspace.build(
+            detour_network, objects, paged=False, distance_backend="astar+landmarks"
+        )
         queries = random_locations(detour_network, 3, seed=24)
         reference = NaiveSkyline().run(workspace, queries)
-        result = LBC(heuristic=landmarks).run(workspace, queries)
+        result = LBC().run(workspace, queries)
         assert result.same_answer(reference)
 
     def test_lbc_with_landmarks_cheaper_on_sparse_preset(self):
@@ -160,10 +155,13 @@ class TestSearchIntegration:
 
         network = build_preset("CA", scale=0.3)
         objects = extract_objects(network, omega=0.5, seed=1)
-        workspace = Workspace.build(network, objects, paged=False)
         queries = select_query_points(network, 4, seed=5)
-        lm = LandmarkHeuristic(network, count=8, seed=1)
-        plain = LBC().run(workspace, queries)
-        guided = LBC(heuristic=lm).run(workspace, queries)
+        plain = LBC().run(Workspace.build(network, objects, paged=False), queries)
+        guided = LBC().run(
+            Workspace.build(
+                network, objects, paged=False, distance_backend="astar+landmarks"
+            ),
+            queries,
+        )
         assert guided.same_answer(plain)
         assert guided.stats.nodes_settled <= plain.stats.nodes_settled

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.core import CE, EDC, LBC, LBCRoundRobin, Workspace
+from repro.core import CE, EDC, LBC, LBCLazy, Workspace
 from repro.obs import (
     Completion,
     FlightRecorder,
@@ -357,7 +357,7 @@ def traced_workspace() -> Workspace:
     return Workspace.build(network, objects, paged=True)
 
 
-@pytest.mark.parametrize("algorithm_cls", [CE, EDC, LBC, LBCRoundRobin])
+@pytest.mark.parametrize("algorithm_cls", [CE, EDC, LBC, LBCLazy])
 def test_trace_reconciles_with_stats_and_physical_counters(
     traced_workspace, algorithm_cls
 ):

@@ -14,7 +14,7 @@ import time
 import pytest
 
 from conftest import build_random_network, place_random_objects
-from repro.core import NaiveSkyline, Workspace
+from repro.core import ALGORITHMS, NaiveSkyline, Workspace
 from repro.core.result import SkylineResult
 from repro.core.stats import QueryStats
 from repro.obs import tracing
@@ -32,7 +32,6 @@ from repro.obs.recorder import (
 )
 from repro.obs.tracing import Span
 from repro.service import QueryService
-from repro.service.service import SERVICE_ALGORITHMS
 
 
 def finished(span: Span, outcome="completed", latency_s=0.0) -> Completion:
@@ -314,7 +313,7 @@ def blocked_service(tmp_path):
         workspace,
         workers=1,
         batch_window_s=0.0,
-        algorithms={**SERVICE_ALGORITHMS, "blocking": BlockingAlgorithm},
+        algorithms={**ALGORITHMS, "blocking": BlockingAlgorithm},
         stall_deadline_s=0.2,
         diag_interval_s=0.02,
         flight_dir=str(tmp_path),

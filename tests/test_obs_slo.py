@@ -11,7 +11,7 @@ import time
 import pytest
 
 from conftest import build_random_network, place_random_objects
-from repro.core import Workspace
+from repro.core import ALGORITHMS, Workspace
 from repro.core.result import SkylineResult
 from repro.core.stats import QueryStats
 from repro.obs import tracing
@@ -22,7 +22,6 @@ from repro.obs.slo import (
     SLOMonitor,
 )
 from repro.service import QueryService, ServiceHTTPServer
-from repro.service.service import SERVICE_ALGORITHMS
 
 
 class TestObjective:
@@ -167,7 +166,7 @@ def slo_service():
         workspace,
         workers=2,
         batch_window_s=0.0,
-        algorithms={**SERVICE_ALGORITHMS, "molasses": MolassesAlgorithm},
+        algorithms={**ALGORITHMS, "molasses": MolassesAlgorithm},
         slo_windows=(BurnWindow(3600.0, 3600.0, 1.0),),
         slo_latency_target=0.5,
         slo_latency_threshold_s=0.25,

@@ -126,29 +126,6 @@ class TestNearest:
         assert kept == list(range(11))  # points at 0.0 .. 1.0
 
 
-class TestAggregateNearest:
-    def test_orders_by_sum_of_distances(self):
-        rng = random.Random(4)
-        points = [Point(rng.random(), rng.random()) for _ in range(150)]
-        queries = [Point(0.2, 0.2), Point(0.8, 0.7)]
-        tree = build_tree(points, max_entries=6)
-        got = [payload for _, _, payload in tree.aggregate_nearest(queries)]
-        expected = sorted(
-            range(len(points)),
-            key=lambda i: sum(points[i].distance_to(q) for q in queries),
-        )
-        assert got == expected
-
-    def test_single_query_matches_nearest(self):
-        rng = random.Random(5)
-        points = [Point(rng.random(), rng.random()) for _ in range(80)]
-        tree = build_tree(points)
-        q = Point(0.5, 0.5)
-        via_aggregate = [p for _, _, p in tree.aggregate_nearest([q])]
-        via_nearest = [p for _, _, p in tree.nearest(q)]
-        assert via_aggregate == via_nearest
-
-
 class TestTraverse:
     def test_traverse_with_permissive_predicate_sees_all(self):
         points = [Point(i, i) for i in range(40)]

@@ -12,7 +12,7 @@ import time
 import pytest
 
 from conftest import build_random_network, place_random_objects
-from repro.core import LBC, Workspace
+from repro.core import ALGORITHMS, LBC, Workspace
 from repro.service import (
     BadRequest,
     BatchPlanner,
@@ -20,7 +20,6 @@ from repro.service import (
     Overloaded,
     QueryService,
     ReadWriteLock,
-    SERVICE_ALGORITHMS,
     ServiceClosed,
     ServiceRequest,
     execute_plan,
@@ -98,9 +97,9 @@ class TestBatchPlanner:
         ]
         plans = BatchPlanner().plan(requests)
         assert len(plans) == 1
-        outcomes = execute_plan(workspace, plans[0], SERVICE_ALGORITHMS)
+        outcomes = execute_plan(workspace, plans[0], ALGORITHMS)
         for request in requests:
-            direct = SERVICE_ALGORITHMS[request.algorithm]().run(
+            direct = ALGORITHMS[request.algorithm]().run(
                 workspace, request.queries
             )
             assert outcomes[request.request_id].same_answer(direct)
@@ -110,7 +109,7 @@ class TestBatchPlanner:
         canonical = ServiceRequest(1, "LBC", locations(network, 4, 11, 17))
         follower = ServiceRequest(2, "LBC", locations(network, 17, 4, 11))
         plans = BatchPlanner().plan([canonical, follower])
-        outcomes = execute_plan(workspace, plans[0], SERVICE_ALGORITHMS)
+        outcomes = execute_plan(workspace, plans[0], ALGORITHMS)
         a, b = outcomes[1], outcomes[2]
         assert a.object_ids() == b.object_ids()
         attrs = workspace.attribute_count
@@ -132,7 +131,7 @@ class TestBatchPlanner:
             def run(self, workspace, queries):
                 raise RuntimeError("boom")
 
-        registry = dict(SERVICE_ALGORITHMS)
+        registry = dict(ALGORITHMS)
         registry["explode"] = Exploding
         requests = [
             ServiceRequest(1, "explode", locations(network, 1, 2)),
