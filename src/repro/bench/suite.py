@@ -12,10 +12,9 @@ Suites:
 
 * ``quick`` — the CI gate: AU at 5 % scale, CE/EDC/LBC at |Q| ∈ {2,4},
   one warm-engine point, one closed-loop serving point.  Seconds, not
-  minutes.
+  minutes.  The committed ``benchmarks/baseline.json`` is its artifact.
 * ``full`` — adds the density sweep (CA/NA), |Q| = 8 and a warm EDC
-  point; the artifact to regenerate when refreshing the committed
-  baseline after an intentional cost change.
+  point.
 * ``paper`` / ``paper-quick`` — the grid behind every figure of the
   paper's evaluation (Section 6): a |Q| sweep and an ω sweep on NA plus
   the CA/AU/NA density sweep, CE/EDC/LBC at 10 % scale, five query

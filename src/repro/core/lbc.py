@@ -25,11 +25,16 @@ Step 1 — next network NN of ``q``:
 
 Step 2 — resolve the network NN ``p``:
   maintain ``bounds = (dN(q,p), plb(q2,p), …, plb(qn,p), attrs…)``,
-  starting each ``plb`` at the Euclidean distance; repeatedly expand
-  the non-source query point with the smallest current ``plb`` by one
-  node; discard ``p`` the moment a known skyline point dominates the
-  bounds vector (sound: bounds never exceed the true values); if every
-  search completes without that happening, ``p`` joins the skyline.
+  starting each dimension at the exact distance the engine already
+  holds (memo, then oracle: ``DistanceEngine.known_distance``) and
+  each remaining ``plb`` at the Euclidean distance; repeatedly expand
+  the unresolved non-source query point with the smallest current
+  ``plb`` by one node; discard ``p`` the moment a known skyline point
+  dominates the bounds vector (sound: bounds never exceed the true
+  values); if every search completes without that happening, ``p``
+  joins the skyline.  A cold reset empties the memo, so the prefill
+  leaves the paper's cold network access — and Theorem 1 — as it was;
+  on a warm engine a memo-hot candidate costs one dominance probe.
 
 The paper formulates step 2 with per-query sorted lists ``q'.L``; the
 direct lower-bound dominance test used here is equivalent (a skyline
@@ -231,20 +236,16 @@ class LowerBoundConstraint(SkylineAlgorithm):
             a += 1
 
         with tracing.span("lbc.resolve", object_id=p.object_id):
-            # Oracle prefill: with a usable preprocessed index every
-            # remaining dimension is *exact* in one lookup, so the plb
-            # machinery has nothing left to expand for it.  ``None``
-            # means no usable oracle — that verdict holds for the whole
-            # candidate, so stop probing after the first refusal.
+            # Known-distance prefill: a dimension the engine already
+            # holds exactly (memo, then oracle) needs no plb search.  A
+            # miss on one dimension says nothing about the next.
             resolved: set[int] = set()
             for i, q in others:
-                value = self._engine.oracle_distance(q, p.location)
-                if value is None:
-                    break
-                scratch[i] = value
-                resolved.add(i)
-                self._engine.record(q, p.location, value)
-                tracing.record("distance_computations")
+                value = self._engine.known_distance(q, p.location)
+                if value is not None:
+                    scratch[i] = value
+                    resolved.add(i)
+                    tracing.record("distance_computations")
 
             if not self.use_lower_bounds:
                 # Ablation path: full distance computation for every

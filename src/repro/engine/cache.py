@@ -62,17 +62,24 @@ class DistanceMemo:
         with self._lock:
             return key in self._entries
 
-    def get(self, key: MemoKey) -> float | None:
-        """The cached distance, refreshing recency; None on a miss."""
+    def get(self, key: MemoKey, count: bool = True) -> float | None:
+        """The cached distance, refreshing recency; None on a miss.
+
+        ``count=False`` reads without counting a hit or miss — the
+        engine's ``known_distance`` probe, which like a fill is not a
+        lookup by ``distance()``.
+        """
         with self._lock:
             value = self._entries.get(key)
             if value is None:
-                self.counters.misses += 1
-                tracing.record("engine_misses")
+                if count:
+                    self.counters.misses += 1
+                    tracing.record("engine_misses")
                 return None
             self._entries.move_to_end(key)
-            self.counters.hits += 1
-            tracing.record("engine_hits")
+            if count:
+                self.counters.hits += 1
+                tracing.record("engine_hits")
             return value
 
     def put(self, key: MemoKey, value: float) -> None:

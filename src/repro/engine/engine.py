@@ -9,6 +9,9 @@ owns all network-distance work:
   idea, promoted from per-algorithm bookkeeping to a shared service);
 * a bounded LRU **memo** of settled ``(source, target) -> distance``
   results shared across queries, algorithms and backends;
+  :meth:`known_distance` reads it (then a usable oracle) without
+  searching, so LBC starts each candidate from every exact distance
+  the engine already holds;
 * pluggable **backends** (:mod:`repro.engine.backends`) selected
   per-engine or per-call;
 * batch helpers (:meth:`distances`, :meth:`matrix`, :meth:`vectors`)
@@ -395,6 +398,26 @@ class DistanceEngine:
         if value is None:
             value = expander.distance_to(target)
         self._memo.put(key, value)
+        return value
+
+    def known_distance(
+        self, source: NetworkLocation, target: NetworkLocation
+    ) -> float | None:
+        """An exact distance the engine already holds, or ``None``.
+
+        The memo answers first, then a usable oracle (its answer is
+        memoised, as :meth:`distance` does); nothing searches the
+        network.  The memo read counts neither a hit nor a miss — like
+        :meth:`record`'s fills — so ``engine_hits``/``engine_misses``
+        keep meaning lookups by :meth:`distance`/:meth:`distance_via`.
+        A stale oracle records one ``oracle_fallbacks`` per memo miss.
+        """
+        key = _pair_key(source, target)
+        value = self._memo.get(key, count=False)
+        if value is None:
+            value = self.oracle_distance(source, target)
+            if value is not None:
+                self._memo.put(key, value)
         return value
 
     def record(

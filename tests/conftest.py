@@ -74,6 +74,18 @@ def random_locations(network: RoadNetwork, count: int, seed: int):
     return locations
 
 
+def cold_run(algorithm, workspace, queries):
+    """Run ``algorithm`` from a cold engine and cold buffers.
+
+    Runs on one workspace share its distance memo, and LBC starts each
+    candidate from the distances the memo holds.  Without the reset, an
+    LBC run after the reference would read the reference's distances
+    back instead of searching.
+    """
+    workspace.reset_io(cold=True)
+    return algorithm.run(workspace, queries)
+
+
 @pytest.fixture
 def tiny_network() -> RoadNetwork:
     """A hand-built 6-node network with known shortest paths.

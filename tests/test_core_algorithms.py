@@ -21,11 +21,17 @@ from repro.core import (
     QueryStats,
     Workspace,
 )
+from repro.datasets import build_preset, extract_objects, select_query_points
 from repro.engine import DistanceEngine
 from repro.geometry import Point
 from repro.network import ObjectSet, RoadNetwork, SpatialObject
 
-from conftest import build_random_network, place_random_objects, random_locations
+from conftest import (
+    build_random_network,
+    cold_run,
+    place_random_objects,
+    random_locations,
+)
 
 
 @pytest.fixture(scope="module")
@@ -49,7 +55,7 @@ class TestAllAlgorithms:
     @pytest.mark.parametrize("algorithm_cls", ALGORITHMS)
     def test_matches_naive(self, workload, algorithm_cls):
         _, workspace, queries, reference = workload
-        result = algorithm_cls().run(workspace, queries)
+        result = cold_run(algorithm_cls(), workspace, queries)
         assert result.same_answer(reference)
 
     @pytest.mark.parametrize("algorithm_cls", ALGORITHMS)
@@ -57,7 +63,7 @@ class TestAllAlgorithms:
         network, workspace, queries, _ = workload
         single = [queries[0]]
         reference = NaiveSkyline().run(workspace, single)
-        result = algorithm_cls().run(workspace, single)
+        result = cold_run(algorithm_cls(), workspace, single)
         assert result.same_answer(reference)
 
     @pytest.mark.parametrize("algorithm_cls", ALGORITHMS)
@@ -66,7 +72,7 @@ class TestAllAlgorithms:
         _, workspace, queries, _ = workload
         doubled = [queries[0], queries[0]]
         reference = NaiveSkyline().run(workspace, doubled)
-        result = algorithm_cls().run(workspace, doubled)
+        result = cold_run(algorithm_cls(), workspace, doubled)
         assert result.same_answer(reference)
 
     @pytest.mark.parametrize("algorithm_cls", ALGORITHMS)
@@ -84,7 +90,7 @@ class TestAllAlgorithms:
     @pytest.mark.parametrize("algorithm_cls", ALGORITHMS)
     def test_empty_result_impossible_with_objects(self, workload, algorithm_cls):
         _, workspace, queries, _ = workload
-        assert len(algorithm_cls().run(workspace, queries)) >= 1
+        assert len(cold_run(algorithm_cls(), workspace, queries)) >= 1
 
     @pytest.mark.parametrize("algorithm_cls", ALGORITHMS)
     def test_vectors_have_query_then_attribute_dims(self, algorithm_cls):
@@ -223,7 +229,7 @@ class TestEDCSpecifics:
         queries = [net.location_at_node(0), net.location_at_node(1)]
         reference = NaiveSkyline().run(ws, queries)
         for algorithm in (EDC(), EDCIncremental(), CE(), LBC()):
-            assert algorithm.run(ws, queries).same_answer(reference)
+            assert cold_run(algorithm, ws, queries).same_answer(reference)
 
     def test_incremental_and_batch_agree(self, workload):
         _, workspace, queries, _ = workload
@@ -235,8 +241,8 @@ class TestEDCSpecifics:
 class TestLBCSpecifics:
     def test_source_index_changes_order_not_set(self, workload):
         _, workspace, queries, _ = workload
-        first = LBC(source_index=0).run(workspace, queries)
-        last = LBC(source_index=len(queries) - 1).run(workspace, queries)
+        first = cold_run(LBC(source_index=0), workspace, queries)
+        last = cold_run(LBC(source_index=len(queries) - 1), workspace, queries)
         assert first.same_answer(last)
 
     def test_bad_source_index_rejected(self, workload):
@@ -247,7 +253,7 @@ class TestLBCSpecifics:
     def test_first_point_is_source_network_nn(self, workload):
         """LBC's first reported point minimises the source dimension."""
         _, workspace, queries, _ = workload
-        result = LBC(source_index=0).run(workspace, queries)
+        result = cold_run(LBC(source_index=0), workspace, queries)
         source_dim = [p.vector[0] for p in result.points]
         assert source_dim[0] == pytest.approx(min(source_dim))
 
@@ -255,15 +261,48 @@ class TestLBCSpecifics:
         """Discovery order is non-decreasing in the source dimension
         (modulo tie-eviction, absent on random float workloads)."""
         _, workspace, queries, _ = workload
-        result = LBC(source_index=0).run(workspace, queries)
+        result = cold_run(LBC(source_index=0), workspace, queries)
         source_dim = [p.vector[0] for p in result.points]
         assert source_dim == sorted(source_dim)
 
     def test_lb_expansions_tracked(self, workload):
         _, workspace, queries, _ = workload
-        stats = LBC().run(workspace, queries).stats
-        assert stats.lb_expansions >= 0
+        stats = cold_run(LBC(), workspace, queries).stats
+        assert stats.lb_expansions > 0
         assert stats.distance_computations > 0
+
+    @staticmethod
+    def au_workload():
+        """AU at 2 % with |Q| = 3, and Naive's answer on a workspace of
+        its own, so the reference shares no memo with the run checked."""
+        network = build_preset("AU", scale=0.02, seed=3)
+        objects = extract_objects(network, omega=0.5, seed=4)
+        queries = select_query_points(network, 3, seed=5)
+        fresh = Workspace.build(network, objects, paged=True)
+        return network, objects, queries, NaiveSkyline().run(fresh, queries)
+
+    @pytest.mark.parametrize("algorithm_cls", [LBC, LBCLazy])
+    def test_memo_hot_candidates_need_no_search(self, algorithm_cls):
+        """Once Naive has memoised every distance, LBC's resolve step
+        starts each candidate from exact values: nothing to expand."""
+        network, objects, queries, reference = self.au_workload()
+        workspace = Workspace.build(network, objects, paged=True)
+        NaiveSkyline().run(workspace, queries)  # memoises every (q, p)
+        result = algorithm_cls().run(workspace, queries)
+        assert result.stats.nodes_settled == 0
+        assert result.stats.lb_expansions == 0
+        assert result.vectors_by_id() == reference.vectors_by_id()
+
+    @pytest.mark.parametrize("algorithm_cls", [LBC, LBCLazy])
+    def test_partly_memoised_candidates_search_the_rest(self, algorithm_cls):
+        """With two query points memoised, the third dimension still
+        runs its lower-bound search, and the answer is Naive's."""
+        network, objects, queries, reference = self.au_workload()
+        workspace = Workspace.build(network, objects, paged=True)
+        NaiveSkyline().run(workspace, queries[:2])
+        result = algorithm_cls().run(workspace, queries)
+        assert result.stats.lb_expansions > 0
+        assert result.same_answer(reference)
 
 
 def tie_grid(side: int = 6) -> tuple[RoadNetwork, ObjectSet]:
@@ -326,7 +365,7 @@ class TestLBCStream:
         workspace = Workspace.build(network, objects, paged=False)
         queries = [network.location_at_node(n) for n in (0, 14, 33)]
         reference = NaiveSkyline().run(workspace, queries)
-        assert algorithm_cls().run(workspace, queries).same_answer(reference)
+        assert cold_run(algorithm_cls(), workspace, queries).same_answer(reference)
 
 
 class TestNaiveSpecifics:

@@ -30,7 +30,12 @@ from repro.network import network_distance
 from repro.network.astar import AStarExpander
 from repro.network.dijkstra import DijkstraExpander
 
-from conftest import build_random_network, place_random_objects, random_locations
+from conftest import (
+    build_random_network,
+    cold_run,
+    place_random_objects,
+    random_locations,
+)
 
 
 def small_workspace(seed=42, paged=False, backend="dijkstra"):
@@ -63,6 +68,17 @@ class TestDistanceMemo:
         assert "b" not in memo
         assert "a" in memo and "c" in memo
         assert memo.counters.evictions == 1
+
+    def test_uncounted_read_refreshes_recency(self):
+        memo = DistanceMemo(2)
+        memo.put("a", 1.0)
+        memo.put("b", 2.0)
+        assert memo.get("a", count=False) == 1.0  # "b" is now LRU
+        assert memo.get("c", count=False) is None
+        memo.put("c", 3.0)
+        assert "b" not in memo
+        assert "a" in memo and "c" in memo
+        assert memo.counters.hits == memo.counters.misses == 0
 
     def test_clear_counts_invalidation(self):
         memo = DistanceMemo(8)
@@ -109,6 +125,46 @@ class TestEngineMemo:
         before = engine.counters
         assert engine.distance(a, b) == truth
         assert engine.counters.hits == before.hits + 1
+
+    def test_known_distance_reads_the_memo_uncounted(self):
+        network, workspace = small_workspace()
+        engine = workspace.engine
+        a, b = random_locations(network, 2, seed=19)
+        value = engine.distance(a, b)
+        before = engine.counters
+        assert engine.known_distance(a, b) == value
+        assert engine.known_distance(b, a) == value
+        after = engine.counters
+        assert (after.hits, after.misses) == (before.hits, before.misses)
+
+    def test_known_distance_without_oracle_never_searches(self):
+        network, workspace = small_workspace()
+        engine = workspace.engine
+        a, b = random_locations(network, 2, seed=23)
+        before = engine.counters
+        settled = engine.nodes_settled()
+        assert engine.known_distance(a, b) is None
+        assert engine.counters.misses == before.misses
+        assert engine.nodes_settled() == settled
+
+    def test_known_distance_memoises_oracle_answers(self):
+        network, workspace = small_workspace(backend="hublabel")
+        engine = workspace.engine
+        a, b = random_locations(network, 2, seed=29)
+        value = engine.known_distance(a, b)
+        assert value == pytest.approx(DijkstraExpander(network, a).distance_to(b))
+        before = engine.counters
+        assert engine.distance(a, b) == value
+        assert engine.counters.hits == before.hits + 1
+
+    def test_known_distance_forgets_after_network_invalidation(self):
+        network, workspace = small_workspace()
+        engine = workspace.engine
+        a, b = random_locations(network, 2, seed=31)
+        engine.distance(a, b)
+        assert engine.known_distance(a, b) is not None
+        engine.invalidate_network()
+        assert engine.known_distance(a, b) is None
 
     def test_matches_raw_dijkstra(self):
         network, workspace = small_workspace()
@@ -299,7 +355,7 @@ class TestBackendEquivalence:
                 network, objects, paged=False, distance_backend=backend
             )
             results[backend] = [
-                algorithm.run(workspace, queries)
+                cold_run(algorithm, workspace, queries)
                 for algorithm in (CE(), EDC(), LBC())
             ]
         for plain, guided in zip(results["dijkstra"], results["astar+landmarks"]):

@@ -20,7 +20,12 @@ from repro.datasets import (
     select_query_points_on_edges,
 )
 
-from conftest import build_random_network, place_random_objects, random_locations
+from conftest import (
+    build_random_network,
+    cold_run,
+    place_random_objects,
+    random_locations,
+)
 
 
 def make_workload(seed, node_count=80, extra=55, objects=60, attributes=0):
@@ -39,7 +44,7 @@ class TestCrossAlgorithmAgreement:
         queries = random_locations(network, (seed % 4) + 1, seed=seed * 100 + 2)
         reference = NaiveSkyline().run(workspace, queries)
         for algorithm in (CE(), EDC(), EDCIncremental(), LBC()):
-            result = algorithm.run(workspace, queries)
+            result = cold_run(algorithm, workspace, queries)
             assert result.same_answer(reference), algorithm.name
 
     @pytest.mark.parametrize("seed", [11, 12])
@@ -48,7 +53,7 @@ class TestCrossAlgorithmAgreement:
         queries = random_locations(network, 3, seed=seed * 100 + 2)
         reference = NaiveSkyline().run(workspace, queries)
         for algorithm in (CE(), EDC(), EDCIncremental(), LBC()):
-            assert algorithm.run(workspace, queries).same_answer(reference)
+            assert cold_run(algorithm, workspace, queries).same_answer(reference)
 
     def test_agreement_on_preset_workload(self):
         """End-to-end on the paper's CA stand-in, paged storage."""
@@ -68,15 +73,15 @@ class TestCrossAlgorithmAgreement:
         queries = select_query_points_on_edges(network, 3, seed=4)
         reference = NaiveSkyline().run(workspace, queries)
         for algorithm in (CE(), EDC(), EDCIncremental(), LBC()):
-            assert algorithm.run(workspace, queries).same_answer(reference)
+            assert cold_run(algorithm, workspace, queries).same_answer(reference)
 
     def test_paged_and_unpaged_agree(self):
         network, workspace = make_workload(777)
         paged = Workspace.build(network, workspace.objects, paged=True)
         queries = random_locations(network, 3, seed=778)
         for algorithm in (CE(), EDC(), LBC()):
-            a = algorithm.run(workspace, queries)
-            b = algorithm.run(paged, queries)
+            a = cold_run(algorithm, workspace, queries)
+            b = cold_run(algorithm, paged, queries)
             assert a.same_answer(b)
 
 
@@ -183,7 +188,7 @@ class TestPolylineGeometry:
         queries = random_locations(network, 3, seed=603)
         reference = NaiveSkyline().run(workspace, queries)
         for algorithm in (CE(), EDC(), EDCIncremental(), LBC()):
-            assert algorithm.run(workspace, queries).same_answer(reference)
+            assert cold_run(algorithm, workspace, queries).same_answer(reference)
 
     def test_object_points_follow_geometry(self):
         network = self._curved_network()

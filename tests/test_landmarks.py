@@ -12,7 +12,12 @@ from repro.network import (
     LandmarkHeuristic,
 )
 
-from conftest import build_random_network, place_random_objects, random_locations
+from conftest import (
+    build_random_network,
+    cold_run,
+    place_random_objects,
+    random_locations,
+)
 
 
 @pytest.fixture(scope="module")
@@ -147,7 +152,7 @@ class TestSearchIntegration:
         )
         queries = random_locations(detour_network, 3, seed=24)
         reference = NaiveSkyline().run(workspace, queries)
-        result = LBC().run(workspace, queries)
+        result = cold_run(LBC(), workspace, queries)
         assert result.same_answer(reference)
 
     def test_lbc_with_landmarks_cheaper_on_sparse_preset(self):

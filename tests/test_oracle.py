@@ -382,3 +382,46 @@ class TestSelectionAndFallback:
         assert finite < INF
         oracle.mark_stale()
         assert oracle.stale
+
+
+# ----------------------------------------------------------------------
+# LBC over an oracle
+# ----------------------------------------------------------------------
+class TestLBCOverOracle:
+    def test_warm_rerun_reads_the_memo_not_the_labels(self):
+        from conftest import place_random_objects
+        from repro.core import LBC, NaiveSkyline, Workspace
+
+        net = integer_network(12)
+        objects = place_random_objects(net, 20, seed=2, attribute_count=1)
+        workspace = Workspace.build(
+            net, objects, paged=True, distance_backend="hublabel"
+        )
+        queries = [a for a, _ in node_pairs(net, 41, 3)]
+        first = LBC().run(workspace, queries)
+        second = LBC().run(workspace, queries)
+        fresh = Workspace.build(net, objects, paged=False)
+        assert first.same_answer(NaiveSkyline().run(fresh, queries))
+        assert first.stats.oracle_label_entries > 0
+        assert second.stats.oracle_label_entries == 0
+        assert second.stats.oracle_pages == 0
+        assert second.vectors_by_id() == first.vectors_by_id()
+
+    def test_stale_oracle_resolves_online_after_mutation(self):
+        from conftest import place_random_objects
+        from repro.core import LBC, NaiveSkyline, Workspace
+
+        net = integer_network(12)
+        objects = place_random_objects(net, 20, seed=2, attribute_count=1)
+        workspace = Workspace.build(net, objects, paged=True)
+        workspace.engine.attach_oracle(build_oracle_index(net, kind="hublabel"))
+        queries = [a for a, _ in node_pairs(net, 43, 3)]
+        LBC().run(workspace, queries)  # memoises oracle answers
+
+        for _, edge_id in net.neighbors(queries[0].node_id):
+            workspace.update_edge_length(edge_id, net.edge(edge_id).length + 500.0)
+        result = LBC().run(workspace, queries)
+        assert result.stats.oracle_fallbacks > 0
+        assert result.stats.oracle_label_entries == 0
+        fresh = Workspace.build(net, objects, paged=False)
+        assert result.same_answer(NaiveSkyline().run(fresh, queries))

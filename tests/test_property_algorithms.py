@@ -15,6 +15,8 @@ from repro.core import CE, EDC, EDCIncremental, LBC, LBCLazy, NaiveSkyline, Work
 from repro.geometry import Point
 from repro.network import ObjectSet, RoadNetwork, SpatialObject
 
+from conftest import cold_run
+
 
 @st.composite
 def workloads(draw):
@@ -88,7 +90,7 @@ def test_all_algorithms_match_oracle(workload):
     workspace = Workspace.build(network, object_set, paged=False)
     reference = NaiveSkyline().run(workspace, queries)
     for algorithm in (CE(), EDC(), EDCIncremental(), LBC(), LBCLazy()):
-        result = algorithm.run(workspace, queries)
+        result = cold_run(algorithm, workspace, queries)
         assert result.same_answer(reference), (
             f"{algorithm.name}: {result.object_ids()} != {reference.object_ids()}"
         )
@@ -100,7 +102,8 @@ def test_lbc_source_choice_irrelevant_to_answer(workload):
     network, object_set, queries = workload
     workspace = Workspace.build(network, object_set, paged=False)
     results = [
-        LBC(source_index=i).run(workspace, queries) for i in range(len(queries))
+        cold_run(LBC(source_index=i), workspace, queries)
+        for i in range(len(queries))
     ]
     for other in results[1:]:
         assert other.same_answer(results[0])

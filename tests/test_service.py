@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from conftest import build_random_network, place_random_objects
+from conftest import build_random_network, cold_run, place_random_objects
 from repro.core import ALGORITHMS, LBC, Workspace
 from repro.service import (
     BadRequest,
@@ -99,8 +99,8 @@ class TestBatchPlanner:
         assert len(plans) == 1
         outcomes = execute_plan(workspace, plans[0], ALGORITHMS)
         for request in requests:
-            direct = ALGORITHMS[request.algorithm]().run(
-                workspace, request.queries
+            direct = cold_run(
+                ALGORITHMS[request.algorithm](), workspace, request.queries
             )
             assert outcomes[request.request_id].same_answer(direct)
 
@@ -140,7 +140,7 @@ class TestBatchPlanner:
         plans = BatchPlanner().plan(requests)
         outcomes = execute_plan(workspace, plans[0], registry)
         assert isinstance(outcomes[1], RuntimeError)
-        direct = LBC().run(workspace, requests[1].queries)
+        direct = cold_run(LBC(), workspace, requests[1].queries)
         assert outcomes[2].same_answer(direct)
 
 
@@ -151,10 +151,9 @@ class TestQueryService:
     def test_blocking_query_matches_direct_run(self, workspace):
         network = workspace.network
         queries = locations(network, 3, 40, 77)
-        direct = LBC().run(workspace, queries)
         with QueryService(workspace, workers=2) as service:
             result = service.query("LBC", queries)
-            assert result.same_answer(direct)
+            assert result.same_answer(cold_run(LBC(), workspace, queries))
 
     def test_unknown_algorithm_and_empty_queries_rejected(self, workspace):
         with QueryService(workspace, workers=1) as service:
@@ -221,9 +220,7 @@ class TestQueryService:
             key = tuple(q.node_id for q in pending.request.queries)
             direct[key] = result
         for key, result in direct.items():
-            reference = LBC().run(
-                workspace, locations(network, *key)
-            )
+            reference = cold_run(LBC(), workspace, locations(network, *key))
             assert result.same_answer(reference)
 
     def test_mutations_tracked_and_visible(self, workspace):
@@ -239,7 +236,7 @@ class TestQueryService:
             assert stats["requests"]["mutations"] == 1
             assert stats["workspace_version"] == 1
             # The post-mutation answer matches a fresh direct run.
-            assert after.same_answer(LBC().run(workspace, queries))
+            assert after.same_answer(cold_run(LBC(), workspace, queries))
             del before  # answers may or may not differ; no torn state
 
 

@@ -13,7 +13,7 @@ import urllib.request
 
 import pytest
 
-from conftest import build_random_network, place_random_objects
+from conftest import build_random_network, cold_run, place_random_objects
 from repro.core import LBC, Workspace
 from repro.service import QueryService, ServiceHTTPServer
 
@@ -92,7 +92,7 @@ class TestRoutes:
         )
         assert status == 200
         queries = [workspace.network.location_at_node(n) for n in (3, 40, 77)]
-        direct = LBC().run(workspace, queries)
+        direct = cold_run(LBC(), workspace, queries)
         got = {
             (entry["object_id"], tuple(entry["vector"]))
             for entry in payload["skyline"]
@@ -154,7 +154,7 @@ class TestRoutes:
         )
         assert status == 200
         queries = [network.location_at_node(n) for n in (3, 40, 77)]
-        direct = LBC().run(workspace, queries)
+        direct = cold_run(LBC(), workspace, queries)
         assert {e["object_id"] for e in payload["skyline"]} == {
             p.object_id for p in direct
         }
