@@ -4,10 +4,12 @@ Two claims are measured:
 
 * **Batching saves work.**  Co-located concurrent requests grouped by
   the :class:`~repro.service.batching.BatchPlanner` and executed
-  source-major through the shared :class:`DistanceEngine` settle
+  back-to-back through the shared :class:`DistanceEngine` settle
   measurably fewer nodes than the same requests run one at a time from
   cold — the cross-request wavefront reuse the serving layer exists
-  for.  Asserted, not just reported: batched must be ≥ 20 % cheaper.
+  for.  Asserted, not just reported: batched must be ≥ 20 % cheaper,
+  and every node the batch settles must be billed to one of its
+  requests.
 * **The service keeps up under closed-loop load.**  N client threads
   each issuing a stream of blocking queries: everything completes,
   nothing is shed, every answer matches a direct single-threaded run.
@@ -38,8 +40,8 @@ from conftest import BENCH_SCALE
 def build_service_workspace() -> Workspace:
     """A fresh, identically-seeded workspace per measurement arm.
 
-    ``astar`` backend: EDC's probes then share the engine's default
-    expander pool with the planner's warm phase.
+    ``astar`` backend: EDC's probes then run on the engine's pooled A*
+    expanders, so a later request resumes an earlier one's wavefronts.
     """
     network = build_preset("AU", scale=BENCH_SCALE)
     objects = extract_objects(network, omega=0.50, seed=1)
@@ -93,6 +95,11 @@ class TestBatchedNodeSavings:
 
         for request_id, serial_result in serial_results.items():
             assert outcomes[request_id].same_answer(serial_result)
+        billed = sum(outcome.stats.nodes_settled for outcome in outcomes.values())
+        assert billed == batch_nodes, (
+            f"requests billed {billed} of the {batch_nodes} nodes the batch "
+            "settled"
+        )
         assert serial_nodes > 0
         saving = 1.0 - batch_nodes / serial_nodes
         benchmark.extra_info["serial_nodes"] = serial_nodes

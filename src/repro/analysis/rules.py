@@ -231,7 +231,7 @@ _GUARDED_MUTATIONS = frozenset(
 #: Callee terminal names that block (I/O, sleeps, batch distance work).
 _BLOCKING_CALLS = frozenset(
     {
-        "matrix",
+        "distances",
         "vectors",
         "sleep",
         "urlopen",
@@ -409,7 +409,7 @@ class LockBlockingCall(Rule):
 
     id = "REPRO-LOCK03"
     summary = (
-        "blocking call (engine.matrix/vectors, sleep, HTTP I/O) made "
+        "blocking call (engine.distances/vectors, sleep, HTTP I/O) made "
         "while statically inside a mutex/exclusive-lock context"
     )
 

@@ -3,7 +3,8 @@
 Public surface:
 
 * :class:`DistanceEngine` — pooled wavefronts, cross-query distance
-  memo, batch APIs; owned by every Workspace as ``workspace.engine``;
+  memo, the ``distances``/``vectors`` batch helpers; owned by every
+  Workspace as ``workspace.engine``;
 * :class:`EngineCounters` — snapshot of hit/miss/eviction counters;
 * the backend registry (:data:`BACKEND_NAMES`, :func:`make_backend`)
   with the :class:`DistanceBackend` protocol;

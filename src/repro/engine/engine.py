@@ -14,8 +14,9 @@ owns all network-distance work:
   the engine already holds;
 * pluggable **backends** (:mod:`repro.engine.backends`) selected
   per-engine or per-call;
-* batch helpers (:meth:`distances`, :meth:`matrix`, :meth:`vectors`)
-  that order work source-major to maximise wavefront reuse;
+* batch helpers (:meth:`distances`, :meth:`vectors`) that sweep every
+  target of one source before the next, so each pooled wavefront
+  serves a whole column;
 * the workspace's ``store`` threaded into every expander it builds, so
   page reads are charged by default — call sites can no longer forget.
 
@@ -70,7 +71,6 @@ from repro.engine.backends import (
     make_backend,
     mirror_oracle_store,
 )
-from repro.columnar.store import VectorTable
 from repro.engine.cache import DEFAULT_MEMO_CAPACITY, DistanceMemo
 from repro.network.astar import AStarExpander
 from repro.network.dijkstra import DijkstraExpander
@@ -132,7 +132,6 @@ class DistanceEngine:
         store: NetworkStore | None = None,
         placements=None,
         backend: str = DEFAULT_BACKEND,
-        memo_capacity: int = DEFAULT_MEMO_CAPACITY,
         pool_capacity: int = DEFAULT_POOL_CAPACITY,
     ) -> None:
         if backend not in BACKEND_NAMES:
@@ -151,7 +150,7 @@ class DistanceEngine:
         self._backends: dict[str, DistanceBackend] = {}
         self._attached_oracle: DistanceOracle | None = None
         self._pool: OrderedDict[tuple, object] = OrderedDict()
-        self._memo = DistanceMemo(memo_capacity)
+        self._memo = DistanceMemo(DEFAULT_MEMO_CAPACITY)
         self._retired_nodes = 0
         self._pool_reuses = 0
         self._pool_evictions = 0
@@ -440,48 +439,6 @@ class DistanceEngine:
         """Distances from one source to many targets, one wavefront."""
         return [self.distance(source, target, backend=backend) for target in targets]
 
-    def matrix(
-        self,
-        sources: Sequence[NetworkLocation],
-        targets: Sequence[NetworkLocation],
-        backend: str | None = None,
-    ) -> list[list[float]]:
-        """``matrix[i][j]`` = distance from ``sources[i]`` to ``targets[j]``.
-
-        Source-major iteration keeps each pooled wavefront hot for the
-        full target sweep before moving on.
-        """
-        with tracing.span(
-            "engine.matrix", sources=len(sources), targets=len(targets)
-        ):
-            return [
-                self.distances(source, targets, backend=backend)
-                for source in sources
-            ]
-
-    def matrix_block(
-        self,
-        sources: Sequence[NetworkLocation],
-        targets: Sequence[NetworkLocation],
-        backend: str | None = None,
-    ) -> VectorTable:
-        """The distance matrix as one flat column block.
-
-        Row ``i`` holds the distances from ``sources[i]`` to every
-        target; same source-major sweep as :meth:`matrix`, but the
-        values land in a single ``array('d')`` instead of nested lists.
-        Requires at least one target (a zero-width table cannot exist).
-        """
-        table = VectorTable(len(targets))
-        data = table.data
-        with tracing.span(
-            "engine.matrix", sources=len(sources), targets=len(targets)
-        ):
-            for source in sources:
-                for target in targets:
-                    data.append(self.distance(source, target, backend=backend))
-        return table
-
     def vector(
         self,
         queries: Sequence[NetworkLocation],
@@ -502,38 +459,9 @@ class DistanceEngine:
     ) -> list[tuple[float, ...]]:
         """Evaluation vectors for many objects, ordered like ``objects``.
 
-        A thin view over :meth:`vectors_block`: the block carries the
-        values, each row is materialised once at this boundary.
-        """
-        if not objects or len(queries) + len(objects[0].attributes) == 0:
-            # Degenerate shapes a zero-width block cannot carry.
-            locations = [obj.location for obj in objects]
-            with tracing.span(
-                "engine.vectors", queries=len(queries), objects=len(objects)
-            ):
-                columns = [
-                    self.distances(q, locations, backend=backend) for q in queries
-                ]
-            return [
-                tuple(column[i] for column in columns) + obj.attributes
-                for i, obj in enumerate(objects)
-            ]
-        table = self.vectors_block(queries, objects, backend=backend)
-        return [table.row(i) for i in range(len(table))]
-
-    def vectors_block(
-        self,
-        queries: Sequence[NetworkLocation],
-        objects: Sequence,
-        backend: str | None = None,
-    ) -> VectorTable:
-        """Evaluation vectors for many objects as one flat column block.
-
         Row ``i`` = distances of ``objects[i]`` to every query, then its
-        static attributes.  Work runs source-major (every object against
-        one query before the next query starts) so each wavefront is
-        reused across the whole object set — the batch-API contract of
-        the engine.
+        static attributes.  Work runs one :meth:`distances` column per
+        query, so each wavefront is reused across the whole object set.
         """
         locations = [obj.location for obj in objects]
         with tracing.span(
@@ -542,14 +470,10 @@ class DistanceEngine:
             columns = [
                 self.distances(q, locations, backend=backend) for q in queries
             ]
-        attribute_count = len(objects[0].attributes) if objects else 0
-        table = VectorTable(len(queries) + attribute_count)
-        data = table.data
-        for i, obj in enumerate(objects):
-            for column in columns:
-                data.append(column[i])
-            data.extend(obj.attributes)
-        return table
+        return [
+            tuple(column[i] for column in columns) + obj.attributes
+            for i, obj in enumerate(objects)
+        ]
 
     # ------------------------------------------------------------------
     # Accounting

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from repro.columnar.store import CoordinateColumns
 from repro.geometry.mbr import MBR
 from repro.index.rtree import DEFAULT_MAX_ENTRIES, RTree
 from repro.network.graph import NetworkLocation, RoadNetwork
@@ -153,38 +152,16 @@ class ObjectSet:
     # ------------------------------------------------------------------
     # Indexing
     # ------------------------------------------------------------------
-    def coordinate_columns(self) -> CoordinateColumns:
-        """The objects' planar coordinates as a column store.
-
-        Row ``i`` corresponds to ``self.objects[i]``; feed the result to
-        columnar kernels (batch distances, Hilbert bulk-load) that want
-        flat buffers instead of per-object tuples.
-        """
-        return CoordinateColumns.from_points(obj.point for obj in self.objects)
-
     def build_rtree(
         self,
         max_entries: int = DEFAULT_MAX_ENTRIES,
         pager: NodePager | None = None,
-        method: str = "str",
     ) -> RTree:
-        """A packed R-tree over the objects' planar points.
+        """A sort-tile-recursive packed R-tree over the objects' points.
 
         This is the object index of the paper's experiments ("the
-        objects are also indexed by an R-tree").  ``method`` selects the
-        packing: ``"str"`` (sort-tile-recursive, the default) or
-        ``"hilbert"`` (curve-ordered bulk load over the coordinate
-        column store — no per-entry tuples during the sort).
+        objects are also indexed by an R-tree").
         """
-        if method == "hilbert":
-            return RTree.bulk_load_columns(
-                self.coordinate_columns(),
-                self.objects,
-                max_entries=max_entries,
-                pager=pager,
-            )
-        if method != "str":
-            raise ValueError(f"unknown packing method: {method!r}")
         return RTree.bulk_load(
             ((MBR.from_point(obj.point), obj) for obj in self.objects),
             max_entries=max_entries,

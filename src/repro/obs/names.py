@@ -27,10 +27,7 @@ from __future__ import annotations
 
 SPAN_NAMES = frozenset(
     {
-        # Batch execution (repro.service.batching)
-        "batch.warm",
-        # Engine batch APIs (repro.engine.engine)
-        "engine.matrix",
+        # Engine batch API (repro.engine.engine)
         "engine.vectors",
         # CE phases (repro.core.ce)
         "ce.filter",

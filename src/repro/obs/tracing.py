@@ -295,8 +295,8 @@ def suppressed() -> Iterator[None]:
     """Detach the ambient span for the duration.
 
     For shared, amortised work that must not be billed to whichever
-    query happened to trigger it (lazy landmark-table builds, cache
-    warmups): inside this context, :func:`record` and :func:`span`
+    query happened to trigger it (lazy landmark-table and oracle
+    builds): inside this context, :func:`record` and :func:`span`
     behave as if no trace were active, and :func:`active_spans` shows
     the thread under no span.
     """

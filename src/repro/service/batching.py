@@ -1,28 +1,19 @@
-"""Grouping in-flight queries so co-located requests share wavefronts.
+"""Grouping in-flight queries into conflict-free batches.
 
-The engine already reuses expansion state *within* one query (pooled
-per-source wavefronts, the cross-query memo).  The
-:class:`BatchPlanner` extends that reuse *across* requests, the
-ParetoPrep observation applied to serving: requests whose query points
-overlap are placed in the same :class:`BatchPlan` and executed
-back-to-back on the shared engine, source-major, so the second request
-resumes the first request's wavefronts instead of rebuilding them.
+The :class:`BatchPlanner` places requests whose query points overlap
+(transitively) in one :class:`BatchPlan`; :func:`execute_plan` runs its
+units in arrival order on the shared engine, so a later unit finds the
+pooled wavefronts and memoised distances an earlier one left behind.
+That reuse is the engine's own; the batch adds one sharing mechanism of
+its own, **dedupe**: requests with the same algorithm and the same
+*set* of query points collapse into one :class:`ExecutionUnit`.  A
+follower's answer is the canonical answer with its distance columns
+permuted into the follower's query order, with no engine call — the
+skyline is invariant under permuting and duplicating dimensions.
 
-Within a batch three mechanisms stack:
-
-1. **Dedupe** — requests with the same algorithm and the same *set* of
-   query points collapse into one :class:`ExecutionUnit`; followers
-   whose query order differs get their answer re-vectorised through
-   :meth:`DistanceEngine.vectors` (pure memo hits — the skyline is
-   invariant under dimension permutation).
-2. **Warm phase** — when several units share sources, the planner runs
-   :meth:`DistanceEngine.matrix` over the shared sources first, which
-   establishes one pooled wavefront per shared source before any unit
-   runs (cheap for co-located points: the wavefronts only need to span
-   the shared neighbourhood).
-3. **Source-major ordering** — units are ordered so consecutive units
-   overlap maximally, keeping shared wavefronts at the hot end of the
-   engine's LRU pool.
+Each unit runs under its canonical request's span, so every node a
+batch settles and every page it reads is billed to a request, as the
+paper charges cost per query.
 
 Batches also double as the service's *conflict-isolation* domain: the
 scheduler never runs two batches with overlapping query points
@@ -82,20 +73,6 @@ class BatchPlan:
             keys |= unit.canonical.key_set()
         return frozenset(keys)
 
-    def shared_sources(self) -> list[NetworkLocation]:
-        """Query points appearing in two or more units (warm targets)."""
-        first: dict[tuple, NetworkLocation] = {}
-        unit_counts: dict[tuple, int] = {}
-        for unit in self.units:
-            for q in unit.canonical.queries:
-                first.setdefault(location_key(q), q)
-            # Count per unit, not per occurrence inside one request.
-            for key in unit.canonical.key_set():
-                unit_counts[key] = unit_counts.get(key, 0) + 1
-        return [
-            first[key] for key, n in sorted(unit_counts.items()) if n >= 2
-        ]
-
     @property
     def request_count(self) -> int:
         return sum(len(unit.requests) for unit in self.units)
@@ -110,7 +87,7 @@ class BatchPlanner:
         Requests whose key sets are connected (transitively, through
         shared query points) land in the same batch; within a batch,
         identical (algorithm, key-set) requests collapse into one
-        execution unit and units are ordered source-major.
+        execution unit, and units keep their arrival order.
         """
         if not requests:
             return []
@@ -152,12 +129,7 @@ class BatchPlanner:
                 units[signature] = ExecutionUnit(canonical=request)
             else:
                 unit.followers.append(request)
-        # Source-major order: sorting by the sorted key tuple clusters
-        # overlapping sets, so consecutive units re-hit hot wavefronts.
-        return sorted(
-            units.values(),
-            key=lambda u: tuple(sorted(u.canonical.key_set())),
-        )
+        return list(units.values())
 
 
 def execute_plan(workspace, plan: BatchPlan, algorithms) -> dict:
@@ -170,17 +142,6 @@ def execute_plan(workspace, plan: BatchPlan, algorithms) -> dict:
     """
     outcomes: dict[int, object] = {}
     with workspace.reading():
-        engine = workspace.engine
-        shared = plan.shared_sources()
-        if engine is not None and len(plan.units) > 1 and len(shared) > 1:
-            # Warm phase: one pooled wavefront per shared source,
-            # expanded just far enough to reach its co-located peers.
-            # Amortised across the whole batch, so its cost is charged
-            # to a free-standing span rather than any one request.
-            with tracing.suppressed(), tracing.span(
-                "batch.warm", sources=len(shared)
-            ):
-                engine.matrix_block(shared, shared)
         for unit in plan.units:
             request = unit.canonical
             # Re-enter the request's admission span on this worker
@@ -194,40 +155,38 @@ def execute_plan(workspace, plan: BatchPlan, algorithms) -> dict:
                     for member in unit.requests:
                         outcomes[member.request_id] = exc
                     continue
-                outcomes[request.request_id] = result
-                for follower in unit.followers:
-                    outcomes[follower.request_id] = _reorder_result(
-                        workspace, result, follower
-                    )
+            outcomes[request.request_id] = result
+            for follower in unit.followers:
+                outcomes[follower.request_id] = _follower_result(
+                    result, request, follower
+                )
     return outcomes
 
 
-def _reorder_result(
-    workspace, result: SkylineResult, follower: ServiceRequest
+def _follower_result(
+    result: SkylineResult, canonical: ServiceRequest, follower: ServiceRequest
 ) -> SkylineResult:
     """A follower's view of a deduped result, in its own query order.
 
-    The skyline *set* is order-invariant; only the distance columns of
-    each vector permute.  Vectors are refetched through the engine's
-    batch API — every distance was settled by the canonical run, so
-    this is memo hits, not new expansion.
+    The skyline *set* is invariant under permuting and duplicating
+    dimensions, so each vector's distance columns are picked from the
+    canonical's by query-point key; the attributes follow unchanged.
     """
-    engine = workspace.engine
-    objects = [p.obj for p in result.points]
-    if engine is None or not objects:
-        return SkylineResult(
-            points=list(result.points),
-            stats=result.stats,
-            trace=result.trace,
-        )
-    table = engine.vectors_block(follower.queries, objects)
+    column: dict[tuple, int] = {}
+    for i, query in enumerate(canonical.queries):
+        column.setdefault(location_key(query), i)
+    order = [column[location_key(query)] for query in follower.queries]
+    width = len(canonical.queries)
     points = [
-        SkylinePoint(obj=obj, vector=table.row(i))
-        for i, obj in enumerate(objects)
+        SkylinePoint(
+            obj=point.obj,
+            vector=tuple(point.vector[i] for i in order) + point.vector[width:],
+        )
+        for point in result.points
     ]
-    stats = dc_replace(result.stats)
-    stats.extras = dict(result.stats.extras)
-    stats.merge_extras(
-        {"deduped": int(stats.extras.get("deduped", 0)) + 1}
+    stats = dc_replace(
+        result.stats,
+        query_count=len(follower.queries),
+        extras={**result.stats.extras, "deduped": 1},
     )
     return SkylineResult(points=points, stats=stats, trace=result.trace)

@@ -136,17 +136,13 @@ class QueryService:
         batch_window_s: float = DEFAULT_BATCH_WINDOW_S,
         algorithms: Mapping[str, type] | None = None,
         slow_threshold_s: float = DEFAULT_SLOW_THRESHOLD_S,
-        event_log: EventLog | None = None,
         event_log_path: str | None = None,
         flight_dir: str | None = None,
-        flight_ring: int = DEFAULT_FLIGHT_RING,
         stall_deadline_s: float | None = None,
         diag_interval_s: float = DEFAULT_DIAG_INTERVAL_S,
         slo_windows: tuple[BurnWindow, ...] = DEFAULT_WINDOWS,
         slo_latency_target: float = DEFAULT_SLO_LATENCY_TARGET,
         slo_latency_threshold_s: float = DEFAULT_SLO_LATENCY_THRESHOLD_S,
-        slo_availability_target: float = DEFAULT_SLO_AVAILABILITY_TARGET,
-        slo_observe_interval_s: float = DEFAULT_SLO_OBSERVE_INTERVAL_S,
     ) -> None:
         if workers < 1:
             raise ValueError(f"need at least one worker, got {workers}")
@@ -185,13 +181,14 @@ class QueryService:
 
         # Diagnostics plane: wide events, flight recorder, watchdog, SLO
         # monitor.  The service owns their lifecycle (close() tears them
-        # down) even when an EventLog instance is passed in.
-        if event_log is None and event_log_path is not None:
-            event_log = EventLog(event_log_path)
+        # down).
+        event_log = (
+            EventLog(event_log_path) if event_log_path is not None else None
+        )
         self.events = event_log
         self.inflight = InFlightTable()
         self.recorder = FlightRecorder(
-            ring=flight_ring, dump_dir=flight_dir, inflight=self.inflight
+            ring=DEFAULT_FLIGHT_RING, dump_dir=flight_dir, inflight=self.inflight
         )
         self.watchdog = (
             StallWatchdog(
@@ -237,9 +234,9 @@ class QueryService:
         self.slo.add_objective(
             Objective(
                 "availability",
-                target=slo_availability_target,
+                target=DEFAULT_SLO_AVAILABILITY_TARGET,
                 description=(
-                    f"{slo_availability_target:.1%} of finished queries "
+                    f"{DEFAULT_SLO_AVAILABILITY_TARGET:.1%} of finished queries "
                     "succeed"
                 ),
             ),
@@ -259,7 +256,6 @@ class QueryService:
             thread.start()
         self._diag_stop = threading.Event()
         self._diag_interval_s = diag_interval_s
-        self._slo_observe_interval_s = slo_observe_interval_s
         self._diag_thread = threading.Thread(
             target=self._diag_loop, name="repro-diag", daemon=True
         )
@@ -449,14 +445,14 @@ class QueryService:
 
     def _diag_loop(self) -> None:
         """Background cadence for the watchdog and the SLO monitor."""
-        next_slo = time.monotonic() + self._slo_observe_interval_s
+        next_slo = time.monotonic() + DEFAULT_SLO_OBSERVE_INTERVAL_S
         while not self._diag_stop.wait(self._diag_interval_s):
             if self.watchdog is not None:
                 self.watchdog.scan()
             now = time.monotonic()
             if now >= next_slo:
                 self.slo.observe()
-                next_slo = now + self._slo_observe_interval_s
+                next_slo = now + DEFAULT_SLO_OBSERVE_INTERVAL_S
 
     # ------------------------------------------------------------------
     # Client surface

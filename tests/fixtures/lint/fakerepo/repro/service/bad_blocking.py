@@ -11,4 +11,4 @@ class BadServer:
     def tick(self, engine, sources, targets):
         with self._lock:
             time.sleep(0.5)  # EXPECT: REPRO-LOCK03
-            return engine.matrix(sources, targets)  # EXPECT: REPRO-LOCK03
+            return engine.distances(sources, targets)  # EXPECT: REPRO-LOCK03

@@ -68,9 +68,6 @@ class TestBatchPlanner:
         plans = BatchPlanner().plan(requests)
         assert len(plans) == 1
         assert len(plans[0].units) == 3
-        # Query point 2 and 3 each appear in two units.
-        shared = plans[0].shared_sources()
-        assert len(shared) == 2
 
     def test_identical_requests_dedupe_into_one_unit(self, dataset):
         network, _ = dataset
@@ -104,23 +101,61 @@ class TestBatchPlanner:
             )
             assert outcomes[request.request_id].same_answer(direct)
 
+    def test_batch_bills_every_settle_and_page_to_a_request(self, workspace):
+        # EDC only: its probes run on pooled expanders, which
+        # engine.nodes_settled() counts (CE's INE wavefronts are not).
+        network = workspace.network
+        requests = [
+            ServiceRequest(i, "EDC", locations(network, *nodes))
+            for i, nodes in enumerate(
+                ((1, 2, 3), (2, 3, 9), (3, 9, 12)), start=1
+            )
+        ]
+        plans = BatchPlanner().plan(requests)
+        assert len(plans) == 1
+        workspace.reset_io(cold=True)
+        settled = workspace.engine.nodes_settled()
+        pages = workspace.network_pages_read()
+        outcomes = execute_plan(workspace, plans[0], ALGORITHMS)
+        stats = [outcomes[r.request_id].stats for r in requests]
+        assert sum(s.nodes_settled for s in stats) == (
+            workspace.engine.nodes_settled() - settled
+        )
+        assert sum(s.network_pages for s in stats) == (
+            workspace.network_pages_read() - pages
+        )
+
     def test_follower_vectors_are_permuted_not_copied(self, workspace):
         network = workspace.network
-        canonical = ServiceRequest(1, "LBC", locations(network, 4, 11, 17))
-        follower = ServiceRequest(2, "LBC", locations(network, 17, 4, 11))
-        plans = BatchPlanner().plan([canonical, follower])
-        outcomes = execute_plan(workspace, plans[0], ALGORITHMS)
-        a, b = outcomes[1], outcomes[2]
-        assert a.object_ids() == b.object_ids()
         attrs = workspace.attribute_count
-        for object_id, vector in a.vectors_by_id().items():
-            other = b.vectors_by_id()[object_id]
-            # order (4, 11, 17) → (17, 4, 11): distance columns rotate.
-            assert other[0] == pytest.approx(vector[2])
-            assert other[1] == pytest.approx(vector[0])
-            assert other[2] == pytest.approx(vector[1])
-            assert other[3:] == vector[3:]  # attributes unchanged
-            assert len(vector) == 3 + attrs
+        # (canonical, follower, the canonical column behind each of the
+        # follower's): a rotation, and a duplicated point named once.
+        cases = [
+            ((4, 11, 17), (17, 4, 11), (2, 0, 1)),
+            ((4, 4, 11), (11, 4), (2, 0)),
+        ]
+        for canonical_nodes, follower_nodes, columns in cases:
+            canonical = ServiceRequest(
+                1, "LBC", locations(network, *canonical_nodes)
+            )
+            follower = ServiceRequest(
+                2, "LBC", locations(network, *follower_nodes)
+            )
+            plans = BatchPlanner().plan([canonical, follower])
+            assert [len(u.requests) for u in plans[0].units] == [2]
+            outcomes = execute_plan(workspace, plans[0], ALGORITHMS)
+            a, b = outcomes[1], outcomes[2]
+            assert a.object_ids() == b.object_ids()
+            width = len(canonical_nodes)
+            theirs = b.vectors_by_id()
+            for object_id, vector in a.vectors_by_id().items():
+                assert len(vector) == width + attrs
+                assert theirs[object_id] == (
+                    tuple(vector[c] for c in columns) + vector[width:]
+                )
+            assert b.stats.query_count == len(follower_nodes)
+            direct = cold_run(LBC(), workspace, follower.queries)
+            assert b.same_answer(direct)
 
     def test_unit_failure_does_not_sink_the_batch(self, workspace):
         network = workspace.network
