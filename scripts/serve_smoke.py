@@ -16,6 +16,10 @@ mutations), then shuts it down with SIGTERM.  Fails loudly if:
   ``--trace-dir``),
 * ``/insightz`` shows no observed queries, or ``repro insight
   summarize`` cannot digest the wide-event log the server wrote,
+* the wide-event log's summed ``nodes_settled`` differs from the
+  engine's settle count in the post-storm ``/statsz`` (every settle is
+  billed to exactly one completion record), or ``/statsz`` reports a
+  dropped event,
 * the server does not exit cleanly on SIGTERM.
 
 The ``/metricsz`` scrape, the ``/slowlogz`` payload, the ``/insightz``
@@ -161,6 +165,30 @@ def check_metricsz(url: str, artifact_dir: str) -> None:
         f"smoke: metricsz ok — {len(families)} families, "
         f"no duplicates, completed={completed[0]:.0f}"
     )
+
+
+def check_billing(event_log: str, stats: dict) -> None:
+    """Every settle the engine made is billed to exactly one record.
+
+    The storm sends LBC only, whose searches all run on engine-owned
+    expanders, so the records' summed ``nodes_settled`` must equal the
+    engine's monotone settle count; a deduped follower bills zero.
+    """
+    from repro.obs import read_events
+
+    dropped = stats["events"]["dropped"]
+    if dropped:
+        raise SystemExit(f"/statsz reports {dropped} dropped event(s)")
+    billed = sum(
+        event["counters"].get("nodes_settled", 0)
+        for event in read_events(event_log)
+    )
+    settled = stats["engine_nodes_settled"]
+    if billed != settled:
+        raise SystemExit(
+            f"event log bills {billed} settles, engine settled {settled}"
+        )
+    print(f"smoke: billing ok — {billed} settles billed = engine settled")
 
 
 def main() -> int:
@@ -342,6 +370,7 @@ def main() -> int:
             f"smoke: insight report ok — {report['events']} events, "
             f"{len(report['cohorts'])} cohort(s) -> {report_path}"
         )
+        check_billing(event_log, stats)
     return 0
 
 

@@ -7,8 +7,7 @@ way, into one artifact format:
 
 * :mod:`repro.bench.suite` — a named, versioned catalogue of workloads:
   the CI gates (``quick``, ``full``), the paper's figure grid
-  (``paper``, ``paper-quick``), the ``ablations`` and the columnar
-  scaling ladder (``xl``, ``xl-smoke``);
+  (``paper``, ``paper-quick``) and the ``ablations``;
 * :mod:`repro.bench.runner` — executes a suite and emits a
   schema-versioned ``BENCH_<rev>.json`` holding **deterministic cost
   counters** (read off the tracing span tree, bit-identical run to

@@ -2,8 +2,7 @@
 
 Runs one suite, writes its ``BENCH_<rev>.json``, then prints the
 suite's views: the paper's figure tables and shape verdicts
-(``paper``, ``paper-quick``), the ablation tables (``ablations``) or
-the scaling report (``xl``, ``xl-smoke``).
+(``paper``, ``paper-quick``) or the ablation tables (``ablations``).
 
 Exit codes: 0 = ran, every shape claim held (and compared clean, if
 asked); 1 = a shape claim failed, answers or counters disagreed, or a
@@ -34,7 +33,6 @@ from repro.bench.runner import (
 )
 from repro.bench.shapes import verify_all
 from repro.bench.suite import SUITES, suite_workloads
-from repro.bench.xl import format_scaling_report
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -103,9 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _print_views(artifact: dict) -> bool:
     """Print the artifact's views; False when a shape claim fails."""
-    if any(record["kind"] == "xl" for record in artifact["benchmarks"]):
-        print(format_scaling_report(artifact))
-        return True
     figures = suite_figures(artifact)
     for series in figures.values():
         print(format_series(series), end="\n\n")

@@ -41,7 +41,6 @@ import os
 import platform
 import statistics
 import subprocess
-import tempfile
 import time
 from dataclasses import replace
 from functools import partial
@@ -58,10 +57,8 @@ from repro.bench.suite import (
     ServiceWorkload,
     SUITE_VERSION,
     Workload,
-    XLWorkload,
     suite_workloads,
 )
-from repro.bench.xl import run_xl_workload
 
 ARTIFACT_SCHEMA = "repro-bench"
 ARTIFACT_SCHEMA_VERSION = 1
@@ -285,9 +282,6 @@ def _run_service_workload(workload: ServiceWorkload) -> dict:
 
 def run_workload(workload: Workload, cache: WorkloadCache) -> dict:
     """Execute one workload; returns its artifact record."""
-    if isinstance(workload, XLWorkload):
-        with tempfile.TemporaryDirectory() as tmp:
-            return run_xl_workload(workload, tmp)
     if isinstance(workload, QueryWorkload):
         measured = _run_query_workload(workload, cache)
     else:
@@ -326,18 +320,11 @@ def default_artifact_name(revision: str | None = None) -> str:
 
 def _progress_line(record: dict) -> str:
     counters = record["counters"]
-    if record["kind"] == "xl":
-        cost = (
-            f"skyline={counters['skyline_count']} "
-            f"survivors={counters['survivor_rows']} "
-            f"checks={counters['dominance_checks']}"
-        )
-    else:
-        cost = (
-            f"pages={counters['total_pages']} "
-            f"nodes={counters['nodes_settled']}"
-        )
-    return f"{record['id']}: {cost} p50={record['timing_s']['p50']:.4f}s"
+    return (
+        f"{record['id']}: pages={counters['total_pages']} "
+        f"nodes={counters['nodes_settled']} "
+        f"p50={record['timing_s']['p50']:.4f}s"
+    )
 
 
 def run_suite(
@@ -360,7 +347,7 @@ def run_suite(
     answered: dict[tuple, dict] = {}
     records = []
     for workload in workloads:
-        if repeats is not None and not isinstance(workload, XLWorkload):
+        if repeats is not None:
             workload = replace(workload, repeats=repeats)
         record = run_workload(workload, cache)
         if progress is not None:

@@ -24,8 +24,6 @@ Suites:
   lower bounds, LBC vs LBC-lazy, CE under shrinking buffers, and LBC
   over the Euclidean vs landmark (ALT) engine backends; three draws per
   point.
-* ``xl`` / ``xl-smoke`` — the columnar out-of-core scaling ladder
-  (:mod:`repro.bench.xl`), |D| up to 10⁶ objects.
 """
 
 from __future__ import annotations
@@ -125,33 +123,7 @@ class ServiceWorkload:
         return {"kind": self.kind, **asdict(self)}
 
 
-@dataclass(frozen=True)
-class XLWorkload:
-    """One scaling-curve point: |D| objects, |Q| queries, k attributes."""
-
-    objects: int
-    queries: int = 4
-    attributes: int = 1
-    chunk_size: int = 65_536
-    seed: int = 7
-    group: str = "objects"
-
-    @property
-    def workload_id(self) -> str:
-        return (
-            f"xl/{self.group}/d{self.objects}-q{self.queries}"
-            f"-a{self.attributes}"
-        )
-
-    @property
-    def kind(self) -> str:
-        return "xl"
-
-    def params(self) -> dict:
-        return asdict(self)
-
-
-Workload = QueryWorkload | ServiceWorkload | XLWorkload
+Workload = QueryWorkload | ServiceWorkload
 
 
 def _query_grid(
@@ -348,38 +320,12 @@ def _ablations(trials: int = 3) -> list[Workload]:
     )
 
 
-# ----------------------------------------------------------------------
-# The xl ladder (see repro.bench.xl)
-# ----------------------------------------------------------------------
-_XL: list[Workload] = [
-    # |D| sweep to one million objects at width 2 (skyline cardinality
-    # grows ~(ln n)^(w-1), so low width keeps the top of the ladder
-    # about streaming throughput, not skyline size), then |Q| and
-    # dimensionality sweeps at a fixed mid-scale |D|.
-    XLWorkload(objects=1_000, queries=2, attributes=0),
-    XLWorkload(objects=10_000, queries=2, attributes=0),
-    XLWorkload(objects=100_000, queries=2, attributes=0),
-    XLWorkload(objects=1_000_000, queries=2, attributes=0),
-    XLWorkload(objects=10_000, queries=2, group="queries"),
-    XLWorkload(objects=10_000, queries=8, group="queries"),
-    XLWorkload(objects=10_000, attributes=0, group="dims"),
-    XLWorkload(objects=10_000, attributes=3, group="dims"),
-]
-
-# CI-sized: seconds, not minutes, with the same record shape.
-_XL_SMOKE: list[Workload] = [
-    XLWorkload(objects=1_000, chunk_size=512),
-    XLWorkload(objects=5_000, chunk_size=2_048),
-]
-
 SUITES: dict[str, list[Workload]] = {
     "quick": _QUICK,
     "full": _FULL,
     "paper": _paper(PAPER_Q_SWEEP, OMEGA_LEVELS),
     "paper-quick": _paper((2, 4, 8), (0.05, 0.5, 2.0)),
     "ablations": _ablations(),
-    "xl": _XL,
-    "xl-smoke": _XL_SMOKE,
 }
 
 

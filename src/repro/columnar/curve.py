@@ -1,9 +1,8 @@
-"""Hilbert space-filling curve: cell index and bulk sort order.
+"""Hilbert space-filling curve cell index.
 
-The curve serves two build-time consumers: the network store clusters
-adjacency pages along it (:mod:`repro.network.storage`, which imports
-the index from here), and the R-tree's column bulk load packs leaves in
-curve order so spatially close objects share nodes.
+Build-time consumers order by it so that spatially close items land
+together: the network and oracle stores cluster their pages along the
+curve, and the dataset generators number edges in curve order.
 """
 
 from __future__ import annotations
@@ -31,39 +30,3 @@ def hilbert_index(x: int, y: int, order: int) -> int:
         s >>= 1
     return d
 
-
-def hilbert_sort_indices(xs, ys, count: int, order: int = 10) -> list[int]:
-    """Indices ``0..count-1`` sorted by Hilbert index of ``(xs[i], ys[i])``.
-
-    Coordinates are snapped onto the ``2^order``-cell grid spanning
-    their bounding box; ties (same cell) break by original index, so
-    the permutation is deterministic.
-    """
-    if count <= 0:
-        return []
-    min_x = max_x = xs[0]
-    min_y = max_y = ys[0]
-    i = 1
-    while i < count:
-        x = xs[i]
-        y = ys[i]
-        if x < min_x:
-            min_x = x
-        elif x > max_x:
-            max_x = x
-        if y < min_y:
-            min_y = y
-        elif y > max_y:
-            max_y = y
-        i += 1
-    side = (1 << order) - 1
-    span_x = (max_x - min_x) or 1.0
-    span_y = (max_y - min_y) or 1.0
-    keys = [0] * count
-    i = 0
-    while i < count:
-        gx = int((xs[i] - min_x) / span_x * side)
-        gy = int((ys[i] - min_y) / span_y * side)
-        keys[i] = hilbert_index(gx, gy, order)
-        i += 1
-    return sorted(range(count), key=keys.__getitem__)

@@ -1,10 +1,10 @@
 """Allocation-free batch kernels over flat float buffers.
 
-Every kernel operates on indexable buffers of doubles — ``array('d')``,
-``memoryview('d')`` over an mmap, or any sequence of floats — holding
-``count`` vectors of ``width`` components row-major.  Loop bodies avoid
-per-element Python object construction (no tuples, lists or dataclass
-instances per row); the ``REPRO-PERF01`` lint rule keeps it that way.
+Every kernel operates on indexable buffers of doubles — ``array('d')``
+or any sequence of floats — holding ``count`` vectors of ``width``
+components row-major.  Loop bodies avoid per-element Python object
+construction (no tuples, lists or dataclass instances per row); the
+``REPRO-PERF01`` lint rule keeps it that way.
 
 Dominance uses the paper's minimisation convention: ``a`` dominates
 ``b`` when ``a <= b`` in every dimension and ``a < b`` in at least one.
@@ -29,7 +29,6 @@ phase did without per-comparison overhead.
 from __future__ import annotations
 
 from array import array
-from math import hypot
 
 from repro.obs import tracing
 
@@ -137,46 +136,6 @@ def is_covered_by_any_block(
     return found
 
 
-def dominates_block(
-    vector, block, count: int, width: int, out, offset: int = 0
-) -> int:
-    """Mark rows dominated by ``vector``: ``out[r] = 1`` where it wins.
-
-    ``out`` must hold at least ``count`` slots (e.g. ``array('b')``);
-    untouched slots are zeroed.  Returns the number of dominated rows.
-    Used for batch eviction sweeps and by the equivalence tests.
-    """
-    hits = 0
-    base = 0
-    r = 0
-    while r < count:
-        strict = False
-        dominated = True
-        i = base
-        stop = base + width
-        j = offset
-        while i < stop:
-            rv = block[i]
-            vv = vector[j]
-            if vv > rv:
-                dominated = False
-                break
-            if vv < rv:
-                strict = True
-            i += 1
-            j += 1
-        if dominated and strict:
-            out[r] = 1
-            hits += 1
-        else:
-            out[r] = 0
-        r += 1
-        base += width
-    if count:
-        tracing.record("dominance_checks", count)
-    return hits
-
-
 def block_skyline(block, count: int, width: int) -> list[int]:
     """Row indices of the block's skyline, in SFS preference order.
 
@@ -279,44 +238,3 @@ def block_skyline(block, count: int, width: int) -> list[int]:
         tracing.record("dominance_checks", checks)
     return sky
 
-
-def batch_euclidean(
-    xs, ys, count: int, qx: float, qy: float, out, offset: int = 0, stride: int = 1
-) -> None:
-    """Euclidean distances from ``(qx, qy)`` to ``count`` points.
-
-    Reads ``xs[i]``/``ys[i]`` and writes ``out[offset + i * stride]`` —
-    with ``stride`` equal to a row width this fills one *column* of a
-    row-major vector table in place.  Uses ``math.hypot`` so each value
-    is bit-identical to ``Point.distance_to`` on the scalar path.
-    """
-    j = offset
-    i = 0
-    while i < count:
-        out[j] = hypot(xs[i] - qx, ys[i] - qy)
-        i += 1
-        j += stride
-
-
-def fill_column(
-    dst,
-    width: int,
-    column: int,
-    values,
-    count: int,
-    src_offset: int = 0,
-    src_stride: int = 1,
-) -> None:
-    """Copy ``count`` floats into one column of a row-major table.
-
-    The source is read at ``values[src_offset + i * src_stride]``, so a
-    column of another row-major buffer can be copied directly.
-    """
-    j = column
-    i = src_offset
-    r = 0
-    while r < count:
-        dst[j] = values[i]
-        r += 1
-        i += src_stride
-        j += width

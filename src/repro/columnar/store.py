@@ -79,63 +79,6 @@ class VectorTable:
     def clear(self) -> None:
         del self.data[:]
 
-    def view(self) -> memoryview:
-        """A zero-copy read view of the flat buffer."""
-        return memoryview(self.data)
-
-
-class CoordinateColumns:
-    """Planar coordinates of an object set, one column per axis."""
-
-    __slots__ = ("xs", "ys")
-
-    def __init__(self, xs=None, ys=None) -> None:
-        self.xs = array("d") if xs is None else xs
-        self.ys = array("d") if ys is None else ys
-        if len(self.xs) != len(self.ys):
-            raise ValueError(
-                f"column length mismatch: {len(self.xs)} xs vs "
-                f"{len(self.ys)} ys"
-            )
-
-    @classmethod
-    def from_points(cls, points: Iterable) -> "CoordinateColumns":
-        columns = cls()
-        for point in points:
-            columns.xs.append(point.x)
-            columns.ys.append(point.y)
-        return columns
-
-    def __len__(self) -> int:
-        return len(self.xs)
-
-    def append(self, x: float, y: float) -> None:
-        self.xs.append(x)
-        self.ys.append(y)
-
-    def bounds(self) -> tuple[float, float, float, float]:
-        """``(min_x, min_y, max_x, max_y)``; ValueError when empty."""
-        if not len(self.xs):
-            raise ValueError("no coordinates")
-        xs = self.xs
-        ys = self.ys
-        min_x = max_x = xs[0]
-        min_y = max_y = ys[0]
-        i = 1
-        while i < len(xs):
-            x = xs[i]
-            y = ys[i]
-            if x < min_x:
-                min_x = x
-            elif x > max_x:
-                max_x = x
-            if y < min_y:
-                min_y = y
-            elif y > max_y:
-                max_y = y
-            i += 1
-        return (min_x, min_y, max_x, max_y)
-
 
 class CandidateBlock:
     """A candidate set in columnar form: id handles beside vector rows.

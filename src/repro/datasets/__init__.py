@@ -2,9 +2,6 @@
 
 from repro.datasets.dimacs import DimacsFormatError, load_dimacs
 from repro.datasets.io import (
-    ColumnFile,
-    ColumnFileError,
-    ColumnFileWriter,
     NetworkFormatError,
     load_network,
     load_objects,
@@ -17,7 +14,6 @@ from repro.datasets.generators import (
     estimate_delta,
     grid_network,
     network_density,
-    stream_object_columns,
 )
 from repro.datasets.objects import (
     OMEGA_LEVELS,
@@ -50,9 +46,6 @@ __all__ = [
     "PRESETS",
     "REGION_SIDE",
     "AttributeSpec",
-    "ColumnFile",
-    "ColumnFileError",
-    "ColumnFileWriter",
     "DimacsFormatError",
     "NetworkFormatError",
     "load_dimacs",
@@ -70,5 +63,4 @@ __all__ = [
     "network_density",
     "select_query_points",
     "select_query_points_on_edges",
-    "stream_object_columns",
 ]

@@ -28,11 +28,8 @@ from __future__ import annotations
 
 import math
 import random
-from array import array
-from pathlib import Path
 from typing import Sequence
 
-from repro.datasets.io import ColumnFileWriter
 from repro.geometry.point import Point
 from repro.network.graph import RoadNetwork
 
@@ -318,52 +315,3 @@ def estimate_delta(
                 count += 1
     return total / count if count else 1.0
 
-
-def stream_object_columns(
-    path,
-    count: int,
-    attribute_count: int = 0,
-    seed: int = 0,
-    chunk_size: int = 8192,
-    region_side: float = REGION_SIDE,
-) -> Path:
-    """Write a uniform object column file without materialising it.
-
-    Columns ``x``/``y`` (uniform over the region) plus ``a0..a{k-1}``
-    (uniform in ``[0, 1)``, matching the non-negative attribute
-    convention) stream to ``path`` in ``chunk_size`` rows at a time —
-    peak memory is a handful of reused chunk buffers regardless of
-    ``count``, which is what lets the ``xl`` benchmark tier build
-    million-object datasets.  Deterministic in ``seed``.
-    """
-    if count < 0:
-        raise ValueError(f"negative object count {count}")
-    if chunk_size < 1:
-        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-    columns = ["x", "y"] + [f"a{j}" for j in range(attribute_count)]
-    rng = random.Random(seed)
-    buffers = {
-        name: array("d", bytes(8 * min(chunk_size, count) or 8))
-        for name in columns
-    }
-    with ColumnFileWriter(path, columns, count) as writer:
-        remaining = count
-        while remaining > 0:
-            size = min(chunk_size, remaining)
-            if size != len(buffers["x"]):
-                buffers = {
-                    name: array("d", bytes(8 * size)) for name in columns
-                }
-            xs = buffers["x"]
-            ys = buffers["y"]
-            for i in range(size):
-                xs[i] = rng.random() * region_side
-                ys[i] = rng.random() * region_side
-            for j in range(attribute_count):
-                column = buffers[f"a{j}"]
-                for i in range(size):
-                    column[i] = rng.random()
-            for name in columns:
-                writer.write(name, buffers[name])
-            remaining -= size
-    return Path(path)

@@ -1,4 +1,4 @@
-"""Plain-text road-network and object-set files, plus binary columns.
+"""Plain-text road-network and object-set files.
 
 The paper's datasets came as node/edge files (Digital Chart of the
 World exports).  This module reads and writes that style of format so
@@ -15,37 +15,16 @@ Object file (``.obj``)::
 
 Loaders validate as they go (unknown nodes, bad lengths, duplicate ids
 all raise with line numbers) and writers round-trip exactly.
-
-For continent-scale object sets the text format is hopeless, so the
-module also defines a binary **column file** (``.cols``): a 4 KiB JSON
-header followed by one contiguous float64 region per column.  The
-:class:`ColumnFileWriter` accepts chunked appends (a generator can
-stream millions of rows without holding them), and :class:`ColumnFile`
-memory-maps the regions and hands out zero-copy ``memoryview('d')``
-columns that feed the :mod:`repro.columnar` kernels directly.
 """
 
 from __future__ import annotations
 
-import json
-import mmap
-import sys
-from array import array
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Iterable, TextIO
 
 from repro.geometry.point import Point
 from repro.network.graph import RoadNetwork
 from repro.network.objects import ObjectSet, SpatialObject
-
-COLUMN_FILE_MAGIC = "RPCF"
-COLUMN_FILE_VERSION = 1
-COLUMN_FILE_HEADER_BYTES = 4096
-
-
-class ColumnFileError(ValueError):
-    """Raised for malformed or mismatched column files."""
-
 
 class NetworkFormatError(ValueError):
     """Raised for malformed network or object files."""
@@ -170,196 +149,3 @@ def load_objects(network: RoadNetwork, path: str | Path) -> ObjectSet:
                 )
             )
     return ObjectSet.build(network, objects)
-
-# ----------------------------------------------------------------------
-# Binary column files
-# ----------------------------------------------------------------------
-class ColumnFileWriter:
-    """Stream float64 columns to disk in fixed-size chunks.
-
-    The row count and column roster are declared up front, so every
-    column's byte region is known immediately and chunks can be written
-    in any interleaving (``x`` chunk, ``y`` chunk, ``x`` chunk, ...).
-    Within one column, writes append sequentially.  ``close`` verifies
-    that every column received exactly ``count`` values, so a truncated
-    generator cannot produce a silently short file.
-    """
-
-    def __init__(
-        self, path: str | Path, columns: Sequence[str], count: int
-    ) -> None:
-        names = list(columns)
-        if count < 0:
-            raise ColumnFileError(f"negative row count {count}")
-        if not names:
-            raise ColumnFileError("a column file needs at least one column")
-        if len(set(names)) != len(names):
-            raise ColumnFileError(f"duplicate column names in {names}")
-        header = {
-            "magic": COLUMN_FILE_MAGIC,
-            "version": COLUMN_FILE_VERSION,
-            "count": count,
-            "columns": names,
-            "byteorder": sys.byteorder,
-        }
-        blob = json.dumps(header).encode()
-        if len(blob) > COLUMN_FILE_HEADER_BYTES:
-            raise ColumnFileError(
-                f"header of {len(blob)} bytes exceeds the "
-                f"{COLUMN_FILE_HEADER_BYTES}-byte region"
-            )
-        self.path = Path(path)
-        self.columns = names
-        self.count = count
-        self._offsets = {
-            name: COLUMN_FILE_HEADER_BYTES + i * count * 8
-            for i, name in enumerate(names)
-        }
-        self._written = {name: 0 for name in names}
-        self._handle = self.path.open("wb")
-        self._handle.write(blob.ljust(COLUMN_FILE_HEADER_BYTES, b" "))
-        self._handle.truncate(COLUMN_FILE_HEADER_BYTES + count * 8 * len(names))
-
-    def write(self, column: str, values) -> None:
-        """Append a chunk of floats to one column (order preserved)."""
-        if self._handle is None:
-            raise ColumnFileError(f"{self.path} is closed")
-        if column not in self._offsets:
-            raise ColumnFileError(f"unknown column {column!r}")
-        chunk = (
-            values
-            if isinstance(values, array) and values.typecode == "d"
-            else array("d", values)
-        )
-        done = self._written[column]
-        if done + len(chunk) > self.count:
-            raise ColumnFileError(
-                f"column {column!r} overflows: {done} + {len(chunk)} rows "
-                f"into a {self.count}-row file"
-            )
-        self._handle.seek(self._offsets[column] + done * 8)
-        chunk.tofile(self._handle)
-        self._written[column] = done + len(chunk)
-
-    def close(self) -> None:
-        if self._handle is None:
-            return
-        short = {
-            name: done
-            for name, done in self._written.items()
-            if done != self.count
-        }
-        self._handle.close()
-        self._handle = None
-        if short:
-            raise ColumnFileError(
-                f"{self.path}: columns short of {self.count} rows: {short}"
-            )
-
-    def __enter__(self) -> "ColumnFileWriter":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if exc_type is not None and self._handle is not None:
-            # Error paths must not mask the original exception with a
-            # short-column complaint.
-            self._handle.close()
-            self._handle = None
-            return
-        self.close()
-
-
-class ColumnFile:
-    """Memory-mapped reader for :class:`ColumnFileWriter` output.
-
-    ``column(name)`` returns a zero-copy ``memoryview`` with format
-    ``'d'`` over the column's mmap region — indexable exactly like an
-    ``array('d')``, so it feeds the columnar kernels without loading
-    the file into Python objects.  Views borrow the mapping: drop them
-    before ``close()``.
-    """
-
-    def __init__(self, path: str | Path) -> None:
-        self.path = Path(path)
-        self._handle = self.path.open("rb")
-        try:
-            raw = self._handle.read(COLUMN_FILE_HEADER_BYTES)
-            if len(raw) < COLUMN_FILE_HEADER_BYTES:
-                raise ColumnFileError(f"{self.path}: truncated header")
-            try:
-                header = json.loads(raw.decode().rstrip())
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                raise ColumnFileError(
-                    f"{self.path}: unreadable header: {exc}"
-                ) from exc
-            if header.get("magic") != COLUMN_FILE_MAGIC:
-                raise ColumnFileError(f"{self.path}: not a column file")
-            if header.get("version") != COLUMN_FILE_VERSION:
-                raise ColumnFileError(
-                    f"{self.path}: unsupported version {header.get('version')}"
-                )
-            if header.get("byteorder") != sys.byteorder:
-                raise ColumnFileError(
-                    f"{self.path}: written on a {header.get('byteorder')}-endian "
-                    f"machine, this one is {sys.byteorder}-endian"
-                )
-            self.count = int(header["count"])
-            self.columns = list(header["columns"])
-            expected = COLUMN_FILE_HEADER_BYTES + self.count * 8 * len(self.columns)
-            actual = self.path.stat().st_size
-            if actual < expected:
-                raise ColumnFileError(
-                    f"{self.path}: {actual} bytes, need {expected}"
-                )
-            if self.count:
-                self._mmap = mmap.mmap(
-                    self._handle.fileno(), 0, access=mmap.ACCESS_READ
-                )
-                self._view = memoryview(self._mmap)
-            else:
-                self._mmap = None
-                self._view = None
-        except Exception:
-            self._handle.close()
-            raise
-
-    def __len__(self) -> int:
-        return self.count
-
-    def column(self, name: str) -> "memoryview":
-        """Zero-copy float64 view of one column."""
-        if name not in self.columns:
-            raise ColumnFileError(f"{self.path}: no column {name!r}")
-        if self._view is None:
-            return memoryview(array("d"))
-        start = COLUMN_FILE_HEADER_BYTES + self.columns.index(name) * self.count * 8
-        return self._view[start : start + self.count * 8].cast("d")
-
-    def chunks(
-        self, name: str, chunk_size: int = 8192
-    ) -> Iterator["memoryview"]:
-        """The column as a sequence of bounded views (streaming reads)."""
-        if chunk_size < 1:
-            raise ColumnFileError(f"chunk_size must be >= 1, got {chunk_size}")
-        view = self.column(name)
-        start = 0
-        while start < len(view):
-            yield view[start : start + chunk_size]
-            start += chunk_size
-
-    def close(self) -> None:
-        if self._view is not None:
-            self._view.release()
-            self._view = None
-        if self._mmap is not None:
-            self._mmap.close()
-            self._mmap = None
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-
-    def __enter__(self) -> "ColumnFile":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()

@@ -22,10 +22,8 @@ visited.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator
 
-from repro.columnar.curve import hilbert_sort_indices
-from repro.columnar.store import CoordinateColumns
 from repro.geometry.mbr import MBR
 from repro.geometry.point import Point
 from repro.obs import tracing
@@ -358,70 +356,6 @@ class RTree:
         assert isinstance(root, _RTreeNode)
         tree._root = root
         tree._size = len(entries)
-        return tree
-
-    @classmethod
-    def bulk_load_columns(
-        cls,
-        coords: CoordinateColumns,
-        payloads: Sequence[Any],
-        max_entries: int = DEFAULT_MAX_ENTRIES,
-        pager: NodePager | None = None,
-        order: int = 10,
-    ) -> "RTree":
-        """Build a packed tree from a coordinate column store.
-
-        Points are sorted along a Hilbert curve of ``2^order`` cells per
-        side and packed into full leaves in that order; upper levels
-        pack linearly over the already-curve-ordered children, so
-        spatially close objects share nodes without the per-entry
-        tuple sorting STR does.  ``payloads[i]`` belongs to the point
-        ``(coords.xs[i], coords.ys[i])``.
-        """
-        count = len(coords)
-        if count != len(payloads):
-            raise ValueError(
-                f"column/payload length mismatch: {count} vs {len(payloads)}"
-            )
-        tree = cls(max_entries=max_entries, pager=pager)
-        if count == 0:
-            return tree
-        fill = max(2, max_entries * 3 // 4)
-        ordered = hilbert_sort_indices(coords.xs, coords.ys, count, order=order)
-        entries: list[tuple[MBR, Any]] = [
-            (
-                MBR.from_point(Point(coords.xs[i], coords.ys[i])),
-                payloads[i],
-            )
-            for i in ordered
-        ]
-
-        def pack_linear(
-            level: list[tuple[MBR, Any]], is_leaf: bool
-        ) -> list[tuple[MBR, Any]]:
-            groups = [level[t : t + fill] for t in range(0, len(level), fill)]
-            # Rebalance a short trailing group so every non-root node
-            # meets the minimum fill required by validate().
-            if len(groups) >= 2 and len(groups[-1]) < tree._min:
-                deficit = tree._min - len(groups[-1])
-                groups[-1] = groups[-2][-deficit:] + groups[-1]
-                groups[-2] = groups[-2][:-deficit]
-            parents: list[tuple[MBR, Any]] = []
-            for group in groups:
-                node = _RTreeNode(is_leaf=is_leaf)
-                node.entries = group
-                if pager is not None:
-                    pager.register(id(node))
-                parents.append((node.mbr(), node))
-            return parents
-
-        level = pack_linear(entries, is_leaf=True)
-        while len(level) > 1:
-            level = pack_linear(level, is_leaf=False)
-        root = level[0][1]
-        assert isinstance(root, _RTreeNode)
-        tree._root = root
-        tree._size = count
         return tree
 
     # ------------------------------------------------------------------

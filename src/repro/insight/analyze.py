@@ -3,11 +3,10 @@
 This is the half of the insight plane that *reads back* what the
 diagnostics plane wrote: wide-event JSONL logs (:mod:`repro.obs.
 events`), previously saved insight reports, and ``BENCH_`` artifacts
-(:mod:`repro.bench`, every suite including the xl ladder) all load
-into one common
-shape — a :class:`InsightSummary` holding one :class:`CohortDigest`
-per cohort — and one comparator diffs any two of them with per-cohort,
-per-counter attribution and a noise-aware gate.
+(:mod:`repro.bench`, every suite) all load into one common shape — a
+:class:`InsightSummary` holding one :class:`CohortDigest` per cohort —
+and one comparator diffs any two of them with per-cohort, per-counter
+attribution and a noise-aware gate.
 
 Aggregation here is **exact** (the whole log is on disk; there is no
 reason to approximate), which is what makes it the reference the live

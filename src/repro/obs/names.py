@@ -44,13 +44,6 @@ SPAN_NAMES = frozenset(
         "lbc.resolve",
         # Columnar block kernels (repro.skyline over repro.columnar)
         "columnar.skyline",
-        # xl scaling-tier phases (repro.bench.xl)
-        "xl.run",
-        "xl.generate",
-        "xl.load",
-        "xl.distances",
-        "xl.skyline",
-        "xl.index",
         # Distance-oracle preprocessing and verification (repro.oracle)
         "oracle.build",
         "oracle.verify",

@@ -12,8 +12,9 @@ permuted into the follower's query order, with no engine call — the
 skyline is invariant under permuting and duplicating dimensions.
 
 Each unit runs under its canonical request's span, so every node a
-batch settles and every page it reads is billed to a request, as the
-paper charges cost per query.
+batch settles and every page it reads is billed to exactly one request,
+as the paper charges cost per query: a follower's stats bill zero and
+name their canonical request (``extras["deduped_of"]``).
 
 Batches also double as the service's *conflict-isolation* domain: the
 scheduler never runs two batches with overlapping query points
@@ -27,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace as dc_replace
 
 from repro.core.result import SkylinePoint, SkylineResult
+from repro.core.stats import SPAN_COUNTER_FIELDS
 from repro.engine import location_key
 from repro.network.graph import NetworkLocation
 from repro.obs import Span, tracing
@@ -171,6 +173,8 @@ def _follower_result(
     The skyline *set* is invariant under permuting and duplicating
     dimensions, so each vector's distance columns are picked from the
     canonical's by query-point key; the attributes follow unchanged.
+    The follower ran nothing, so its stats bill zero for every cost
+    counter and name the canonical request that paid for the answer.
     """
     column: dict[tuple, int] = {}
     for i, query in enumerate(canonical.queries):
@@ -187,6 +191,11 @@ def _follower_result(
     stats = dc_replace(
         result.stats,
         query_count=len(follower.queries),
-        extras={**result.stats.extras, "deduped": 1},
+        extras={
+            **result.stats.extras,
+            "deduped": 1,
+            "deduped_of": canonical.request_id,
+        },
+        **dict.fromkeys(SPAN_COUNTER_FIELDS, 0),
     )
     return SkylineResult(points=points, stats=stats, trace=result.trace)

@@ -674,6 +674,7 @@ class QueryService:
                 engine_backend=stats.distance_backend,
                 skyline_count=stats.skyline_count,
                 candidate_count=stats.candidate_count,
+                extras=dict(stats.extras) or None,
             )
         return Completion(
             request_id=request.request_id,

@@ -17,7 +17,7 @@ from repro.skyline.bbs import (
     incremental_euclidean_skyline,
     mbr_lower_bound_vector,
 )
-from repro.skyline.bnl import bnl_skyline, bnl_skyline_items, bnl_skyline_multipass
+from repro.skyline.bnl import bnl_skyline, bnl_skyline_items
 from repro.skyline.dominance import (
     Vector,
     dominance_count,
@@ -35,7 +35,6 @@ __all__ = [
     "Vector",
     "bnl_skyline",
     "bnl_skyline_items",
-    "bnl_skyline_multipass",
     "dominance_count",
     "dominates",
     "dominates_lower_bounds",

@@ -7,8 +7,7 @@ pair-wise comparison step of EDC (step 5), where the candidate set is
 already small.
 
 This in-memory variant uses an unbounded window (the window never
-overflows, so no temp-file passes are needed); the ``window_size``
-parameter exists to exercise the multi-pass behaviour in tests.
+overflows, so no temp-file passes are needed).
 """
 
 from __future__ import annotations
@@ -48,63 +47,3 @@ def bnl_skyline_items(
     vectors = [tuple(key(item)) for item in items]
     return [items[i] for i in bnl_skyline(vectors)]
 
-
-def bnl_skyline_multipass(
-    vectors: Sequence[Vector], window_size: int
-) -> list[int]:
-    """Multi-pass BNL with a bounded window.
-
-    Tuples that fit neither verdict (not dominated, window full) spill
-    to the next pass; a window tuple is reported only once it has been
-    compared against every tuple of its pass, tracked with arrival
-    timestamps as in the original algorithm.  Each pass streams its
-    input in ascending component-sum order (the SFS presort), which
-    guarantees the pass's minimum-sum tuple is a confirmed skyline
-    point — strict progress, hence termination.
-    """
-    if window_size < 1:
-        raise ValueError(f"window_size must be >= 1, got {window_size}")
-    result: list[int] = []
-    pending = sorted(range(len(vectors)), key=lambda i: (sum(vectors[i]), i))
-    while pending:
-        # Window entries carry the arrival position at which they were
-        # inserted: a window tuple has been compared against every later
-        # arrival, but never against overflow tuples that arrived first.
-        window: list[tuple[int, int]] = []
-        overflow: list[tuple[int, int]] = []
-        for arrival, i in enumerate(pending):
-            candidate = vectors[i]
-            dominated = False
-            survivors: list[tuple[int, int]] = []
-            for entry in window:
-                if dominates(vectors[entry[0]], candidate):
-                    dominated = True
-                    survivors = window
-                    break
-                if not dominates(candidate, vectors[entry[0]]):
-                    survivors.append(entry)
-            window = survivors
-            if dominated:
-                continue
-            if len(window) < window_size:
-                window.append((i, arrival))
-            else:
-                overflow.append((i, arrival))
-        confirmed: list[int] = []
-        deferred: list[int] = []
-        for i, inserted_at in window:
-            missed = any(
-                o_arrival < inserted_at and dominates(vectors[o], vectors[i])
-                for o, o_arrival in overflow
-            )
-            (deferred if missed else confirmed).append(i)
-        result.extend(confirmed)
-        # Deferred window tuples and overflow tuples go to the next pass,
-        # minus anything the confirmed skyline already dominates.
-        survivors_next = [
-            i
-            for i in deferred + [o for o, _ in overflow]
-            if not any(dominates(vectors[j], vectors[i]) for j in result)
-        ]
-        pending = sorted(survivors_next, key=lambda i: (sum(vectors[i]), i))
-    return sorted(result)

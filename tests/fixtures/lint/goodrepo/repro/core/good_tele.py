@@ -10,8 +10,6 @@ def run(name):
     # Phase spans minted in obs/names.py are vocabulary too.
     with tracing.span("lbc.resolve"):
         tracing.record("distance_computations")
-    with tracing.span("xl.run"):
-        pass
     with tracing.span(f"query.{name}"):
         return None
 

@@ -2,7 +2,6 @@
 
 import copy
 import json
-from pathlib import Path
 
 import pytest
 
@@ -29,13 +28,9 @@ from repro.bench.runner import (
     CounterDrift,
     run_workload,
 )
-from repro.bench.suite import QueryWorkload, ServiceWorkload, XLWorkload
-from repro.bench.xl import run_xl_workload
+from repro.bench.suite import QueryWorkload, ServiceWorkload
 from repro.core import ALGORITHMS, LBC
 from repro.core.stats import QueryStats
-from repro.index.rtree import RTree
-
-XL_BASELINE = Path(__file__).resolve().parent.parent / "benchmarks" / "xl_baseline.json"
 
 
 def tiny_query_workload(**overrides) -> QueryWorkload:
@@ -88,8 +83,6 @@ def test_suites_named_and_versioned():
         "paper",
         "paper-quick",
         "ablations",
-        "xl",
-        "xl-smoke",
     }
     quick_ids = [w.workload_id for w in suite_workloads("quick")]
     assert len(quick_ids) == len(set(quick_ids)), "duplicate workload ids"
@@ -414,8 +407,10 @@ def test_cli_missing_baseline_is_usage_error(tmp_path, tiny_record, capsys):
 
 
 def test_cli_list_names_every_suite_kind(capsys):
-    assert bench_main(["--list", "--suite", "xl-smoke"]) == 0
-    assert "xl/objects/d1000-q4-a1  [xl]" in capsys.readouterr().out
+    assert bench_main(["--list", "--suite", "quick"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "query/CE/au/q2/cold  [query]" in lines
+    assert "service/LBC/au/q4/closed-loop  [service]" in lines
 
 
 # ---------------------------------------------------------------------------
@@ -522,40 +517,3 @@ def test_cli_exit_code_follows_shape_claims(
     assert "Fig5a: Network disk pages vs network density" in text
     assert load_artifact(str(out))["suite"] == "paper-quick"
 
-
-# ---------------------------------------------------------------------------
-# The xl ladder inside the one schema
-# ---------------------------------------------------------------------------
-
-
-def test_xl_smoke_compare_exit_contract(tmp_path, capsys):
-    out = str(tmp_path / "BENCH_xl.json")
-    args = ["--suite", "xl-smoke", "--out", out, "--compare"]
-    assert bench_main([*args, str(XL_BASELINE)]) == 0
-    artifact = load_artifact(out)
-    assert artifact["schema"] == ARTIFACT_SCHEMA
-    assert artifact["suite_version"] == SUITE_VERSION
-    assert {r["kind"] for r in artifact["benchmarks"]} == {"xl"}
-    assert "xl scaling report" in capsys.readouterr().out
-
-    tighter = load_artifact(str(XL_BASELINE))
-    tighter["benchmarks"][0]["counters"]["dominance_checks"] -= 1
-    tighter_path = tmp_path / "tighter.json"
-    write_artifact(tighter, str(tighter_path))
-    assert bench_main([*args, str(tighter_path)]) == 1
-    assert bench_main([*args, str(tmp_path / "missing.json")]) == 2
-
-
-def test_xl_index_phase_bulk_loads_the_rtree(monkeypatch, tmp_path):
-    calls = []
-    real = RTree.bulk_load_columns.__func__
-
-    def spy(cls, coords, payloads, *args, **kwargs):
-        calls.append(len(payloads))
-        return real(cls, coords, payloads, *args, **kwargs)
-
-    monkeypatch.setattr(RTree, "bulk_load_columns", classmethod(spy))
-    record = run_xl_workload(XLWorkload(objects=300, chunk_size=128), tmp_path)
-    assert calls == [300]
-    assert "index" in record["phases_s"]
-    assert "indexed_rows" not in record["counters"]

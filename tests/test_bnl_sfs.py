@@ -2,14 +2,12 @@
 
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.skyline import (
     bnl_skyline,
     bnl_skyline_items,
-    bnl_skyline_multipass,
     sfs_skyline,
     sfs_skyline_progressive,
     skyline_of,
@@ -48,27 +46,6 @@ class TestBNL:
         assert winners == ["cheap-far", "pricey-near"]
 
 
-class TestMultipassBNL:
-    def test_bad_window_rejected(self):
-        with pytest.raises(ValueError):
-            bnl_skyline_multipass([(1, 2)], window_size=0)
-
-    @pytest.mark.parametrize("window", [1, 2, 3, 7])
-    def test_matches_single_pass(self, window):
-        rng = random.Random(window)
-        vs = [
-            (rng.choice([rng.random(), float(rng.randrange(3))]),) * 2
-            for _ in range(80)
-        ]
-        vs = [(a, rng.random()) for a, _ in vs]
-        assert bnl_skyline_multipass(vs, window) == bnl_skyline(vs)
-
-    @settings(max_examples=60, deadline=None)
-    @given(vector_lists, st.integers(min_value=1, max_value=5))
-    def test_property_matches_reference(self, vs, window):
-        assert bnl_skyline_multipass(vs, window) == sorted(skyline_of(vs))
-
-
 class TestSFS:
     def test_empty(self):
         assert sfs_skyline([]) == []
@@ -100,4 +77,3 @@ class TestSFS:
         reference = sorted(skyline_of(vs))
         assert bnl_skyline(vs) == reference
         assert sorted(sfs_skyline(vs)) == reference
-        assert bnl_skyline_multipass(vs, 3) == reference

@@ -9,16 +9,13 @@ between the two representations.  Every randomized case is seeded.
 from __future__ import annotations
 
 import random
-import tracemalloc
 from array import array
 
 import pytest
 
-from repro.columnar.curve import hilbert_index, hilbert_sort_indices
+from repro.columnar.curve import hilbert_index
 from repro.columnar.kernels import (
-    batch_euclidean,
     block_skyline,
-    dominates_block,
     dominates_flat,
     is_covered_by_any_block,
     is_dominated_by_any_block,
@@ -26,13 +23,10 @@ from repro.columnar.kernels import (
 )
 from repro.columnar.store import (
     CandidateBlock,
-    CoordinateColumns,
     SkylineBlock,
     VectorTable,
 )
-from repro.geometry.point import Point
 from repro.skyline.dominance import (
-    dominates,
     dominates_lower_bounds,
     dominates_or_equal,
     is_dominated_by_any,
@@ -122,39 +116,11 @@ def test_membership_kernel_offset_reads_one_row_of_a_buffer():
     assert not is_dominated_by_any_block(table.data, 1, 2, table.data)
 
 
-@pytest.mark.parametrize("seed", [6, 7])
-def test_dominates_block_mask_matches_scalar(seed):
-    rng = random.Random(seed)
-    width = 3
-    vectors = _random_vectors(rng, 32, width, quantize=4)
-    table = VectorTable.from_vectors(vectors)
-    out = array("b", bytes(len(vectors)))
-    for probe in _random_vectors(rng, 20, width, quantize=4):
-        hits = dominates_block(probe, table.data, len(table), width, out)
-        expect = [int(dominates(probe, v)) for v in vectors]
-        assert list(out) == expect
-        assert hits == sum(expect)
-
-
 def test_dominates_flat_ties_and_equality():
     buf = array("d", [1.0, 2.0, 1.0, 2.0, 1.0, 3.0])
     assert not dominates_flat(buf, 0, buf, 2, 2)  # equal vectors
     assert dominates_flat(buf, 0, buf, 4, 2)  # tie then strict win
     assert not dominates_flat(buf, 4, buf, 0, 2)
-
-
-@pytest.mark.parametrize("seed", [8, 9])
-def test_batch_euclidean_matches_point_distance(seed):
-    rng = random.Random(seed)
-    count = 50
-    xs = array("d", (rng.uniform(-5, 5) for _ in range(count)))
-    ys = array("d", (rng.uniform(-5, 5) for _ in range(count)))
-    qx, qy = rng.uniform(-5, 5), rng.uniform(-5, 5)
-    q = Point(qx, qy)
-    out = array("d", bytes(8 * count * 3))
-    batch_euclidean(xs, ys, count, qx, qy, out, offset=1, stride=3)
-    for i in range(count):
-        assert out[1 + i * 3] == q.distance_to(Point(xs[i], ys[i]))
 
 
 def test_vector_table_roundtrip_and_width_check():
@@ -193,14 +159,6 @@ def test_candidate_block_skyline_returns_row_indices():
     assert [block.ids[r] for r in sorted(rows)] == [10, 12]
 
 
-def test_coordinate_columns_and_bounds():
-    cols = CoordinateColumns.from_points(
-        [Point(0.0, 2.0), Point(4.0, 1.0), Point(3.0, 5.0)]
-    )
-    assert len(cols) == 3
-    assert cols.bounds() == (0.0, 1.0, 4.0, 5.0)
-
-
 def test_hilbert_index_locality_basics():
     # Distinct cells map to distinct indices at a fixed order.
     side = (1 << 4) - 1
@@ -209,49 +167,3 @@ def test_hilbert_index_locality_basics():
     }
     assert len(seen) == (side + 1) ** 2
 
-
-def test_hilbert_sort_indices_is_a_permutation():
-    rng = random.Random(13)
-    xs = array("d", (rng.random() for _ in range(100)))
-    ys = array("d", (rng.random() for _ in range(100)))
-    order = hilbert_sort_indices(xs, ys, 100)
-    assert sorted(order) == list(range(100))
-    # Deterministic for identical input.
-    assert order == hilbert_sort_indices(xs, ys, 100)
-
-
-def test_streaming_skyline_stays_under_memory_ceiling(monkeypatch):
-    """10^5 objects streamed through the chunked pipeline.
-
-    The point of the columnar plane: the working set is one chunk plus
-    survivors, not the dataset.  tracemalloc bounds the *new* Python
-    allocations made by the generate/load/distances/skyline pipeline.
-    (The optional Hilbert index phase is excluded: it legitimately
-    builds an in-memory permutation of all rows.)
-    """
-    pytest.importorskip("tracemalloc")
-    import tempfile
-    from pathlib import Path
-
-    from repro.bench import xl as xl_mod
-    from repro.bench.xl import XLWorkload, run_xl_workload
-
-    monkeypatch.setattr(xl_mod, "INDEX_PHASE_MAX_OBJECTS", 0)
-    workload = XLWorkload(
-        objects=100_000, queries=2, attributes=0, chunk_size=4_096
-    )
-    with tempfile.TemporaryDirectory() as tmp:
-        tracemalloc.start()
-        try:
-            record = run_xl_workload(workload, tmp)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert record["counters"]["rows"] == 100_000
-        assert record["counters"]["chunks"] == 25
-        assert record["counters"]["skyline_count"] >= 1
-        # A materialised copy of the dataset alone would need
-        # 100k rows x 2 doubles = 1.6 MB before tuple overhead (~56
-        # bytes per float object + tuple headers => tens of MB).
-        assert peak < 2 * 1024 * 1024, f"peak {peak} bytes"
-        assert not list(Path(tmp).iterdir())  # column file cleaned up

@@ -151,90 +151,3 @@ class TestObjectRoundTrip:
         with pytest.raises(NetworkFormatError):
             load_objects(network, path)
 
-
-class TestColumnFiles:
-    def test_round_trip_interleaved_chunks(self, tmp_path):
-        from array import array
-
-        from repro.datasets import ColumnFile, ColumnFileWriter
-
-        path = tmp_path / "data.cols"
-        with ColumnFileWriter(path, ["x", "y"], 5) as writer:
-            writer.write("x", [1.0, 2.0])
-            writer.write("y", array("d", [10.0, 20.0, 30.0]))
-            writer.write("x", [3.0, 4.0, 5.0])
-            writer.write("y", [40.0, 50.0])
-        with ColumnFile(path) as cols:
-            assert len(cols) == 5
-            assert cols.columns == ["x", "y"]
-            x = cols.column("x")
-            y = cols.column("y")
-            assert list(x) == [1.0, 2.0, 3.0, 4.0, 5.0]
-            assert list(y) == [10.0, 20.0, 30.0, 40.0, 50.0]
-            chunked = []
-            for chunk in cols.chunks("x", chunk_size=2):
-                chunked.extend(chunk)
-                chunk.release()
-            assert chunked == list(x)
-            x.release()
-            y.release()
-
-    def test_generator_streams_deterministically(self, tmp_path):
-        from repro.datasets import ColumnFile, stream_object_columns
-
-        a = stream_object_columns(
-            tmp_path / "a.cols", 1000, attribute_count=2, seed=5, chunk_size=64
-        )
-        b = stream_object_columns(
-            tmp_path / "b.cols", 1000, attribute_count=2, seed=5, chunk_size=64
-        )
-        assert a.read_bytes() == b.read_bytes()
-        with ColumnFile(a) as cols:
-            assert cols.columns == ["x", "y", "a0", "a1"]
-            for name in cols.columns:
-                view = cols.column(name)
-                assert len(view) == 1000
-                view.release()
-
-    def test_short_column_rejected_at_close(self, tmp_path):
-        from repro.datasets import ColumnFileError, ColumnFileWriter
-
-        writer = ColumnFileWriter(tmp_path / "short.cols", ["x"], 3)
-        writer.write("x", [1.0])
-        with pytest.raises(ColumnFileError, match="short of 3 rows"):
-            writer.close()
-
-    def test_overflow_unknown_column_and_bad_header(self, tmp_path):
-        from repro.datasets import ColumnFile, ColumnFileError, ColumnFileWriter
-
-        path = tmp_path / "data.cols"
-        writer = ColumnFileWriter(path, ["x"], 2)
-        with pytest.raises(ColumnFileError, match="unknown column"):
-            writer.write("nope", [1.0])
-        with pytest.raises(ColumnFileError, match="overflows"):
-            writer.write("x", [1.0, 2.0, 3.0])
-        writer.write("x", [1.0, 2.0])
-        writer.close()
-
-        with ColumnFile(path) as cols:
-            with pytest.raises(ColumnFileError, match="no column"):
-                cols.column("nope")
-
-        bad = tmp_path / "bad.cols"
-        bad.write_bytes(b"\x00" * 8192)
-        with pytest.raises(ColumnFileError):
-            ColumnFile(bad)
-        truncated = tmp_path / "trunc.cols"
-        truncated.write_bytes(path.read_bytes()[:-8])
-        with pytest.raises(ColumnFileError, match="bytes"):
-            ColumnFile(truncated)
-
-    def test_writer_validates_roster(self, tmp_path):
-        from repro.datasets import ColumnFileError, ColumnFileWriter
-
-        with pytest.raises(ColumnFileError, match="at least one column"):
-            ColumnFileWriter(tmp_path / "no.cols", [], 1)
-        with pytest.raises(ColumnFileError, match="duplicate"):
-            ColumnFileWriter(tmp_path / "dup.cols", ["x", "x"], 1)
-        with pytest.raises(ColumnFileError, match="negative"):
-            ColumnFileWriter(tmp_path / "neg.cols", ["x"], -1)

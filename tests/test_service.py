@@ -104,15 +104,17 @@ class TestBatchPlanner:
     def test_batch_bills_every_settle_and_page_to_a_request(self, workspace):
         # EDC only: its probes run on pooled expanders, which
         # engine.nodes_settled() counts (CE's INE wavefronts are not).
+        # The fourth request dedupes under the first and bills nothing.
         network = workspace.network
         requests = [
             ServiceRequest(i, "EDC", locations(network, *nodes))
             for i, nodes in enumerate(
-                ((1, 2, 3), (2, 3, 9), (3, 9, 12)), start=1
+                ((1, 2, 3), (2, 3, 9), (3, 9, 12), (3, 2, 1)), start=1
             )
         ]
         plans = BatchPlanner().plan(requests)
         assert len(plans) == 1
+        assert len(plans[0].units) == 3
         workspace.reset_io(cold=True)
         settled = workspace.engine.nodes_settled()
         pages = workspace.network_pages_read()
@@ -124,6 +126,8 @@ class TestBatchPlanner:
         assert sum(s.network_pages for s in stats) == (
             workspace.network_pages_read() - pages
         )
+        assert stats[3].extras["deduped_of"] == 1
+        assert stats[3].skyline_count == stats[0].skyline_count
 
     def test_follower_vectors_are_permuted_not_copied(self, workspace):
         network = workspace.network
@@ -226,6 +230,8 @@ class TestQueryService:
     def test_dedupe_counted_and_consistent(self, workspace):
         network = workspace.network
         queries = locations(network, 8, 9, 10)
+        settled = workspace.engine.nodes_settled()
+        pages = workspace.network_pages_read()
         with QueryService(workspace, workers=1, max_batch=8) as service:
             service.pause()
             pendings = [service.submit("LBC", queries) for _ in range(4)]
@@ -234,6 +240,22 @@ class TestQueryService:
             for other in results[1:]:
                 assert other.same_answer(results[0])
             assert service.stats_dict()["requests"]["deduped"] == 3
+            # One run paid for four answers: the four completion
+            # records bill exactly what the engine and store did.
+            records = service.recorder.ring_entries()
+            assert len(records) == 4
+            assert sum(r.counters["nodes_settled"] for r in records) == (
+                workspace.engine.nodes_settled() - settled
+            )
+            assert sum(r.counters["network_pages"] for r in records) == (
+                workspace.network_pages_read() - pages
+            )
+            followers = [r for r in records if (r.extras or {}).get("deduped")]
+            canonical = {r.request_id for r in records} - {
+                r.request_id for r in followers
+            }
+            assert len(followers) == 3
+            assert {r.extras["deduped_of"] for r in followers} == canonical
 
     def test_closed_service_rejects_submissions(self, workspace):
         service = QueryService(workspace, workers=1)
