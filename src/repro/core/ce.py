@@ -55,7 +55,7 @@ class _AttributeRank:
     """A virtual wavefront: emits objects in ascending attribute order.
 
     Mirrors the emission interface of
-    :class:`~repro.network.dijkstra.DijkstraExpander` for one static
+    :class:`~repro.network.dijkstra.EmissionCursor` for one static
     attribute dimension, whose "network distances" are all pre-known.
     """
 
@@ -101,8 +101,11 @@ class CollaborativeExpansion(SkylineAlgorithm):
         m = n + k  # total dimensions
 
         all_objects = list(workspace.objects)
-        # INE wavefronts are per-query (emission state cannot be pooled);
-        # the engine builds them with the store and middle layer wired.
+        # Each dimension reads its INE wavefront through its own cursor:
+        # the engine pools the wavefront (store and middle layer wired)
+        # and the cursor replays what an earlier query already emitted,
+        # so the emission sequence, and with it the p* cut-off, is the
+        # one a fresh wavefront would produce.
         expanders: list = [engine.ine_expander(q) for q in queries]
         expanders.extend(_AttributeRank(all_objects, j) for j in range(k))
 

@@ -6,7 +6,10 @@ owns all network-distance work:
 * an **expander pool** keeping resumable wavefronts alive, so repeated
   calls with the same source location continue a previous expansion
   instead of restarting it (the paper's Section 6.1 maintained-state
-  idea, promoted from per-algorithm bookkeeping to a shared service);
+  idea, promoted from per-algorithm bookkeeping to a shared service).
+  CE's INE wavefronts are pooled too: each query reads one through its
+  own :class:`~repro.network.dijkstra.EmissionCursor`, which replays
+  what the wavefront already emitted before driving it further;
 * a bounded LRU **memo** of settled ``(source, target) -> distance``
   results shared across queries, algorithms and backends;
   :meth:`known_distance` reads it (then a usable oracle) without
@@ -43,7 +46,8 @@ priority queue and one settled map, and interleaved ``distance_to``
 calls on it would interleave two searches.  Callers that share an
 engine across threads must therefore partition work so that no two
 concurrently-executing queries share a source location (pool keys are
-per-source).  The serving layer (:mod:`repro.service`) enforces
+per-source; INE wavefronts, read through per-query cursors, fall under
+the same rule).  The serving layer (:mod:`repro.service`) enforces
 exactly that: its batch scheduler never lets two in-flight batches
 overlap in query points, and workspace mutations run behind a
 writer-exclusive lock (see :meth:`Workspace.mutating
@@ -73,14 +77,17 @@ from repro.engine.backends import (
 )
 from repro.engine.cache import DEFAULT_MEMO_CAPACITY, DistanceMemo
 from repro.network.astar import AStarExpander
-from repro.network.dijkstra import DijkstraExpander
+from repro.network.dijkstra import DijkstraExpander, EmissionCursor
 from repro.network.graph import NetworkLocation, RoadNetwork
 from repro.network.storage import NetworkStore
 from repro.obs import tracing
 from repro.oracle import OracleIndex, OracleIndexError, network_signature
 from repro.oracle.runtime import DistanceOracle
 
-DEFAULT_POOL_CAPACITY = 128
+#: Pooled wavefronts kept alive.  One ``serve-fanout-au`` pass checks
+#: out 217–236 distinct A* keys plus 124 INE keys, so 512 holds a pass
+#: with room to spare; 128 held less than one.
+DEFAULT_POOL_CAPACITY = 512
 
 
 @dataclass(frozen=True)
@@ -336,18 +343,29 @@ class DistanceEngine:
         key = (chosen.name, _location_key(source), slot)
         return self._checkout(key, lambda: chosen.make_expander(source))
 
-    def ine_expander(self, source: NetworkLocation) -> DijkstraExpander:
-        """A *fresh* incremental-nearest-object wavefront (never pooled).
+    def ine_expander(self, source: NetworkLocation) -> EmissionCursor:
+        """A new emission cursor over ``source``'s pooled INE wavefront.
 
-        INE emission state ("which objects has this wavefront already
-        reported?") is inherently per-query; reusing it across queries
-        would silently drop objects.  The expander still gets the
-        engine's store and placement source, so page accounting and
-        middle-layer probing work by default.
+        The wavefront (built with the engine's store and placement
+        source, so page accounting and middle-layer probing work by
+        default) is pooled under its own ``"ine"`` key; emission state
+        lives in the cursor, which replays the wavefront's log from the
+        start and drives it only past the log's end.  A query therefore
+        sees exactly the sequence a fresh wavefront would emit, and a
+        query point another query already expanded settles nothing new.
+        Two cursors at one location (a query naming it twice) share the
+        wavefront too.  Like every pooled expander, a wavefront must not
+        be driven by two concurrently executing queries (see the module
+        docstring); invalidation and :meth:`clear` drop it with the pool.
         """
-        return DijkstraExpander(
-            self.network, source, store=self.store, placements=self.placements
+        key = ("ine", _location_key(source), None)
+        wavefront = self._checkout(
+            key,
+            lambda: DijkstraExpander(
+                self.network, source, store=self.store, placements=self.placements
+            ),
         )
+        return EmissionCursor(wavefront)
 
     # ------------------------------------------------------------------
     # Distances
@@ -576,9 +594,9 @@ class DistanceEngine:
         """Drop cached distances and wavefronts (object churn).
 
         Object insertion/removal does not change junction-to-junction
-        distances, but pooled INE-free wavefronts and memoised distances
-        to *object locations* may now describe stale objects; dropping
-        everything is cheap and simple.
+        distances, but pooled wavefronts (INE emission logs above all)
+        and memoised distances to *object locations* may now describe
+        stale objects; dropping everything is cheap and simple.
         """
         if self._defer_invalidation(1):
             return

@@ -15,6 +15,12 @@ endpoint ``w`` is ``d(source, w) + d(w, p)``.  An object is *emitted*
 (its distance declared final) once its best tentative distance is no
 larger than the smallest key on the node heap — at that point no
 unsettled junction could open a shorter path to it.
+
+Every emission is appended to the wavefront's ``emissions`` log, so
+one wavefront can serve many queries: an :class:`EmissionCursor`
+replays the log from its start and drives the wavefront only past the
+log's end.  The emission sequence depends only on the graph and the
+objects, so a replay equals a fresh expansion's, emission for emission.
 """
 
 from __future__ import annotations
@@ -49,11 +55,11 @@ class DijkstraExpander:
     __slots__ = (
         "_emitted",
         "_heap",
-        "_last_emitted_distance",
         "_object_best",
         "_object_heap",
         "_object_of",
         "_probed_edges",
+        "emissions",
         "network",
         "nodes_settled",
         "parent",
@@ -88,7 +94,8 @@ class DijkstraExpander:
         self._object_of: dict[int, SpatialObject] = {}
         self._emitted: set[int] = set()
         self._probed_edges: dict[int, list[ObjectPlacement]] = {}
-        self._last_emitted_distance = 0.0
+        # Every (object, distance) emitted so far, in emission order.
+        self.emissions: list[tuple[SpatialObject, float]] = []
 
         for node, dist in network.seed_frontier(source):
             if self._heap.push_or_decrease(node, dist):
@@ -228,8 +235,9 @@ class DijkstraExpander:
                     object_id, dist = self._object_heap.pop()
                     del self._object_best[object_id]
                     self._emitted.add(object_id)
-                    self._last_emitted_distance = dist
-                    return (self._object_of.pop(object_id), dist)
+                    emission = (self._object_of.pop(object_id), dist)
+                    self.emissions.append(emission)
+                    return emission
             if self.expand_next() is None:
                 return None
 
@@ -249,7 +257,45 @@ class DijkstraExpander:
     @property
     def last_emitted_distance(self) -> float:
         """Network distance of the most recently emitted object."""
-        return self._last_emitted_distance
+        return self.emissions[-1][1] if self.emissions else 0.0
 
     def has_visited(self, object_id: int) -> bool:
         return object_id in self._emitted
+
+
+class EmissionCursor:
+    """One query's read position in a shared INE wavefront's emissions.
+
+    Replays :attr:`DijkstraExpander.emissions` from the start and drives
+    the wavefront only past the log's end, so a query sees the same
+    sequence a fresh wavefront would emit while settling nothing the
+    log already covers.  ``last_emitted_distance`` is the cursor's own:
+    the lower bound CE's pruning reads for *this* query's dimension.
+
+    Cursors of one wavefront may interleave (two dimensions at one
+    location read one log at their own positions), but only on one
+    thread at a time: driving a wavefront is not thread-safe.
+    """
+
+    __slots__ = ("_emissions", "_last_emitted_distance", "_position", "wavefront")
+
+    def __init__(self, wavefront: DijkstraExpander) -> None:
+        self.wavefront = wavefront
+        self._emissions = wavefront.emissions
+        self._position = 0
+        self._last_emitted_distance = 0.0
+
+    def next_nearest_object(self) -> tuple[SpatialObject, float] | None:
+        """The next object in ascending network distance, or None."""
+        if self._position == len(self._emissions):
+            if self.wavefront.next_nearest_object() is None:
+                return None
+        emission = self._emissions[self._position]
+        self._position += 1
+        self._last_emitted_distance = emission[1]
+        return emission
+
+    @property
+    def last_emitted_distance(self) -> float:
+        """Network distance of this cursor's most recent emission."""
+        return self._last_emitted_distance

@@ -38,6 +38,17 @@ from conftest import (
 )
 
 
+def ine_emissions(stream, limit=None):
+    """``(object_id, distance)`` pairs a stream emits, up to ``limit``."""
+    emitted = []
+    while limit is None or len(emitted) < limit:
+        item = stream.next_nearest_object()
+        if item is None:
+            break
+        emitted.append((item[0].object_id, item[1]))
+    return emitted
+
+
 def small_workspace(seed=42, paged=False, backend="dijkstra"):
     network = build_random_network(40, 25, seed=seed, detour_max=0.6)
     objects = place_random_objects(network, 20, seed=seed + 1)
@@ -211,11 +222,59 @@ class TestExpanderPool:
         assert a is not b
         assert a is engine.astar_expander(source, slot=0)
 
-    def test_ine_expander_never_pooled(self):
+    def test_ine_cursors_replay_one_pooled_wavefront(self):
         network, workspace = small_workspace()
         engine = workspace.engine
-        source = network.location_at_node(sorted(network.node_ids())[0])
-        assert engine.ine_expander(source) is not engine.ine_expander(source)
+        source = random_locations(network, 1, seed=5)[0]
+        fresh = DijkstraExpander(network, source, placements=engine.placements)
+        expected = ine_emissions(fresh)
+        assert len(expected) == len(workspace.objects)
+        before = engine.nodes_settled()
+        first = engine.ine_expander(source)
+        head = ine_emissions(first, limit=3)
+        # The second cursor replays the first's three emissions, then
+        # drives the shared wavefront; the first replays the rest.
+        second = engine.ine_expander(source)
+        assert second.wavefront is first.wavefront
+        assert ine_emissions(second) == expected
+        # Each cursor bounds its own unseen objects, not the wavefront's.
+        assert first.last_emitted_distance == head[-1][1] < expected[-1][1]
+        assert head + ine_emissions(first) == expected
+        assert first.last_emitted_distance == expected[-1][1]
+        assert engine.nodes_settled() - before == fresh.nodes_settled
+        # A third cursor finds the whole sequence logged: no settles.
+        settled = engine.nodes_settled()
+        assert ine_emissions(engine.ine_expander(source)) == expected
+        assert engine.nodes_settled() == settled
+
+    @pytest.mark.parametrize("drop", ["invalidate", "invalidate_network", "clear"])
+    def test_ine_wavefront_dropped_with_the_pool(self, drop):
+        network, workspace = small_workspace()
+        engine = workspace.engine
+        source = random_locations(network, 1, seed=5)[0]
+        old = engine.ine_expander(source)
+        assert old.next_nearest_object() is not None
+        getattr(engine, drop)()
+        new = engine.ine_expander(source)
+        assert new.wavefront is not old.wavefront
+        assert new.wavefront.nodes_settled == 0
+        assert new.wavefront.emissions == []
+
+    def test_ine_cursor_survives_eviction_mid_stream(self):
+        network, workspace = small_workspace()
+        nodes = sorted(network.node_ids())
+        a, b = (network.location_at_node(n) for n in nodes[:2])
+        placements = workspace.engine.placements
+        engine = DistanceEngine(network, placements=placements, pool_capacity=1)
+        expected = ine_emissions(
+            DijkstraExpander(network, a, placements=placements)
+        )
+        cursor = engine.ine_expander(a)
+        head = ine_emissions(cursor, limit=3)
+        engine.ine_expander(b)  # evicts a's wavefront
+        assert engine.counters.pool_evictions == 1
+        assert head + ine_emissions(cursor) == expected
+        assert ine_emissions(engine.ine_expander(a)) == expected
 
 
 # ----------------------------------------------------------------------

@@ -387,11 +387,7 @@ def test_trace_reconciles_with_stats_and_physical_counters(
     assert stats.network_pages == workspace.network_pages_read() - net_before
     assert stats.index_pages == workspace.index_pages_read() - idx_before
     assert stats.middle_pages == workspace.middle_pages_read() - mid_before
-    if algorithm_cls is not CE:  # CE settles via per-query INE expanders
-        assert (
-            stats.nodes_settled
-            == workspace.engine.nodes_settled() - settled_before
-        )
+    assert stats.nodes_settled == workspace.engine.nodes_settled() - settled_before
 
     # A paged run that settled nodes must have touched network pages.
     assert stats.nodes_settled > 0

@@ -96,6 +96,46 @@ def test_all_algorithms_match_oracle(workload):
         )
 
 
+def _ce_answer(result):
+    """Ids, exact vectors and discovery order: what warm CE must keep."""
+    return (
+        result.object_ids(),
+        result.vectors_by_id(),
+        [point.object_id for point in result.points],
+    )
+
+
+@settings(max_examples=15, deadline=None)
+@given(workloads())
+def test_warm_ce_equals_cold_ce(workload):
+    """Pooled INE wavefronts replay exactly what a fresh one emits.
+
+    Every warm run (reruns, a repeated query point, and runs after an
+    object leaves and returns, each following a run that filled the
+    pool) must equal a cold run on the same workspace state, bit for bit.
+    """
+    network, object_set, queries = workload
+    workspace = Workspace.build(network, object_set, paged=False)
+    cold = cold_run(CE(), workspace, queries)
+    for _ in range(2):
+        warm = CE().run(workspace, queries)
+        assert _ce_answer(warm) == _ce_answer(cold)
+        assert warm.stats.nodes_settled <= cold.stats.nodes_settled
+
+    repeated = queries + queries[:1]
+    warm = CE().run(workspace, repeated)
+    assert _ce_answer(warm) == _ce_answer(cold_run(CE(), workspace, repeated))
+
+    victim = workspace.objects.get(min(obj.object_id for obj in workspace.objects))
+    for mutate in (
+        lambda: workspace.remove_object(victim.object_id),
+        lambda: workspace.add_object(victim),
+    ):
+        mutate()
+        warm = CE().run(workspace, queries)
+        assert _ce_answer(warm) == _ce_answer(cold_run(CE(), workspace, queries))
+
+
 @settings(max_examples=10, deadline=None)
 @given(workloads())
 def test_lbc_source_choice_irrelevant_to_answer(workload):

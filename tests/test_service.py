@@ -102,32 +102,33 @@ class TestBatchPlanner:
             assert outcomes[request.request_id].same_answer(direct)
 
     def test_batch_bills_every_settle_and_page_to_a_request(self, workspace):
-        # EDC only: its probes run on pooled expanders, which
-        # engine.nodes_settled() counts (CE's INE wavefronts are not).
-        # The fourth request dedupes under the first and bills nothing.
+        # EDC's probes and CE's INE wavefronts both run on pooled
+        # expanders, which engine.nodes_settled() counts.  The fourth
+        # request dedupes under the first and bills nothing.
         network = workspace.network
-        requests = [
-            ServiceRequest(i, "EDC", locations(network, *nodes))
-            for i, nodes in enumerate(
-                ((1, 2, 3), (2, 3, 9), (3, 9, 12), (3, 2, 1)), start=1
+        for algorithm in ("EDC", "CE"):
+            requests = [
+                ServiceRequest(i, algorithm, locations(network, *nodes))
+                for i, nodes in enumerate(
+                    ((1, 2, 3), (2, 3, 9), (3, 9, 12), (3, 2, 1)), start=1
+                )
+            ]
+            plans = BatchPlanner().plan(requests)
+            assert len(plans) == 1
+            assert len(plans[0].units) == 3
+            workspace.reset_io(cold=True)
+            settled = workspace.engine.nodes_settled()
+            pages = workspace.network_pages_read()
+            outcomes = execute_plan(workspace, plans[0], ALGORITHMS)
+            stats = [outcomes[r.request_id].stats for r in requests]
+            assert sum(s.nodes_settled for s in stats) == (
+                workspace.engine.nodes_settled() - settled
             )
-        ]
-        plans = BatchPlanner().plan(requests)
-        assert len(plans) == 1
-        assert len(plans[0].units) == 3
-        workspace.reset_io(cold=True)
-        settled = workspace.engine.nodes_settled()
-        pages = workspace.network_pages_read()
-        outcomes = execute_plan(workspace, plans[0], ALGORITHMS)
-        stats = [outcomes[r.request_id].stats for r in requests]
-        assert sum(s.nodes_settled for s in stats) == (
-            workspace.engine.nodes_settled() - settled
-        )
-        assert sum(s.network_pages for s in stats) == (
-            workspace.network_pages_read() - pages
-        )
-        assert stats[3].extras["deduped_of"] == 1
-        assert stats[3].skyline_count == stats[0].skyline_count
+            assert sum(s.network_pages for s in stats) == (
+                workspace.network_pages_read() - pages
+            )
+            assert stats[3].extras["deduped_of"] == 1
+            assert stats[3].skyline_count == stats[0].skyline_count
 
     def test_follower_vectors_are_permuted_not_copied(self, workspace):
         network = workspace.network
