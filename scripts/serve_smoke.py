@@ -2,8 +2,9 @@
 """CI smoke test for the serving layer.
 
 Boots ``repro serve`` as a real subprocess on a generated preset
-network, fires ~50 concurrent HTTP queries (plus a couple of
-mutations), then shuts it down with SIGTERM.  Fails loudly if:
+network, fires ~50 concurrent HTTP queries (CE, EDC and LBC in turn,
+plus a couple of mutations), then shuts it down with SIGTERM.  Fails
+loudly if:
 
 * any response is a 5xx (or a transport error),
 * ``/statsz`` does not parse or lacks the advertised keys,
@@ -170,9 +171,11 @@ def check_metricsz(url: str, artifact_dir: str) -> None:
 def check_billing(event_log: str, stats: dict) -> None:
     """Every settle the engine made is billed to exactly one record.
 
-    The storm sends LBC only, whose searches all run on engine-owned
-    expanders, so the records' summed ``nodes_settled`` must equal the
-    engine's monotone settle count; a deduped follower bills zero.
+    The storm rotates CE, EDC and LBC by request index.  All three
+    search on engine-owned expanders (CE's pooled INE wavefronts, EDC's
+    pooled A*, LBC's A* and lower-bound searches), so the records'
+    summed ``nodes_settled`` must equal the engine's monotone settle
+    count; a deduped follower bills zero.
     """
     from repro.obs import read_events
 
@@ -235,7 +238,10 @@ def main() -> int:
                         queries = rng.sample(nodes, 3)
                         status, payload = post_json(
                             url, "/query",
-                            {"algorithm": "LBC", "query_nodes": queries},
+                            {
+                                "algorithm": ("CE", "EDC", "LBC")[i % 3],
+                                "query_nodes": queries,
+                            },
                         )
                         expected_ok = (200, 503)  # shedding ≠ failure
                 except Exception as exc:

@@ -25,11 +25,9 @@ from repro.core import (
     ALGORITHMS,
     CE,
     EDC,
-    EDCIncremental,
     LBC,
     CollaborativeExpansion,
     EuclideanDistanceConstraint,
-    EuclideanDistanceConstraintIncremental,
     LowerBoundConstraint,
     NaiveSkyline,
     QueryStats,
@@ -63,12 +61,10 @@ __all__ = [
     "CE",
     "DistanceEngine",
     "EDC",
-    "EDCIncremental",
     "LBC",
     "MBR",
     "CollaborativeExpansion",
     "EuclideanDistanceConstraint",
-    "EuclideanDistanceConstraintIncremental",
     "LowerBoundConstraint",
     "NaiveSkyline",
     "NetworkLocation",

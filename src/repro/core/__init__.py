@@ -12,9 +12,7 @@ Public API::
 Algorithms:
 
 * :class:`CollaborativeExpansion` (``CE``) — Section 4.1;
-* :class:`EuclideanDistanceConstraint` (``EDC``) — Section 4.2, batch;
-* :class:`EuclideanDistanceConstraintIncremental` (``EDC-inc``) —
-  Section 4.2's progressive variant;
+* :class:`EuclideanDistanceConstraint` (``EDC``) — Section 4.2;
 * :class:`LowerBoundConstraint` (``LBC``) — Section 4.3, the paper's
   instance-optimal algorithm;
 * :class:`LowerBoundConstraintLazy` (``LBC-lazy``) — LBC with a
@@ -37,10 +35,7 @@ from repro.core.explain import (
     explain_result,
     object_vector,
 )
-from repro.core.edc import (
-    EuclideanDistanceConstraint,
-    EuclideanDistanceConstraintIncremental,
-)
+from repro.core.edc import EuclideanDistanceConstraint
 from repro.core.lbc import LowerBoundConstraint, LowerBoundConstraintLazy
 from repro.core.naive import NaiveSkyline
 from repro.core.query import Workspace
@@ -49,7 +44,6 @@ from repro.core.stats import QueryStats
 
 CE = CollaborativeExpansion
 EDC = EuclideanDistanceConstraint
-EDCIncremental = EuclideanDistanceConstraintIncremental
 LBC = LowerBoundConstraint
 LBCLazy = LowerBoundConstraintLazy
 
@@ -58,14 +52,13 @@ ALGORITHMS: dict[str, type[SkylineAlgorithm]] = {
     for cls in (
         CollaborativeExpansion,
         EuclideanDistanceConstraint,
-        EuclideanDistanceConstraintIncremental,
         LowerBoundConstraint,
         LowerBoundConstraintLazy,
         NaiveSkyline,
     )
 }
-"""Every algorithm by name: ``CE``, ``EDC``, ``EDC-inc``, ``LBC``,
-``LBC-lazy`` and ``naive``."""
+"""Every algorithm by name: ``CE``, ``EDC``, ``LBC``, ``LBC-lazy`` and
+``naive``."""
 
 __all__ = [
     "ALGORITHMS",
@@ -77,9 +70,7 @@ __all__ = [
     "explain_result",
     "object_vector",
     "EDC",
-    "EDCIncremental",
     "EuclideanDistanceConstraint",
-    "EuclideanDistanceConstraintIncremental",
     "LBC",
     "LBCLazy",
     "LowerBoundConstraint",

@@ -54,8 +54,9 @@ def distance_matrix(
     """``matrix[i][j]`` = network distance from ``sources[i]`` to ``targets[j]``.
 
     One full-strength Dijkstra per source.  Workspace-bound callers
-    should prefer :meth:`repro.engine.DistanceEngine.matrix`, which
-    additionally memoises and reuses pooled wavefronts.
+    should prefer :meth:`repro.engine.DistanceEngine.vectors` (query
+    points × objects), which additionally memoises and reuses pooled
+    wavefronts.
     """
     return [
         network_distances(network, src, targets, store=store)

@@ -38,7 +38,6 @@ SPAN_NAMES = frozenset(
         "edc.window",
         "edc.refine",
         "edc.closure",
-        "edc.stream",
         # LBC phases (repro.core.lbc)
         "lbc.stream",
         "lbc.resolve",

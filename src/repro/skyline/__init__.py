@@ -29,7 +29,7 @@ from repro.skyline.dominance import (
     skyline_of,
     skyline_of_scalar,
 )
-from repro.skyline.sfs import sfs_skyline, sfs_skyline_block, sfs_skyline_progressive
+from repro.skyline.sfs import sfs_skyline_block, sfs_skyline_progressive
 
 __all__ = [
     "Vector",
@@ -45,7 +45,6 @@ __all__ = [
     "is_dominated_by_any",
     "is_dominated_by_any_block",
     "mbr_lower_bound_vector",
-    "sfs_skyline",
     "sfs_skyline_block",
     "sfs_skyline_progressive",
     "skyline_of",

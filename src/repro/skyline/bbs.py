@@ -14,13 +14,12 @@ sum is strictly monotone under dominance, so every dominator of an
 object pops before the object itself — which is exactly why comparing
 against the confirmed set alone is complete.
 
-The generator form feeds EDC's incremental variant, which consumes one
-Euclidean skyline point at a time and injects its own extra pruning.
+:func:`euclidean_skyline` materialises the stream for EDC's step 1.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from repro.columnar.store import SkylineBlock
 from repro.geometry.mbr import MBR
@@ -51,19 +50,16 @@ def mbr_lower_bound_vector(
 def incremental_euclidean_skyline(
     rtree: RTree,
     query_points: Sequence[Point],
-    extra_prune: Callable[[tuple[float, ...]], bool] | None = None,
     attribute_count: int = 0,
 ) -> Iterator[tuple[SpatialObject, tuple[float, ...]]]:
     """Stream the multi-source Euclidean skyline in aggregate-distance order.
 
     Yields ``(object, vector)`` pairs where ``vector`` is the object's
     Euclidean distance vector (with static attributes appended).
-    ``extra_prune`` receives the lower-bound vector of any entry and may
-    veto it — EDC's incremental mode uses this to skip entries inside
-    already-covered candidate regions.  ``attribute_count`` must state
-    how many static attributes the indexed objects carry so that MBR
-    lower-bound vectors have matching dimensionality; a yielded vector
-    of another width raises ``ValueError``.
+    ``attribute_count`` must state how many static attributes the
+    indexed objects carry so that MBR lower-bound vectors have matching
+    dimensionality; a yielded vector of another width raises
+    ``ValueError``.
 
     The confirmed vectors live in a :class:`SkylineBlock`, so each
     pruning probe is one columnar kernel call (charged to
@@ -80,11 +76,8 @@ def incremental_euclidean_skyline(
     def prune(mbr: MBR, payload: SpatialObject | None) -> bool:
         vector = entry_vector(mbr, payload)
         if payload is not None:
-            if sky.dominates(vector):
-                return True
-        elif sky.dominates_lb(vector):
-            return True
-        return extra_prune is not None and extra_prune(vector)
+            return sky.dominates(vector)
+        return sky.dominates_lb(vector)
 
     def key(mbr: MBR, payload: SpatialObject | None) -> float:
         return sum(entry_vector(mbr, payload))

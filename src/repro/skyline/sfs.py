@@ -17,27 +17,6 @@ from repro.obs import tracing
 from repro.skyline.dominance import Vector, dominates
 
 
-def sfs_skyline(
-    vectors: Sequence[Vector],
-    score: Callable[[Vector], float] | None = None,
-) -> list[int]:
-    """Indices of skyline members, computed with SFS.
-
-    ``score`` must be strictly monotone in dominance: ``a`` dominating
-    ``b`` implies ``score(a) < score(b)``.  The default — component sum
-    — has that property, and that path is a thin view over the columnar
-    block kernel (:func:`sfs_skyline_block`); a custom score keeps the
-    scalar generator.
-    """
-    if score is not None:
-        return list(sfs_skyline_progressive(vectors, score))
-    if not vectors:
-        return []
-    if len(vectors[0]) == 0:
-        return list(sfs_skyline_progressive(vectors, None))
-    return sfs_skyline_block(VectorTable.from_vectors(vectors))
-
-
 def sfs_skyline_block(table: VectorTable) -> list[int]:
     """Block SFS: skyline row indices of a column block, in preference
     (component-sum) order — the order the scalar SFS confirms them in."""

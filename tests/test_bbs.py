@@ -107,19 +107,6 @@ class TestEuclideanSkyline:
         ]
         assert got == sorted(skyline_of(vecs))
 
-    def test_extra_prune_excludes_region(self):
-        points = [Point(0.1, 0.1), Point(0.9, 0.9)]
-        tree = build_rtree(as_objects(points))
-        queries = [Point(0.0, 0.0)]
-        everything = list(incremental_euclidean_skyline(tree, queries))
-        pruned = list(
-            incremental_euclidean_skyline(
-                tree, queries, extra_prune=lambda vec: True
-            )
-        )
-        assert everything != []
-        assert pruned == []
-
     @settings(max_examples=25, deadline=None)
     @given(
         st.lists(point_strategy, min_size=1, max_size=60),

@@ -12,7 +12,7 @@ analytical relationships the paper proves or argues:
 
 import pytest
 
-from repro.core import CE, EDC, EDCIncremental, LBC, NaiveSkyline, Workspace
+from repro.core import CE, EDC, LBC, NaiveSkyline, Workspace
 from repro.datasets import (
     build_preset,
     extract_objects,
@@ -43,7 +43,7 @@ class TestCrossAlgorithmAgreement:
         network, workspace = make_workload(seed * 100)
         queries = random_locations(network, (seed % 4) + 1, seed=seed * 100 + 2)
         reference = NaiveSkyline().run(workspace, queries)
-        for algorithm in (CE(), EDC(), EDCIncremental(), LBC()):
+        for algorithm in (CE(), EDC(), LBC()):
             result = cold_run(algorithm, workspace, queries)
             assert result.same_answer(reference), algorithm.name
 
@@ -52,7 +52,7 @@ class TestCrossAlgorithmAgreement:
         network, workspace = make_workload(seed * 100, attributes=2)
         queries = random_locations(network, 3, seed=seed * 100 + 2)
         reference = NaiveSkyline().run(workspace, queries)
-        for algorithm in (CE(), EDC(), EDCIncremental(), LBC()):
+        for algorithm in (CE(), EDC(), LBC()):
             assert cold_run(algorithm, workspace, queries).same_answer(reference)
 
     def test_agreement_on_preset_workload(self):
@@ -62,7 +62,7 @@ class TestCrossAlgorithmAgreement:
         workspace = Workspace.build(network, objects, paged=True)
         queries = select_query_points(network, 4, seed=2)
         reference = NaiveSkyline().run(workspace, queries)
-        for algorithm in (CE(), EDC(), EDCIncremental(), LBC()):
+        for algorithm in (CE(), EDC(), LBC()):
             workspace.reset_io(cold=True)
             assert algorithm.run(workspace, queries).same_answer(reference)
 
@@ -72,7 +72,7 @@ class TestCrossAlgorithmAgreement:
         workspace = Workspace.build(network, objects, paged=False)
         queries = select_query_points_on_edges(network, 3, seed=4)
         reference = NaiveSkyline().run(workspace, queries)
-        for algorithm in (CE(), EDC(), EDCIncremental(), LBC()):
+        for algorithm in (CE(), EDC(), LBC()):
             assert cold_run(algorithm, workspace, queries).same_answer(reference)
 
     def test_paged_and_unpaged_agree(self):
@@ -187,7 +187,7 @@ class TestPolylineGeometry:
         workspace = Workspace.build(network, objects, paged=False)
         queries = random_locations(network, 3, seed=603)
         reference = NaiveSkyline().run(workspace, queries)
-        for algorithm in (CE(), EDC(), EDCIncremental(), LBC()):
+        for algorithm in (CE(), EDC(), LBC()):
             assert cold_run(algorithm, workspace, queries).same_answer(reference)
 
     def test_object_points_follow_geometry(self):

@@ -100,6 +100,6 @@ class TestEDCClosureAccounting:
         workspace = Workspace.build(network, objects, paged=False)
         queries = random_locations(network, 2, seed=932)
         stats = EDC().run(workspace, queries).stats
-        # Low detours: the published region almost always suffices.
+        # Closure candidates are counted in candidate_count.
         assert stats.extras.get("closure_candidates", 0.0) <= stats.candidate_count
 

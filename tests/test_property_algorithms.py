@@ -6,12 +6,14 @@ algorithm must return exactly the naive baseline's skyline, points and
 vectors alike.
 """
 
+import copy
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import CE, EDC, EDCIncremental, LBC, LBCLazy, NaiveSkyline, Workspace
+from repro.core import CE, EDC, LBC, LBCLazy, NaiveSkyline, Workspace
 from repro.geometry import Point
 from repro.network import ObjectSet, RoadNetwork, SpatialObject
 
@@ -89,11 +91,46 @@ def test_all_algorithms_match_oracle(workload):
     network, object_set, queries = workload
     workspace = Workspace.build(network, object_set, paged=False)
     reference = NaiveSkyline().run(workspace, queries)
-    for algorithm in (CE(), EDC(), EDCIncremental(), LBC(), LBCLazy()):
+    for algorithm in (CE(), EDC(), LBC(), LBCLazy()):
         result = cold_run(algorithm, workspace, queries)
         assert result.same_answer(reference), (
             f"{algorithm.name}: {result.object_ids()} != {reference.object_ids()}"
         )
+
+
+@pytest.mark.parametrize(
+    "backend", ["dijkstra", "astar+landmarks", "ch", "hublabel"]
+)
+@settings(max_examples=20, deadline=None)
+@given(workloads())
+def test_edc_matches_oracle_on_every_backend(backend, workload):
+    """EDC over each distance backend, cold, warm and after a reweight.
+
+    Each reference is ``NaiveSkyline`` over plain Dijkstra on a fresh
+    copy of the workspace's current network and objects, so no engine
+    state is shared with the run it checks.  Ids must match exactly;
+    vectors within ``same_answer``'s tolerance, since oracle-served
+    distances are not yet bit-exact.
+    """
+    network, object_set, queries = workload
+    workspace = Workspace.build(
+        network, object_set, paged=False, distance_backend=backend
+    )
+
+    def check(result):
+        fresh = Workspace.build(
+            *copy.deepcopy((network, workspace.objects)), paged=False
+        )
+        reference = NaiveSkyline().run(fresh, queries)
+        assert result.object_ids() == reference.object_ids()
+        assert result.same_answer(reference)
+
+    check(cold_run(EDC(), workspace, queries))
+    check(EDC().run(workspace, queries))
+
+    edge_id = object_set.objects[0].location.edge_id
+    workspace.update_edge_length(edge_id, network.edge(edge_id).length * 2.0)
+    check(EDC().run(workspace, queries))
 
 
 def _ce_answer(result):
