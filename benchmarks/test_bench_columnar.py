@@ -1,10 +1,13 @@
-"""Counter gate for the columnar dominance hot path.
+"""Counter gates for the columnar dominance hot path.
 
-Wall time is hardware-noisy, so the gate that must hold everywhere is
+Wall time is hardware-noisy, so the gates that must hold everywhere are
 deterministic: the block kernel answers the same skyline with a small
 fraction of the interpreter-level operations (function/builtin calls
-counted by ``sys.setprofile``) the scalar SFS path spends.  Timing is
-reported as extra info but never asserted.
+counted by ``sys.setprofile``) the scalar SFS path spends, and a
+:class:`SkylineBlock` probe executes no more bytecodes against a
+1,024-row block than against an 8-row one (counted by ``sys.settrace``
+with ``f_trace_opcodes``).  Timing is reported as extra info but never
+asserted.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import random
 import sys
 import time
 
-from repro.columnar.store import VectorTable
+from repro.columnar.store import SkylineBlock, VectorTable
 from repro.skyline.sfs import sfs_skyline_block, sfs_skyline_progressive
 
 
@@ -66,3 +69,61 @@ class TestDominanceKernelOps:
             f"({block_events / scalar_events:.1%}), "
             f"time {scalar_s * 1e3:.1f}ms -> {block_s * 1e3:.1f}ms (advisory)"
         )
+
+
+def _bytecodes(fn) -> int:
+    """Bytecodes executed by the Python frames of one call of ``fn``.
+
+    Counts differ between interpreter versions, so compare them only
+    within one run.
+    """
+    executed = 0
+
+    def tracer(frame, event, arg):
+        nonlocal executed
+        frame.f_trace_opcodes = True
+        if event == "opcode":
+            executed += 1
+        return tracer
+
+    sys.settrace(tracer)
+    try:
+        fn()
+    finally:
+        sys.settrace(None)
+    return executed
+
+
+class TestDominanceIndexBytecodes:
+    SIZES = (8, 64, 512, 1024)
+
+    @staticmethod
+    def _block(rows: int) -> SkylineBlock:
+        """A ``rows``-point skyline in four dimensions, built by appends."""
+        sky = SkylineBlock(4)
+        for r in range(rows):
+            t = (r + 1) / (rows + 1)
+            sky.append((t, 1.0 - t, t * t, 1.0 - t * t))
+        return sky
+
+    def test_probe_bytecodes_do_not_grow_with_block_size(self):
+        probes = {
+            "dominated": (2.0, 2.0, 2.0, 2.0),
+            "undominated": (0.0, 0.0, 0.0, 0.0),
+        }
+        counts = {name: [] for name in probes}
+        for rows in self.SIZES:
+            sky = self._block(rows)
+            for name, probe in probes.items():
+                verdict = []
+                counts[name].append(
+                    _bytecodes(lambda: verdict.append(sky.dominates(probe)))
+                )
+                assert verdict == [name == "dominated"]
+        for name, per_size in counts.items():
+            # The index answers from bisects and integer masks; a row
+            # scan's bytecodes grow linearly with the rows.
+            assert per_size[-1] <= per_size[0], (
+                f"{name} probe: {per_size} bytecodes at {self.SIZES} rows"
+            )
+        print(f"\nindex probe bytecodes at {self.SIZES} rows: {counts}")

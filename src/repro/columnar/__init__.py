@@ -13,14 +13,15 @@ bench — can build on it.
 
 Modules
 -------
-* :mod:`repro.columnar.kernels` — allocation-free batch kernels over
-  flat float buffers (dominance, covering, block SFS).  The
-  ``REPRO-PERF01`` lint rule enforces the no-per-element-allocation
-  discipline inside this package.
+* :mod:`repro.columnar.kernels` — allocation-free kernels over flat
+  float buffers (block SFS) and over the per-dimension dominance index
+  (dominance and covering probes).  The ``REPRO-PERF01`` lint rule
+  enforces the no-per-element-allocation discipline inside this
+  package.
 * :mod:`repro.columnar.store` — the column containers: row-major
   :class:`~repro.columnar.store.VectorTable`, id-handled
-  :class:`~repro.columnar.store.CandidateBlock` and the confirmed-set
-  mirror :class:`~repro.columnar.store.SkylineBlock`.
+  :class:`~repro.columnar.store.CandidateBlock` and the indexed
+  confirmed-set mirror :class:`~repro.columnar.store.SkylineBlock`.
 * :mod:`repro.columnar.curve` — the Hilbert curve index (the network
   and oracle stores cluster their pages along it).
 """
@@ -29,9 +30,10 @@ from repro.columnar.curve import hilbert_index
 from repro.columnar.kernels import (
     block_skyline,
     dominates_flat,
-    is_covered_by_any_block,
-    is_dominated_by_any_block,
-    is_dominated_by_any_block_lb,
+    index_append,
+    index_build,
+    index_covers,
+    index_dominates,
 )
 from repro.columnar.store import (
     CandidateBlock,
@@ -46,7 +48,8 @@ __all__ = [
     "block_skyline",
     "dominates_flat",
     "hilbert_index",
-    "is_covered_by_any_block",
-    "is_dominated_by_any_block",
-    "is_dominated_by_any_block_lb",
+    "index_append",
+    "index_build",
+    "index_covers",
+    "index_dominates",
 ]

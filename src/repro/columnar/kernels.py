@@ -8,9 +8,20 @@ construction (no tuples, lists or dataclass instances per row); the
 
 Dominance uses the paper's minimisation convention: ``a`` dominates
 ``b`` when ``a <= b`` in every dimension and ``a < b`` in at least one.
-The *lower-bound* variants apply the same arithmetic with different
-semantics (see :func:`repro.skyline.dominance.dominates_lower_bounds`):
-they are aliases with their own names so call sites state intent.
+The same arithmetic is also the *lower-bound* test (see
+:func:`repro.skyline.dominance.dominates_lower_bounds`); callers state
+which one they mean by the method they call on
+:class:`~repro.columnar.store.SkylineBlock`.
+
+Membership probes against a confirmed set (is some row a dominator?
+does some row cover the probe?) run on a per-dimension index instead of
+a row scan: each dimension keeps its values in ascending order beside
+prefix bitmasks over row indices (Python ints), so a probe costs one
+or two bisects per dimension and a few integer ANDs and ORs
+(:func:`index_build`, :func:`index_append`, :func:`index_dominates`,
+:func:`index_covers`).  A probe charges ``dominance_checks`` exactly
+what the front-to-back scan it replaced would have examined, so the
+counter measures the paper's work, not this representation.
 
 Exactness of :func:`block_skyline` rests on a monotonicity argument:
 IEEE rounding is monotone and addition is monotone in both operands, so
@@ -29,6 +40,7 @@ phase did without per-comparison overhead.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left, bisect_right
 
 from repro.obs import tracing
 
@@ -52,88 +64,117 @@ def dominates_flat(a, ao: int, b, bo: int, width: int) -> bool:
     return strict
 
 
-def is_dominated_by_any_block(
-    block, count: int, width: int, vector, offset: int = 0
-) -> bool:
-    """True when any of the block's ``count`` rows dominates ``vector``.
+def index_build(values: list, masks: list, block, count: int) -> None:
+    """Index the block's ``count`` rows, one dimension per ``values`` slot.
 
-    ``vector`` is read at ``vector[offset : offset + width]`` so callers
-    can test one row of another flat buffer without slicing.  Charges
-    the rows scanned to the ``dominance_checks`` counter.
+    ``values[d]`` becomes column ``d`` in ascending order and
+    ``masks[d][k]`` the bitmask (bit ``r`` for row ``r``) of the rows
+    holding the column's ``k`` smallest values, so ``masks[d][0]`` is 0
+    and ``masks[d][count]`` holds every row.  Equal values may sit in
+    either order: probes read masks only at the edges of a run of
+    equal values.  One sort per dimension.
     """
-    checks = 0
-    found = False
-    base = 0
+    width = len(values)
     end = count * width
-    while base < end:
-        checks += 1
-        strict = False
-        dominated = True
-        i = base
-        stop = base + width
-        j = offset
-        while i < stop:
-            rv = block[i]
-            vv = vector[j]
-            if rv > vv:
-                dominated = False
-                break
-            if rv < vv:
-                strict = True
-            i += 1
-            j += 1
-        if dominated and strict:
-            found = True
-            break
-        base += width
-    if checks:
-        tracing.record("dominance_checks", checks)
-    return found
+    d = 0
+    while d < width:
+        values[d], masks[d] = _index_column(block[d:end:width])
+        d += 1
 
 
-def is_dominated_by_any_block_lb(
-    block, count: int, width: int, bounds, offset: int = 0
-) -> bool:
-    """Lower-bound variant: rows are exact, ``bounds`` are lower bounds.
+def _index_column(column) -> tuple[list[float], list[int]]:
+    """One dimension's ascending values and prefix masks."""
+    order = sorted(range(len(column)), key=column.__getitem__)
+    masks = [0]
+    mask = 0
+    for row in order:
+        mask |= 1 << row
+        masks.append(mask)
+    return [column[row] for row in order], masks
 
-    Sound in the :func:`repro.skyline.dominance.dominates_lower_bounds`
-    sense — True only when some row provably dominates the true vector
-    the bounds under-estimate.
+
+def index_append(values: list, masks: list, vector, offset: int = 0) -> None:
+    """Add ``vector`` to the index as the next row, in place.
+
+    Per dimension: one insertion into the sorted column, then the new
+    row's bit ORed into every prefix mask from its position on.
     """
-    return is_dominated_by_any_block(block, count, width, bounds, offset)
+    bit = 1 << len(values[0])
+    width = len(values)
+    d = 0
+    while d < width:
+        value = vector[offset + d]
+        column = values[d]
+        prefix = masks[d]
+        k = bisect_right(column, value)
+        column.insert(k, value)
+        prefix.insert(k, prefix[k])
+        k += 1
+        end = len(prefix)
+        while k < end:
+            prefix[k] |= bit
+            k += 1
+        d += 1
 
 
-def is_covered_by_any_block(
-    block, count: int, width: int, vector, offset: int = 0
-) -> bool:
-    """True when some row ``r`` satisfies ``vector <= r`` pointwise.
+def index_dominates(values: list, masks: list, vector, offset: int = 0) -> bool:
+    """True when some indexed row dominates ``vector``.
+
+    ``vector`` is read at ``vector[offset : offset + width]``.  Per
+    dimension, ``bisect_right`` finds the rows no larger than the
+    probe's component and ``bisect_left`` the rows strictly smaller;
+    the dominators are in every first set and in some second set.  Also
+    the lower-bound test (same arithmetic; the caller supplies bounds
+    and interprets the verdict soundly, see
+    :func:`repro.skyline.dominance.dominates_lower_bounds`).
+    """
+    below = -1
+    strict = 0
+    width = len(values)
+    d = 0
+    while d < width:
+        value = vector[offset + d]
+        column = values[d]
+        prefix = masks[d]
+        below &= prefix[bisect_right(column, value)]
+        if not below:
+            break
+        strict |= prefix[bisect_left(column, value)]
+        d += 1
+    return _charge(below & strict, len(values[0]))
+
+
+def index_covers(values: list, masks: list, vector, offset: int = 0) -> bool:
+    """True when some indexed row ``r`` satisfies ``vector <= r`` pointwise.
 
     The hypercube-membership test of EDC's window step: the rows are
-    shifted corners and ``vector`` lies inside ``[origin, r]``.
+    shifted corners and ``vector`` lies inside ``[origin, r]``.  Per
+    dimension, the rows at or past ``bisect_left`` are no smaller than
+    the probe's component.
     """
-    checks = 0
-    found = False
-    base = 0
-    end = count * width
-    while base < end:
-        checks += 1
-        inside = True
-        i = base
-        stop = base + width
-        j = offset
-        while i < stop:
-            if vector[j] > block[i]:
-                inside = False
-                break
-            i += 1
-            j += 1
-        if inside:
-            found = True
+    above = -1
+    width = len(values)
+    d = 0
+    while d < width:
+        prefix = masks[d]
+        above &= prefix[-1] ^ prefix[bisect_left(values[d], vector[offset + d])]
+        if not above:
             break
-        base += width
+        d += 1
+    return _charge(above, len(values[0]))
+
+
+def _charge(hits: int, count: int) -> bool:
+    """Charge what a front-to-back row scan would examine, then answer.
+
+    The scan stops at the lowest matching row, so it examines that
+    row's index + 1 rows, or all ``count`` when nothing matches (and
+    charges nothing on an empty block).
+    """
+    checks = (hits & -hits).bit_length() if hits else count
     if checks:
         tracing.record("dominance_checks", checks)
-    return found
+    return hits != 0
 
 
 def block_skyline(block, count: int, width: int) -> list[int]:

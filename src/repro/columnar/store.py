@@ -14,8 +14,10 @@ from typing import Iterable, Iterator, Sequence
 
 from repro.columnar.kernels import (
     block_skyline,
-    is_dominated_by_any_block,
-    is_dominated_by_any_block_lb,
+    index_append,
+    index_build,
+    index_covers,
+    index_dominates,
 )
 
 
@@ -109,41 +111,53 @@ class CandidateBlock:
 
 
 class SkylineBlock:
-    """Columnar mirror of a confirmed-skyline vector set.
+    """Columnar mirror of a confirmed-skyline vector set, indexed per dimension.
 
-    The confirmed set is small and changes rarely relative to how often
-    it is probed, so the block is rebuilt wholesale after an insertion
-    and every probe runs the flat-buffer kernels.  Probes accept any
-    indexable vector (tuple, array row via ``offset``), which lets hot
-    loops test scratch buffers without materialising tuples.
+    ``table`` keeps the rows in confirmation order.  Beside it, for each
+    dimension ``d``, ``values[d]`` holds the column in ascending order
+    and ``masks[d][k]`` the bitmask of the rows with its ``k`` smallest
+    values (see :func:`repro.columnar.kernels.index_build`), so every
+    probe is a few bisects and integer ANDs/ORs rather than a scan of
+    every row.  :meth:`append` updates the index in place; only
+    :meth:`rebuild` (after an eviction, or for a fresh snapshot) sorts.
+    Probes accept any indexable vector (tuple, array row via
+    ``offset``), which lets hot loops test scratch buffers without
+    materialising tuples, and charge ``dominance_checks`` exactly what a
+    front-to-back scan of the rows would have examined.
     """
 
-    __slots__ = ("table",)
+    __slots__ = ("table", "values", "masks")
 
     def __init__(self, width: int) -> None:
         self.table = VectorTable(width)
+        self.values: list[list[float]] = [[] for _ in range(width)]
+        self.masks: list[list[int]] = [[0] for _ in range(width)]
 
     def __len__(self) -> int:
         return len(self.table)
 
     def rebuild(self, vectors: Iterable[Sequence[float]]) -> None:
         """Replace the contents with ``vectors`` (e.g. after eviction)."""
-        self.table.clear()
+        table = self.table
+        table.clear()
         for vector in vectors:
-            self.table.append(vector)
+            table.append(vector)
+        index_build(self.values, self.masks, table.data, len(table))
 
     def append(self, vector: Sequence[float]) -> None:
         self.table.append(vector)
+        index_append(self.values, self.masks, vector)
 
     def dominates(self, vector, offset: int = 0) -> bool:
         """Does any confirmed vector dominate ``vector``? (exact)"""
-        return is_dominated_by_any_block(
-            self.table.data, len(self.table), self.table.width, vector, offset
-        )
+        return index_dominates(self.values, self.masks, vector, offset)
 
     def dominates_lb(self, bounds, offset: int = 0) -> bool:
         """Does any confirmed vector provably dominate the true vector
         lower-bounded by ``bounds``? (sound under-approximation)"""
-        return is_dominated_by_any_block_lb(
-            self.table.data, len(self.table), self.table.width, bounds, offset
-        )
+        return index_dominates(self.values, self.masks, bounds, offset)
+
+    def covers(self, vector, offset: int = 0) -> bool:
+        """Is ``vector <= r`` pointwise for some row ``r``? (EDC's window
+        test, with shifted corners as the rows)"""
+        return index_covers(self.values, self.masks, vector, offset)

@@ -21,6 +21,7 @@ from __future__ import annotations
 import time
 from abc import ABC, abstractmethod
 
+from repro.columnar.store import SkylineBlock
 from repro.core.query import Workspace
 from repro.core.result import SkylinePoint, SkylineResult
 from repro.core.stats import QueryStats
@@ -140,15 +141,33 @@ class _ResponseTimer:
 
 def insert_skyline_point(
     skyline: list[SkylinePoint], new_point: SkylinePoint
-) -> None:
+) -> bool:
     """Add a confirmed point, evicting members it dominates.
 
     With continuous distances eviction never fires, but exact ties
     (co-located objects, symmetric networks) can confirm a point before
     a later point that dominates it arrives — dominance is transitive,
     so pruning done with the evicted point remains sound, and evicting
-    keeps the final answer exactly the skyline.
+    keeps the final answer exactly the skyline.  Returns whether any
+    member was evicted.
     """
     new_vector = new_point.vector
-    skyline[:] = [p for p in skyline if not dominates(new_vector, p.vector)]
+    kept = [p for p in skyline if not dominates(new_vector, p.vector)]
+    evicted = len(kept) != len(skyline)
+    skyline[:] = kept
     skyline.append(new_point)
+    return evicted
+
+
+def confirm_skyline_point(
+    skyline: list[SkylinePoint], sky: SkylineBlock, new_point: SkylinePoint
+) -> None:
+    """:func:`insert_skyline_point`, keeping ``sky`` the mirror of ``skyline``.
+
+    The new vector is appended to the block's index in place; only an
+    eviction rebuilds it.
+    """
+    if insert_skyline_point(skyline, new_point):
+        sky.rebuild(p.vector for p in skyline)
+    else:
+        sky.append(new_point.vector)

@@ -42,7 +42,7 @@ from array import array
 
 from repro.columnar.kernels import dominates_flat
 from repro.columnar.store import SkylineBlock, VectorTable
-from repro.core.base import SkylineAlgorithm, _ResponseTimer, insert_skyline_point
+from repro.core.base import SkylineAlgorithm, _ResponseTimer, confirm_skyline_point
 from repro.core.query import Workspace
 from repro.core.result import SkylinePoint
 from repro.core.stats import QueryStats
@@ -169,8 +169,8 @@ class CollaborativeExpansion(SkylineAlgorithm):
 
         candidates: set[int] = set(handles)
         skyline: list[SkylinePoint] = []
-        # Columnar mirror of the confirmed vectors for the refine-phase
-        # dominance probes; rebuilt after every insertion (evictions).
+        # Indexed mirror of the confirmed vectors for the refine-phase
+        # dominance probes; updated on every confirmation.
         sky = SkylineBlock(m)
 
         if first_complete is not None:
@@ -193,8 +193,7 @@ class CollaborativeExpansion(SkylineAlgorithm):
             p_star = objects[first_complete]
             vector = table.row(handles[first_complete])
             new_point = SkylinePoint(obj=p_star, vector=vector)
-            insert_skyline_point(skyline, new_point)
-            sky.rebuild(s.vector for s in skyline)
+            confirm_skyline_point(skyline, sky, new_point)
             timer.mark_first_result()
             candidates.discard(first_complete)
             self._prune(candidates, table, handles, masks, expanders, new_point, n)
@@ -245,8 +244,7 @@ class CollaborativeExpansion(SkylineAlgorithm):
                         vector = table.row(h)
                         if not sky.dominates(vector):
                             new_point = SkylinePoint(obj=obj, vector=vector)
-                            insert_skyline_point(skyline, new_point)
-                            sky.rebuild(s.vector for s in skyline)
+                            confirm_skyline_point(skyline, sky, new_point)
                             timer.mark_first_result()
                             self._prune(
                                 candidates, table, handles, masks,
@@ -261,8 +259,9 @@ class CollaborativeExpansion(SkylineAlgorithm):
             obj = objects[object_id]
             vector = table.row(handles[object_id])
             if not sky.dominates(vector):
-                insert_skyline_point(skyline, SkylinePoint(obj=obj, vector=vector))
-                sky.rebuild(s.vector for s in skyline)
+                confirm_skyline_point(
+                    skyline, sky, SkylinePoint(obj=obj, vector=vector)
+                )
                 timer.mark_first_result()
 
         return skyline

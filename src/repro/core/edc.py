@@ -40,8 +40,7 @@ fetched, and ``candidate_count`` includes them.
 
 from __future__ import annotations
 
-from repro.columnar.kernels import is_covered_by_any_block
-from repro.columnar.store import CandidateBlock, SkylineBlock, VectorTable
+from repro.columnar.store import CandidateBlock, SkylineBlock
 from repro.core.base import SkylineAlgorithm, _ResponseTimer, insert_skyline_point
 from repro.core.query import Workspace
 from repro.core.result import SkylinePoint
@@ -164,25 +163,18 @@ class EuclideanDistanceConstraint(SkylineAlgorithm):
         """
         attribute_count = self._workspace.attribute_count
         found: list[SpatialObject] = []
-        width = self._vector_width
-        corner_block = VectorTable(width)
-        for corner in corners:
-            corner_block.append(corner)
-        count = len(corner_block)
+        corner_block = SkylineBlock(self._vector_width)
+        corner_block.rebuild(corners)
 
         def descend(mbr, payload) -> bool:
             if payload is None:
                 bounds = mbr_lower_bound_vector(
                     mbr, self._query_points, attribute_count
                 )
-                return is_covered_by_any_block(
-                    corner_block.data, count, width, bounds
-                )
+                return corner_block.covers(bounds)
             if payload.object_id in skip:
                 return False
-            return is_covered_by_any_block(
-                corner_block.data, count, width, self._euclidean_vector(payload)
-            )
+            return corner_block.covers(self._euclidean_vector(payload))
 
         for _, payload in self._workspace.object_rtree.traverse(descend):
             found.append(payload)

@@ -54,7 +54,7 @@ from array import array
 from typing import Iterator
 
 from repro.columnar.store import SkylineBlock
-from repro.core.base import SkylineAlgorithm, _ResponseTimer, insert_skyline_point
+from repro.core.base import SkylineAlgorithm, _ResponseTimer, confirm_skyline_point
 from repro.core.query import Workspace
 from repro.core.result import SkylinePoint
 from repro.core.stats import QueryStats
@@ -114,10 +114,10 @@ class LowerBoundConstraint(SkylineAlgorithm):
         other_expanders = {i: engine.astar_expander(q, slot=i) for i, q in others}
 
         skyline: list[SkylinePoint] = []
-        # Columnar mirror of the confirmed vectors: every prune probe
-        # runs the flat-buffer kernel instead of a per-tuple Python
-        # loop.  Rebuilt in place after each insertion so the stream's
-        # prune closure sees updates.
+        # Indexed mirror of the confirmed vectors: every prune probe is
+        # a few bisects instead of a per-tuple Python loop.  Updated in
+        # place on each confirmation so the stream's prune closure sees
+        # it.
         sky = SkylineBlock(len(queries) + workspace.attribute_count)
 
         for p, source_dist in self._network_nn_stream(
@@ -134,9 +134,7 @@ class LowerBoundConstraint(SkylineAlgorithm):
             )
             if resolved is None:
                 continue
-            point = SkylinePoint(obj=p, vector=resolved)
-            insert_skyline_point(skyline, point)
-            sky.rebuild(s.vector for s in skyline)
+            confirm_skyline_point(skyline, sky, SkylinePoint(obj=p, vector=resolved))
             timer.mark_first_result()
 
         return skyline
@@ -157,7 +155,7 @@ class LowerBoundConstraint(SkylineAlgorithm):
 
         Implements steps 1.1/1.2: Euclidean NNs stream from the R-tree
         (with dominance pruning against the *live* ``sky`` block, which
-        the caller rebuilds); each gets its network distance and waits
+        the caller updates); each gets its network distance and waits
         in a heap until provably the closest remaining.  Ties pop in
         object-id order.
         """
@@ -362,8 +360,7 @@ class LowerBoundConstraintLazy(LowerBoundConstraint):
             )
             if vector is None:
                 continue
-            insert_skyline_point(skyline, SkylinePoint(obj=p, vector=vector))
-            sky.rebuild(s.vector for s in skyline)
+            confirm_skyline_point(skyline, sky, SkylinePoint(obj=p, vector=vector))
             timer.mark_first_result()
 
         return skyline
@@ -378,7 +375,7 @@ def _euclidean_stream(
     """Euclidean NNs of ``source_point`` from the object R-tree (step 1.1).
 
     Entries whose Euclidean lower-bound vector the *live* ``sky`` block
-    dominates are pruned, subtrees included; the caller rebuilds
+    dominates are pruned, subtrees included; the caller updates
     ``sky`` in place as points are confirmed.
     """
     all_query_points = [q.point for q in queries]

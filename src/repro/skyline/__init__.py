@@ -25,7 +25,6 @@ from repro.skyline.dominance import (
     dominates_lower_bounds,
     dominates_or_equal,
     is_dominated_by_any,
-    is_dominated_by_any_block,
     skyline_of,
     skyline_of_scalar,
 )
@@ -43,7 +42,6 @@ __all__ = [
     "euclidean_vector",
     "incremental_euclidean_skyline",
     "is_dominated_by_any",
-    "is_dominated_by_any_block",
     "mbr_lower_bound_vector",
     "sfs_skyline_block",
     "sfs_skyline_progressive",

@@ -77,13 +77,6 @@ def is_dominated_by_any(vector: Vector, others: Iterable[Vector]) -> bool:
     return any(dominates(other, vector) for other in others)
 
 
-def is_dominated_by_any_block(
-    block, count: int, width: int, vector: Vector, offset: int = 0
-) -> bool:
-    """Block form of :func:`is_dominated_by_any` over a flat buffer."""
-    return kernels.is_dominated_by_any_block(block, count, width, vector, offset)
-
-
 def skyline_of(vectors: Sequence[Vector]) -> list[int]:
     """Indices of the skyline members of ``vectors`` (ascending).
 

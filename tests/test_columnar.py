@@ -14,13 +14,7 @@ from array import array
 import pytest
 
 from repro.columnar.curve import hilbert_index
-from repro.columnar.kernels import (
-    block_skyline,
-    dominates_flat,
-    is_covered_by_any_block,
-    is_dominated_by_any_block,
-    is_dominated_by_any_block_lb,
-)
+from repro.columnar.kernels import block_skyline, dominates_flat
 from repro.columnar.store import (
     CandidateBlock,
     SkylineBlock,
@@ -94,26 +88,28 @@ def test_membership_kernels_match_scalar(seed):
     rng = random.Random(seed)
     width = 4
     vectors = _random_vectors(rng, 40, width, quantize=5)
-    table = VectorTable.from_vectors(vectors)
+    sky = SkylineBlock(width)
+    sky.rebuild(vectors)
     probes = _random_vectors(rng, 60, width, quantize=5) + vectors[:10]
     for probe in probes:
-        assert is_dominated_by_any_block(
-            table.data, len(table), width, probe
-        ) == is_dominated_by_any(probe, vectors)
-        assert is_dominated_by_any_block_lb(
-            table.data, len(table), width, probe
-        ) == any(dominates_lower_bounds(v, probe) for v in vectors)
-        assert is_covered_by_any_block(
-            table.data, len(table), width, probe
-        ) == any(dominates_or_equal(probe, v) for v in vectors)
+        assert sky.dominates(probe) == is_dominated_by_any(probe, vectors)
+        assert sky.dominates_lb(probe) == any(
+            dominates_lower_bounds(v, probe) for v in vectors
+        )
+        assert sky.covers(probe) == any(
+            dominates_or_equal(probe, v) for v in vectors
+        )
 
 
 def test_membership_kernel_offset_reads_one_row_of_a_buffer():
-    table = VectorTable.from_vectors([(0.5, 0.5)])
+    sky = SkylineBlock(2)
+    sky.append((0.5, 0.5))
     probes = array("d", [9.0, 9.0, 1.0, 1.0])
-    assert is_dominated_by_any_block(table.data, 1, 2, probes, offset=2)
-    assert is_dominated_by_any_block(table.data, 1, 2, probes, offset=0)
-    assert not is_dominated_by_any_block(table.data, 1, 2, table.data)
+    assert sky.dominates(probes, offset=2)
+    assert sky.dominates(probes, offset=0)
+    assert not sky.dominates(sky.table.data)
+    assert sky.covers(array("d", [9.0, 0.5, 0.5]), offset=1)
+    assert not sky.covers(probes, offset=0)
 
 
 def test_dominates_flat_ties_and_equality():
