@@ -124,14 +124,19 @@ class SkylineBlock:
     ``offset``), which lets hot loops test scratch buffers without
     materialising tuples, and charge ``dominance_checks`` exactly what a
     front-to-back scan of the rows would have examined.
+
+    ``version`` counts the appends and rebuilds, so a caller holding a
+    verdict can tell whether the set has changed since (the length
+    cannot: an eviction plus an append leaves it unchanged).
     """
 
-    __slots__ = ("table", "values", "masks")
+    __slots__ = ("table", "values", "masks", "version")
 
     def __init__(self, width: int) -> None:
         self.table = VectorTable(width)
         self.values: list[list[float]] = [[] for _ in range(width)]
         self.masks: list[list[int]] = [[0] for _ in range(width)]
+        self.version = 0
 
     def __len__(self) -> int:
         return len(self.table)
@@ -143,10 +148,12 @@ class SkylineBlock:
         for vector in vectors:
             table.append(vector)
         index_build(self.values, self.masks, table.data, len(table))
+        self.version += 1
 
     def append(self, vector: Sequence[float]) -> None:
         self.table.append(vector)
         index_append(self.values, self.masks, vector)
+        self.version += 1
 
     def dominates(self, vector, offset: int = 0) -> bool:
         """Does any confirmed vector dominate ``vector``? (exact)"""

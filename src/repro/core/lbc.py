@@ -21,7 +21,9 @@ Step 1 — next network NN of ``q``:
        holding them in a buffer (a min-heap on network distance) until
        the cheapest buffered network distance is no larger than the
        next Euclidean distance — then that buffered object is the true
-       next network NN.
+       next network NN.  The stream is read one object ahead (its
+       Euclidean distance drives that test), so an object pulled before
+       a confirmation is pruned again before its ``dN`` is computed.
 
 Step 2 — resolve the network NN ``p``:
   maintain ``bounds = (dN(q,p), plb(q2,p), …, plb(qn,p), attrs…)``,
@@ -51,7 +53,7 @@ from __future__ import annotations
 
 import heapq
 from array import array
-from typing import Iterator
+from typing import Callable, Iterator
 
 from repro.columnar.store import SkylineBlock
 from repro.core.base import SkylineAlgorithm, _ResponseTimer, confirm_skyline_point
@@ -59,7 +61,6 @@ from repro.core.query import Workspace
 from repro.core.result import SkylinePoint
 from repro.core.stats import QueryStats
 from repro.geometry.mbr import MBR
-from repro.geometry.point import Point
 from repro.network.astar import AStarExpander
 from repro.network.graph import NetworkLocation
 from repro.network.objects import SpatialObject
@@ -159,23 +160,24 @@ class LowerBoundConstraint(SkylineAlgorithm):
         in a heap until provably the closest remaining.  Ties pop in
         object-id order.
         """
-        euclid_stream = _euclidean_stream(workspace, queries, source.point, sky)
+        prune = _lower_bound_prune(workspace, queries, sky)
+        euclid_stream = workspace.object_rtree.nearest(source.point, prune)
 
         # Min-heap of (network distance, object id, object): ids are
         # unique, so the object itself is never compared.
         buffered: list[tuple[float, int, SpatialObject]] = []
         stream_done = False
-        next_euclid: tuple[float, SpatialObject] | None = None
+        next_euclid: tuple[float, MBR, SpatialObject] | None = None
+        pulled_at = sky.version
 
         def pull() -> None:
-            nonlocal stream_done, next_euclid
+            nonlocal stream_done, next_euclid, pulled_at
             try:
-                dist, _, payload = next(euclid_stream)
+                next_euclid = next(euclid_stream)
             except StopIteration:
                 stream_done = True
                 next_euclid = None
-            else:
-                next_euclid = (dist, payload)
+            pulled_at = sky.version
 
         pull()
         while True:
@@ -183,9 +185,14 @@ class LowerBoundConstraint(SkylineAlgorithm):
             # next network NN (step 1.2's termination test).
             while not stream_done:
                 assert next_euclid is not None
-                euclid_dist, candidate = next_euclid
+                euclid_dist, mbr, candidate = next_euclid
                 if buffered and buffered[0][0] <= euclid_dist:
                     break
+                # The stream pruned the candidate when it was pulled;
+                # points confirmed while it waited may dominate it now.
+                if sky.version != pulled_at and prune(mbr, candidate):
+                    pull()
+                    continue
                 with tracing.span("lbc.stream"):
                     network_dist = self._engine.distance_via(
                         source, candidate.location, source_expander
@@ -347,7 +354,8 @@ class LowerBoundConstraintLazy(LowerBoundConstraint):
 
         source_point = source.point
         sky = SkylineBlock(len(queries) + workspace.attribute_count)
-        for _, _, p in _euclidean_stream(workspace, queries, source_point, sky):
+        prune = _lower_bound_prune(workspace, queries, sky)
+        for _, _, p in workspace.object_rtree.nearest(source_point, prune):
             stats.candidate_count += 1
             vector = self._resolve_candidate(
                 p,
@@ -366,22 +374,21 @@ class LowerBoundConstraintLazy(LowerBoundConstraint):
         return skyline
 
 
-def _euclidean_stream(
+def _lower_bound_prune(
     workspace: Workspace,
     queries: list[NetworkLocation],
-    source_point: Point,
     sky: SkylineBlock,
-) -> Iterator[tuple[float, MBR, SpatialObject]]:
-    """Euclidean NNs of ``source_point`` from the object R-tree (step 1.1).
+) -> Callable[[MBR, SpatialObject | None], bool]:
+    """Step 1.1's R-tree prune against the *live* ``sky`` block.
 
-    Entries whose Euclidean lower-bound vector the *live* ``sky`` block
-    dominates are pruned, subtrees included; the caller updates
-    ``sky`` in place as points are confirmed.
+    True for an entry whose Euclidean lower-bound vector ``sky``
+    dominates, subtrees included; the caller updates ``sky`` in place
+    as points are confirmed, so the prune grows stronger over time.
     """
     all_query_points = [q.point for q in queries]
     attribute_count = workspace.attribute_count
 
-    def prune(mbr, payload) -> bool:
+    def prune(mbr: MBR, payload: SpatialObject | None) -> bool:
         if payload is None:
             bounds = mbr_lower_bound_vector(mbr, all_query_points, attribute_count)
         else:
@@ -390,6 +397,4 @@ def _euclidean_stream(
             ) + payload.attributes
         return sky.dominates_lb(bounds)
 
-    return workspace.object_rtree.best_first(
-        key=lambda mbr, _payload: mbr.mindist(source_point), prune=prune
-    )
+    return prune

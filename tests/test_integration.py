@@ -99,8 +99,12 @@ class TestSection5Claims:
             stats[algorithm.name] = algorithm.run(workspace, queries).stats
         return stats
 
-    @pytest.mark.parametrize("seed", [21, 22, 23])
+    @pytest.mark.parametrize("seed", range(21, 41))
     def test_lbc_candidates_within_edc(self, seed):
+        """C(LBC) ⊆ C(EDC), compared by size.  Seeds 21 and 22 take every
+        object on both sides; 25, 27, 32 and 33 exceed EDC when LBC
+        computes dN for an object a point confirmed while it waited in
+        the Euclidean stream already dominates."""
         stats = self._run_all(seed)
         assert stats["LBC"].candidate_count <= stats["EDC"].candidate_count
 
