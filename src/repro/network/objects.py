@@ -59,13 +59,16 @@ class ObjectSet:
     def _add(self, obj: SpatialObject) -> None:
         if obj.object_id in self._by_id:
             raise ValueError(f"duplicate object id {obj.object_id}")
-        if any(a < 0 for a in obj.attributes):
+        if not all(a >= 0 for a in obj.attributes):
             # Zero pads the MBR lower-bound vectors used for subtree
             # pruning; negative attribute domains would break that.
             # Shift such attributes to a non-negative range upstream.
+            # NaN fails the test too: it has no place in the ascending
+            # order the dominance index keeps per dimension.
             raise ValueError(
-                f"object {obj.object_id} has a negative attribute; "
-                "attributes must be non-negative (minimisation convention)"
+                f"object {obj.object_id} has attributes {obj.attributes}; "
+                "attributes must be non-negative numbers, not NaN "
+                "(minimisation convention)"
             )
         loc = obj.location
         if loc.edge_id is not None:

@@ -53,6 +53,14 @@ class TestAddObject:
         with pytest.raises(ValueError):
             workspace.add_object(object_on_edge(network, 9000, attrs=()))
 
+    def test_nan_attribute_rejected(self):
+        network, workspace = fresh_workspace(1023, paged=False, attribute_count=1)
+        before = len(workspace.objects)
+        with pytest.raises(ValueError, match="object 9000 has attributes"):
+            workspace.add_object(object_on_edge(network, 9000, attrs=(float("nan"),)))
+        assert len(workspace.objects) == before
+        assert 9000 not in workspace.objects
+
     def test_counts_update(self):
         network, workspace = fresh_workspace(1031, paged=False)
         before = len(workspace.objects)

@@ -12,6 +12,8 @@ from repro.storage import NodePager
 
 from conftest import build_random_network, place_random_objects
 
+NAN = float("nan")
+
 
 def object_on(network, edge_index, fraction, object_id=0, attributes=()):
     edge = list(network.edges())[edge_index]
@@ -37,6 +39,11 @@ class TestObjectSet:
     def test_negative_attribute_rejected(self, tiny_network):
         obj = object_on(tiny_network, 0, 0.5, attributes=(-1.0,))
         with pytest.raises(ValueError):
+            ObjectSet.build(tiny_network, [obj])
+
+    def test_nan_attribute_rejected(self, tiny_network):
+        obj = object_on(tiny_network, 0, 0.5, object_id=7, attributes=(1.0, NAN))
+        with pytest.raises(ValueError, match="object 7 has attributes"):
             ObjectSet.build(tiny_network, [obj])
 
     def test_on_edge_index(self, tiny_network):
