@@ -27,14 +27,7 @@ Modules
 """
 
 from repro.columnar.curve import hilbert_index
-from repro.columnar.kernels import (
-    block_skyline,
-    dominates_flat,
-    index_append,
-    index_build,
-    index_covers,
-    index_dominates,
-)
+from repro.columnar.kernels import block_skyline, dominates_flat
 from repro.columnar.store import (
     CandidateBlock,
     SkylineBlock,
@@ -48,8 +41,4 @@ __all__ = [
     "block_skyline",
     "dominates_flat",
     "hilbert_index",
-    "index_append",
-    "index_build",
-    "index_covers",
-    "index_dominates",
 ]
