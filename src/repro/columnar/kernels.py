@@ -93,7 +93,7 @@ def _index_column(column) -> tuple[list[float], list[int]]:
     return [column[row] for row in order], masks
 
 
-def index_append(values: list, masks: list, vector, offset: int = 0) -> None:
+def index_append(values: list, masks: list, vector) -> None:
     """Add ``vector`` to the index as the next row, in place.
 
     Per dimension: one insertion into the sorted column, then the new
@@ -103,7 +103,7 @@ def index_append(values: list, masks: list, vector, offset: int = 0) -> None:
     width = len(values)
     d = 0
     while d < width:
-        value = vector[offset + d]
+        value = vector[d]
         column = values[d]
         prefix = masks[d]
         k = bisect_right(column, value)
