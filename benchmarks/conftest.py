@@ -6,16 +6,24 @@ measured run starts with a cold buffer via ``reset_io``.
 
 The benchmark scale defaults to the experiment default (10 % of the
 paper's node counts).  Set ``REPRO_BENCH_SCALE`` to change it.
+
+The scalar references the counter gates measure against live in
+``tests/`` (one copy); that directory goes on ``sys.path`` here so
+benchmark modules import them as the tests do.
 """
 
 from __future__ import annotations
 
 import os
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.core import Workspace
 from repro.datasets import build_preset, extract_objects, select_query_points
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
 BENCH_SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "0.10"))
 BENCH_BUFFER = 256 * 1024  # pressure-matched to the paper's 1 MiB (see DESIGN.md)

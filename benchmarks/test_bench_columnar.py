@@ -1,9 +1,10 @@
 """Counter gates for the columnar dominance hot path.
 
 Wall time is hardware-noisy, so the gates that must hold everywhere are
-deterministic: the block kernel answers the same skyline with a small
+deterministic: :meth:`CandidateBlock.skyline` (EDC's refine step)
+answers the same skyline as the scalar SFS reference with a small
 fraction of the interpreter-level operations (function/builtin calls
-counted by ``sys.setprofile``) the scalar SFS path spends, and a
+counted by ``sys.setprofile``) the scalar path spends, and a
 :class:`SkylineBlock` probe executes no more bytecodes against a
 1,024-row block than against an 8-row one (counted by ``sys.settrace``
 with ``f_trace_opcodes``).  Timing is reported as extra info but never
@@ -16,8 +17,9 @@ import random
 import sys
 import time
 
-from repro.columnar.store import SkylineBlock, VectorTable
-from repro.skyline.sfs import sfs_skyline_block, sfs_skyline_progressive
+from repro.columnar.store import CandidateBlock, SkylineBlock
+
+from reference_dominance import sfs_skyline_progressive
 
 
 def _profiled(fn):
@@ -44,14 +46,14 @@ class TestDominanceKernelOps:
         vectors = [
             tuple(rng.randrange(16) / 16 for _ in range(5)) for _ in range(600)
         ]
-        table = VectorTable.from_vectors(vectors)
+        candidates = CandidateBlock(5)
+        for object_id, vector in enumerate(vectors):
+            candidates.add(object_id, vector)
 
         scalar, scalar_events, scalar_s = _profiled(
             lambda: list(sfs_skyline_progressive(vectors, None))
         )
-        block, block_events, block_s = _profiled(
-            lambda: sfs_skyline_block(table)
-        )
+        block, block_events, block_s = _profiled(candidates.skyline)
 
         # Bit-identical answer, in the same confirmation order.
         assert block == scalar

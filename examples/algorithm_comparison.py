@@ -14,16 +14,15 @@ Run with::
 import sys
 
 from repro import CE, EDC, LBC, NaiveSkyline, Workspace, build_preset, extract_objects
-from repro.datasets import estimate_delta, select_query_points
+from repro.datasets import select_query_points
 
 
 def main() -> None:
     preset = sys.argv[1].upper() if len(sys.argv) > 1 else "AU"
     network = build_preset(preset)
-    delta = estimate_delta(network, sources=4, targets_per_source=30)
     print(
         f"network {preset}: {network.node_count} junctions, "
-        f"{network.edge_count} edges, delta (dN/dE) = {delta:.2f}"
+        f"{network.edge_count} edges"
     )
 
     objects = extract_objects(network, omega=0.50, seed=1)

@@ -40,7 +40,6 @@ from repro.datasets import (
     build_preset,
     delaunay_road_network,
     extract_objects,
-    grid_network,
     select_query_points,
 )
 from repro.engine import BACKEND_NAMES, DistanceEngine
@@ -50,7 +49,6 @@ from repro.network import (
     ObjectSet,
     RoadNetwork,
     SpatialObject,
-    network_distance,
 )
 
 __version__ = "1.0.0"
@@ -80,8 +78,6 @@ __all__ = [
     "build_preset",
     "delaunay_road_network",
     "extract_objects",
-    "grid_network",
-    "network_distance",
     "select_query_points",
     "__version__",
 ]

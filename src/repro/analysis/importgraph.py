@@ -42,10 +42,9 @@ LAYERS: dict[str, int] = {
     "core": 7,
     "datasets": 8,
     "service": 9,
-    "viz": 10,
-    "analysis": 11,
-    "bench": 11,  # drives core, datasets and service; only the CLI is above
-    "cli": 12,
+    "analysis": 10,
+    "bench": 10,  # drives core, datasets and service; only the CLI is above
+    "cli": 11,
 }
 
 #: Foundation packages: no imports from any sibling repro package.
@@ -73,7 +72,7 @@ class ArchLayerViolation(Rule):
         "import from a package at an equal or higher layer rank; the "
         "package DAG is obs/concurrency < insight/geometry < "
         "columnar/storage < index < network < skyline/oracle < engine "
-        "< core < datasets < service < viz < analysis/bench < cli"
+        "< core < datasets < service < analysis/bench < cli"
     )
 
     def check(self, info: ModuleInfo) -> Iterator[Finding]:

@@ -7,7 +7,7 @@ Installed as the ``repro`` console script (also runnable as
   write it, optionally with an extracted object set;
 * ``info``       — structural statistics of a network file;
 * ``query``      — run a multi-source skyline query over network/object
-  files, print the answer table, optionally render an SVG;
+  files and print the answer table;
 * ``trace``      — run one query with tracing on and print its span
   tree (per-phase timings, page reads, settled nodes); ``--last``
   renders the most recent exported trace or flight record from a
@@ -15,7 +15,6 @@ Installed as the ``repro`` console script (also runnable as
 * ``blackbox``   — render a flight-record dump (recent completed
   traces, in-flight span trees, thread stacks) written by the
   service's flight recorder (:mod:`repro.obs.recorder`);
-* ``route``      — shortest path between two junctions;
 * ``oracle``     — ``build`` a contraction-hierarchy / hub-label
   distance oracle for a network file, ``verify`` one against online
   Dijkstra on sampled pairs (:mod:`repro.oracle`);
@@ -48,7 +47,6 @@ from repro.core import ALGORITHMS, Workspace
 from repro.datasets import (
     build_preset,
     delaunay_road_network,
-    estimate_delta,
     extract_objects,
     load_network,
     load_objects,
@@ -79,7 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     info = sub.add_parser("info", help="statistics of a network file")
     info.add_argument("network")
-    info.add_argument("--delta", action="store_true", help="estimate δ (slow)")
 
     query = sub.add_parser("query", help="run a skyline query")
     query.add_argument("network")
@@ -106,7 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="attach a prebuilt distance-oracle index file "
         "(see `repro oracle build`)",
     )
-    query.add_argument("--svg", help="write a picture of the result")
     query.add_argument("--json", help="write the result as JSON here")
     query.add_argument(
         "--stats", action="store_true", help="print cost statistics"
@@ -170,11 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-threads", action="store_true",
         help="omit the per-thread stack section",
     )
-
-    route = sub.add_parser("route", help="shortest path between junctions")
-    route.add_argument("network")
-    route.add_argument("origin", type=int)
-    route.add_argument("destination", type=int)
 
     oracle = sub.add_parser(
         "oracle", help="build / verify preprocessed distance oracles"
@@ -272,10 +263,6 @@ def _cmd_info(args) -> int:
     print(f"total length:   {network.total_length():.3f}")
     print(f"density:        {network_density(network):.2f}")
     print(f"connected:      {network.is_connected()}")
-    print(f"detour factor:  {network.average_detour_factor():.3f}")
-    if args.delta:
-        delta = estimate_delta(network, sources=6, targets_per_source=40)
-        print(f"delta (dN/dE):  {delta:.3f}")
     return 0
 
 
@@ -342,11 +329,6 @@ def _cmd_query(args) -> int:
                 f"label_entries={s.oracle_label_entries} "
                 f"fallbacks={s.oracle_fallbacks}"
             )
-    if args.svg:
-        from repro.viz import render_query, save_svg
-
-        save_svg(render_query(workspace, queries, result), args.svg)
-        print(f"wrote {args.svg}")
     if args.json:
         import json
 
@@ -516,29 +498,6 @@ def _cmd_blackbox(args) -> int:
     return 0
 
 
-def _cmd_route(args) -> int:
-    from repro.network import route_to
-
-    network = load_network(args.network)
-    for node in (args.origin, args.destination):
-        if not network.has_node(node):
-            print(f"error: unknown junction id {node}", file=sys.stderr)
-            return 2
-    try:
-        distance, route = route_to(
-            network,
-            network.location_at_node(args.origin),
-            network.location_at_node(args.destination),
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    junctions = [str(loc.node_id) for loc in route if loc.node_id is not None]
-    print(" -> ".join(junctions))
-    print(f"distance: {distance:.4f}")
-    return 0
-
-
 def _cmd_serve(args) -> int:
     from repro.service.http import run_serve
 
@@ -658,7 +617,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "query": _cmd_query,
         "trace": _cmd_trace,
         "blackbox": _cmd_blackbox,
-        "route": _cmd_route,
         "oracle": _cmd_oracle,
         "serve": _cmd_serve,
         "bench": _cmd_bench,

@@ -9,7 +9,7 @@ construction (no tuples, lists or dataclass instances per row); the
 Dominance uses the paper's minimisation convention: ``a`` dominates
 ``b`` when ``a <= b`` in every dimension and ``a < b`` in at least one.
 The same arithmetic is also the *lower-bound* test (see
-:func:`repro.skyline.dominance.dominates_lower_bounds`); callers state
+:mod:`repro.skyline.dominance`); callers state
 which one they mean by the method they call on
 :class:`~repro.columnar.store.SkylineBlock`.
 
@@ -126,7 +126,7 @@ def index_dominates(values: list, masks: list, vector, offset: int = 0) -> bool:
     the dominators are in every first set and in some second set.  Also
     the lower-bound test (same arithmetic; the caller supplies bounds
     and interprets the verdict soundly, see
-    :func:`repro.skyline.dominance.dominates_lower_bounds`).
+    :mod:`repro.skyline.dominance`).
     """
     below = -1
     strict = 0
@@ -185,7 +185,7 @@ def block_skyline(block, count: int, width: int) -> list[int]:
     confirmed set only, and equal-sum groups get exact pairwise checks
     so float-rounding sum ties cannot admit a dominated row (see the
     module docstring).  Output order equals the scalar SFS order; sort
-    ascending for :func:`repro.skyline.dominance.skyline_of` semantics.
+    it to list the skyline rows in input order.
     """
     if count <= 0:
         return []

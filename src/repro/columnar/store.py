@@ -42,18 +42,6 @@ class VectorTable:
                 f"width {width}"
             )
 
-    @classmethod
-    def from_vectors(cls, vectors: Iterable[Sequence[float]]) -> "VectorTable":
-        """Build a table from same-width vectors (width inferred)."""
-        table: VectorTable | None = None
-        for vector in vectors:
-            if table is None:
-                table = cls(len(vector))
-            table.append(vector)
-        if table is None:
-            raise ValueError("cannot infer width from zero vectors")
-        return table
-
     def __len__(self) -> int:
         return len(self.data) // self.width
 

@@ -392,7 +392,7 @@ class Workspace:
                         f"fit the new length {length} of edge {edge_id}"
                     )
             # Run the network's own checks (chord rule, polyline,
-            # positivity) before touching any object state: a rejection
+            # positive finite length) before touching any object state: a rejection
             # must leave the workspace untouched, not with `affected`
             # already deregistered.
             self.network.validate_edge_length(edge_id, length)

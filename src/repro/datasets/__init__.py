@@ -1,6 +1,5 @@
 """Workload generation: networks, objects, query points, presets."""
 
-from repro.datasets.dimacs import DimacsFormatError, load_dimacs
 from repro.datasets.io import (
     NetworkFormatError,
     load_network,
@@ -11,8 +10,6 @@ from repro.datasets.io import (
 from repro.datasets.generators import (
     REGION_SIDE,
     delaunay_road_network,
-    estimate_delta,
-    grid_network,
     network_density,
 )
 from repro.datasets.objects import (
@@ -46,9 +43,7 @@ __all__ = [
     "PRESETS",
     "REGION_SIDE",
     "AttributeSpec",
-    "DimacsFormatError",
     "NetworkFormatError",
-    "load_dimacs",
     "load_network",
     "load_objects",
     "save_network",
@@ -56,10 +51,8 @@ __all__ = [
     "NetworkPreset",
     "build_preset",
     "delaunay_road_network",
-    "estimate_delta",
     "extract_n_objects",
     "extract_objects",
-    "grid_network",
     "network_density",
     "select_query_points",
     "select_query_points_on_edges",

@@ -14,80 +14,21 @@ actually exercise:
   edge count — no artificial length inflation is needed, though a mild
   per-edge detour factor is supported to model curved roads.
 
-Two families:
-
-* :func:`grid_network` — regular grids with perturbation; predictable,
-  ideal for unit tests;
-* :func:`delaunay_road_network` — the experiment workhorse: random
-  sites, Delaunay triangulation, MST-plus-shortest-extras thinning,
-  optional multi-patch site distribution (the paper's NA dataset is
-  "merged from multiple originally separated road networks").
+:func:`delaunay_road_network` is the experiment workhorse: random
+sites, Delaunay triangulation, MST-plus-shortest-extras thinning,
+optional multi-patch site distribution (the paper's NA dataset is
+"merged from multiple originally separated road networks").
 """
 
 from __future__ import annotations
 
-import math
 import random
-from typing import Sequence
 
 from repro.geometry.point import Point
 from repro.network.graph import RoadNetwork
 
 REGION_SIDE = 1.0
 """All generated networks live in a unit (1 km x 1 km) region."""
-
-
-def grid_network(
-    rows: int,
-    cols: int,
-    jitter: float = 0.0,
-    detour: float = 1.0,
-    drop_fraction: float = 0.0,
-    seed: int = 0,
-    region_side: float = REGION_SIDE,
-) -> RoadNetwork:
-    """A rows x cols grid with optional jitter, detours and edge drops.
-
-    ``jitter`` displaces nodes by up to that fraction of the cell size;
-    ``detour`` multiplies every edge length (>= 1); ``drop_fraction``
-    removes that share of edges, skipping removals that would
-    disconnect the grid (checked cheaply by keeping a spanning set).
-    """
-    if rows < 2 or cols < 2:
-        raise ValueError("grid needs at least 2x2 nodes")
-    if detour < 1.0:
-        raise ValueError(f"detour factor must be >= 1, got {detour}")
-    rng = random.Random(seed)
-    network = RoadNetwork()
-    dx = region_side / (cols - 1)
-    dy = region_side / (rows - 1)
-
-    def node_id(r: int, c: int) -> int:
-        return r * cols + c
-
-    for r in range(rows):
-        for c in range(cols):
-            jx = rng.uniform(-jitter, jitter) * dx if jitter else 0.0
-            jy = rng.uniform(-jitter, jitter) * dy if jitter else 0.0
-            network.add_node(node_id(r, c), Point(c * dx + jx, r * dy + jy))
-
-    candidate_edges: list[tuple[int, int]] = []
-    for r in range(rows):
-        for c in range(cols):
-            if c + 1 < cols:
-                candidate_edges.append((node_id(r, c), node_id(r, c + 1)))
-            if r + 1 < rows:
-                candidate_edges.append((node_id(r, c), node_id(r + 1, c)))
-
-    keep: list[tuple[int, int]] = candidate_edges
-    if drop_fraction > 0.0:
-        keep = _drop_edges_keeping_connected(
-            candidate_edges, rows * cols, drop_fraction, rng
-        )
-    for u, v in keep:
-        chord = network.node_point(u).distance_to(network.node_point(v))
-        network.add_edge(u, v, length=chord * detour)
-    return network
 
 
 def delaunay_road_network(
@@ -232,86 +173,6 @@ def _generate_sites(
     return sites
 
 
-def _drop_edges_keeping_connected(
-    edges: Sequence[tuple[int, int]],
-    node_count: int,
-    drop_fraction: float,
-    rng: random.Random,
-) -> list[tuple[int, int]]:
-    """Remove ~drop_fraction of edges without disconnecting the graph.
-
-    A randomly grown spanning set is protected; only non-protected
-    edges are eligible for removal.
-    """
-    if not 0.0 <= drop_fraction < 1.0:
-        raise ValueError(f"drop_fraction must be in [0, 1), got {drop_fraction}")
-    shuffled = list(edges)
-    rng.shuffle(shuffled)
-    parent = list(range(node_count))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    protected: set[tuple[int, int]] = set()
-    removable: list[tuple[int, int]] = []
-    for edge in shuffled:
-        ra, rb = find(edge[0]), find(edge[1])
-        if ra != rb:
-            parent[ra] = rb
-            protected.add(edge)
-        else:
-            removable.append(edge)
-    to_drop = min(len(removable), int(round(drop_fraction * len(edges))))
-    dropped = set(removable[:to_drop])
-    return [e for e in edges if e not in dropped]
-
-
 def network_density(network: RoadNetwork, region_side: float = REGION_SIDE) -> float:
     """Total road length per unit area — the paper's density notion."""
     return network.total_length() / (region_side * region_side)
-
-
-def estimate_delta(
-    network: RoadNetwork,
-    sources: int = 8,
-    targets_per_source: int = 40,
-    seed: int = 0,
-) -> float:
-    """Sampled average δ = dN / dE over random connected node pairs.
-
-    The statistic Section 5 reasons about: large in sparse networks,
-    approaching 1 as density grows.  One full Dijkstra per sampled
-    source covers all of that source's target samples; wavefronts come
-    from a throwaway :class:`~repro.engine.DistanceEngine` so this
-    module respects the construction discipline (and repeated sources,
-    if sampled, reuse their expansion).
-    """
-    from repro.engine import DistanceEngine
-
-    rng = random.Random(seed)
-    node_ids = list(network.node_ids())
-    if len(node_ids) < 2:
-        return 1.0
-    engine = DistanceEngine(network)
-    total = 0.0
-    count = 0
-    for source in rng.sample(node_ids, min(sources, len(node_ids))):
-        expander = engine.expander(network.location_at_node(source))
-        while expander.expand_next() is not None:
-            pass
-        reachable = [v for v in expander.settled if v != source]
-        if not reachable:
-            continue
-        sample = rng.sample(reachable, min(targets_per_source, len(reachable)))
-        source_point = network.node_point(source)
-        for target in sample:
-            euclid = source_point.distance_to(network.node_point(target))
-            dist = expander.settled[target]
-            if euclid > 0.0 and math.isfinite(dist):
-                total += dist / euclid
-                count += 1
-    return total / count if count else 1.0
-

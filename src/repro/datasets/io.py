@@ -43,7 +43,18 @@ def _content_lines(handle: TextIO) -> Iterable[tuple[int, list[str]]]:
 
 
 def save_network(network: RoadNetwork, path: str | Path) -> None:
-    """Write a network in the text format described above."""
+    """Write a network in the text format described above.
+
+    The format has no polyline record, so a network with an edge that
+    carries polyline geometry is refused before anything is written:
+    its on-edge points would not survive the round trip.
+    """
+    for edge in network.edges():
+        if edge.geometry is not None:
+            raise ValueError(
+                f"edge {edge.edge_id} carries polyline geometry, which the "
+                "network file format cannot store"
+            )
     path = Path(path)
     with path.open("w") as handle:
         handle.write("# road network: nodes then edges\n")

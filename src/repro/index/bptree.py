@@ -349,9 +349,6 @@ class BPlusTree(Generic[K, V]):
                 pager.register(id(node))
         return tree
 
-    # ------------------------------------------------------------------
-    # Invariant checking (used by property tests)
-    # ------------------------------------------------------------------
     def _walk_nodes(self) -> Iterator[_Node]:
         stack: list[_Node] = [self._root]
         while stack:
@@ -359,51 +356,6 @@ class BPlusTree(Generic[K, V]):
             yield node
             if isinstance(node, _Internal):
                 stack.extend(node.children)
-
-    def validate(self) -> None:
-        """Assert structural invariants, raising AssertionError on breach."""
-        leaf_depths: set[int] = set()
-
-        def recurse(node: _Node, depth: int, low: Any, high: Any) -> None:
-            if node is not self._root and len(node.keys) > self._order:
-                raise AssertionError("node overflow escaped splitting")
-            if node.keys != sorted(node.keys):
-                raise AssertionError(f"unsorted keys in node: {node.keys}")
-            for key in node.keys:
-                if low is not None and key < low:
-                    raise AssertionError(f"key {key!r} below separator {low!r}")
-                if high is not None and key >= high and isinstance(node, _Internal):
-                    raise AssertionError(f"separator {key!r} >= bound {high!r}")
-                if high is not None and key > high and isinstance(node, _Leaf):
-                    raise AssertionError(f"leaf key {key!r} above bound {high!r}")
-            if isinstance(node, _Internal):
-                if len(node.children) != len(node.keys) + 1:
-                    raise AssertionError("internal child/key count mismatch")
-                bounds = [low, *node.keys, high]
-                for i, child in enumerate(node.children):
-                    recurse(child, depth + 1, bounds[i], bounds[i + 1])
-            else:
-                assert isinstance(node, _Leaf)
-                if len(node.buckets) != len(node.keys):
-                    raise AssertionError("leaf bucket/key count mismatch")
-                leaf_depths.add(depth)
-
-        recurse(self._root, 0, None, None)
-        if len(leaf_depths) > 1:
-            raise AssertionError(f"leaves at different depths: {leaf_depths}")
-        # Leaf chain must visit every key exactly once, in order.
-        chained = [key for key, _ in self.items()]
-        deduped: list[Any] = []
-        for key in chained:
-            if not deduped or deduped[-1] != key:
-                deduped.append(key)
-        if len(deduped) != self._key_count:
-            raise AssertionError(
-                f"leaf chain has {len(deduped)} distinct keys, "
-                f"expected {self._key_count}"
-            )
-        if deduped != sorted(deduped):
-            raise AssertionError("leaf chain out of order")
 
 
 def _bisect_left(keys: list[Any], key: Any) -> int:

@@ -183,16 +183,3 @@ class AddressableHeap(Generic[T]):
     def clear(self) -> None:
         self._entries.clear()
         self._live.clear()
-
-    def validate(self) -> None:
-        """Assert the heap invariant; used by property tests."""
-        entries = self._entries
-        for i in range(1, len(entries)):
-            parent = (i - 1) >> 1
-            p, c = entries[parent], entries[i]
-            if (p[0], p[1]) > (c[0], c[1]):
-                raise AssertionError(f"heap violated at {i}: {p} > {c}")
-        listed = {id(entry) for entry in entries}
-        for item, entry in self._live.items():
-            if entry[2] != item or id(entry) not in listed:
-                raise AssertionError(f"live entry lost for {item!r}")

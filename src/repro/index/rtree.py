@@ -336,7 +336,7 @@ class RTree:
                 tile.sort(key=lambda e: (e[0].center.y, e[0].center.x))
                 groups = [tile[t : t + fill] for t in range(0, len(tile), fill)]
                 # Rebalance a short trailing group so every non-root node
-                # meets the minimum fill required by validate().
+                # meets the tree's minimum fill.
                 if len(groups) >= 2 and len(groups[-1]) < tree._min:
                     deficit = tree._min - len(groups[-1])
                     groups[-1] = groups[-2][-deficit:] + groups[-1]
@@ -467,40 +467,3 @@ class RTree:
     ) -> Iterator[tuple[float, MBR, Any]]:
         """Incremental nearest-neighbour stream ordered by ``mindist``."""
         return self.best_first(lambda mbr, _payload: mbr.mindist(point), prune)
-
-    # ------------------------------------------------------------------
-    # Invariant checking (used by property tests)
-    # ------------------------------------------------------------------
-    def validate(self) -> None:
-        """Assert structural invariants, raising AssertionError on breach."""
-        leaf_depths: set[int] = set()
-        seen = 0
-
-        def recurse(node: _RTreeNode, depth: int) -> None:
-            nonlocal seen
-            entry_count = len(node.entries)
-            if node is not self._root and not self._min <= entry_count <= self._max:
-                raise AssertionError(
-                    f"node fill {len(node.entries)} outside "
-                    f"[{self._min}, {self._max}]"
-                )
-            if node is self._root and len(node.entries) > self._max:
-                raise AssertionError("root overflow escaped splitting")
-            if node.is_leaf:
-                leaf_depths.add(depth)
-                seen += len(node.entries)
-                return
-            for rect, child in node.entries:
-                if not isinstance(child, _RTreeNode):
-                    raise AssertionError("internal entry without child node")
-                if not rect.contains(child.mbr()):
-                    raise AssertionError(
-                        f"parent MBR {rect} does not contain child {child.mbr()}"
-                    )
-                recurse(child, depth + 1)
-
-        recurse(self._root, 0)
-        if len(leaf_depths) > 1:
-            raise AssertionError(f"leaves at different depths: {leaf_depths}")
-        if seen != self._size:
-            raise AssertionError(f"entry count {seen} != recorded size {self._size}")

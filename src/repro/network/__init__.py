@@ -26,16 +26,7 @@ from repro.network.middle_layer import (
     ObjectPlacement,
 )
 from repro.network.objects import ObjectSet, SpatialObject
-from repro.network.shortest_path import (
-    distance_matrix,
-    k_nearest_objects,
-    network_distance,
-    network_distances,
-    route_to,
-    shortest_path_nodes,
-    to_networkx,
-)
-from repro.network.storage import NetworkStore, clustering_quality, hilbert_index
+from repro.network.storage import NetworkStore, hilbert_index
 
 __all__ = [
     "AStarExpander",
@@ -52,13 +43,5 @@ __all__ = [
     "ObjectSet",
     "RoadNetwork",
     "SpatialObject",
-    "clustering_quality",
-    "distance_matrix",
     "hilbert_index",
-    "k_nearest_objects",
-    "network_distance",
-    "network_distances",
-    "route_to",
-    "shortest_path_nodes",
-    "to_networkx",
 ]

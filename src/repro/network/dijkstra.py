@@ -62,7 +62,6 @@ class DijkstraExpander:
         "emissions",
         "network",
         "nodes_settled",
-        "parent",
         "placements",
         "relaxations",
         "settled",
@@ -83,7 +82,6 @@ class DijkstraExpander:
         self.placements = placements
 
         self.settled: dict[int, float] = {}
-        self.parent: dict[int, int | None] = {}
         self._heap: AddressableHeap[int] = AddressableHeap()
         self.nodes_settled = 0
         self.relaxations = 0
@@ -98,8 +96,7 @@ class DijkstraExpander:
         self.emissions: list[tuple[SpatialObject, float]] = []
 
         for node, dist in network.seed_frontier(source):
-            if self._heap.push_or_decrease(node, dist):
-                self.parent[node] = None
+            self._heap.push_or_decrease(node, dist)
         # Objects sharing the source's edge are reachable along the edge
         # without passing a junction; seed their candidates directly.
         if source.edge_id is not None and placements is not None:
@@ -146,8 +143,7 @@ class DijkstraExpander:
             if neighbor in self.settled:
                 continue
             self.relaxations += 1
-            if self._heap.push_or_decrease(neighbor, dist + edge.length):
-                self.parent[neighbor] = node
+            self._heap.push_or_decrease(neighbor, dist + edge.length)
         return (node, dist)
 
     def distance_to_node(self, node_id: int) -> float:
@@ -175,23 +171,6 @@ class DijkstraExpander:
         candidates.append(via_u + target.offset)
         candidates.append(via_v + (edge.length - target.offset))
         return min(candidates)
-
-    def path_to_node(self, node_id: int) -> list[int]:
-        """Junction sequence of a shortest path (after settling).
-
-        For an on-edge source the first element is the seed endpoint the
-        path leaves through.
-        """
-        if node_id not in self.settled:
-            if self.distance_to_node(node_id) == INFINITY:
-                raise ValueError(f"node {node_id} is unreachable from the source")
-        path: list[int] = []
-        cursor: int | None = node_id
-        while cursor is not None:
-            path.append(cursor)
-            cursor = self.parent[cursor]
-        path.reverse()
-        return path
 
     # ------------------------------------------------------------------
     # Incremental nearest-object enumeration (INE)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 from repro.geometry.mbr import MBR
 from repro.geometry.point import Point
@@ -36,17 +36,6 @@ class Edge:
     v: int
     length: float
     geometry: Polyline | None = None
-
-    def other_end(self, node_id: int) -> int:
-        """The endpoint that is not ``node_id``."""
-        if node_id == self.u:
-            return self.v
-        if node_id == self.v:
-            return self.u
-        raise ValueError(f"node {node_id} is not an endpoint of edge {self.edge_id}")
-
-    def is_incident_to(self, node_id: int) -> bool:
-        return node_id == self.u or node_id == self.v
 
 
 @dataclass(frozen=True, slots=True)
@@ -92,6 +81,8 @@ class RoadNetwork:
     # ------------------------------------------------------------------
     def add_node(self, node_id: int, point: Point) -> None:
         """Register a junction.  Re-adding an id must keep its point."""
+        if not (math.isfinite(point.x) and math.isfinite(point.y)):
+            raise ValueError(f"node {node_id} coordinates must be finite, got {point}")
         existing = self._points.get(node_id)
         if existing is not None:
             if existing != point:
@@ -113,9 +104,9 @@ class RoadNetwork:
         """Add a road segment between existing junctions ``u`` and ``v``.
 
         ``length`` defaults to the geometry's arc length, or to the
-        straight-line distance when no geometry is given.  Lengths
-        shorter than the straight-line distance are rejected (they would
-        break A* admissibility).
+        straight-line distance when no geometry is given.  Lengths must
+        be positive and finite; lengths shorter than the straight-line
+        distance are rejected too (they would break A* admissibility).
         """
         if u not in self._points or v not in self._points:
             missing = u if u not in self._points else v
@@ -125,8 +116,8 @@ class RoadNetwork:
         chord = self._points[u].distance_to(self._points[v])
         if length is None:
             length = geometry.length if geometry is not None else chord
-        if length <= 0.0:
-            raise ValueError(f"edge length must be positive, got {length}")
+        if not 0.0 < length < math.inf:
+            raise ValueError(f"edge length must be positive and finite, got {length}")
         if length < chord - _LENGTH_SLACK * max(1.0, chord):
             raise ValueError(
                 f"edge ({u}, {v}) length {length} is shorter than the "
@@ -182,8 +173,8 @@ class RoadNetwork:
                 "the arc length and cannot be reweighted"
             )
         chord = self._points[edge.u].distance_to(self._points[edge.v])
-        if length <= 0.0:
-            raise ValueError(f"edge length must be positive, got {length}")
+        if not 0.0 < length < math.inf:
+            raise ValueError(f"edge length must be positive and finite, got {length}")
         if length < chord - _LENGTH_SLACK * max(1.0, chord):
             raise ValueError(
                 f"edge ({edge.u}, {edge.v}) length {length} is shorter than "
@@ -344,66 +335,3 @@ class RoadNetwork:
 
     def is_connected(self) -> bool:
         return self.node_count <= 1 or len(self.connected_components()) == 1
-
-    def largest_component_subnetwork(self) -> "RoadNetwork":
-        """A copy restricted to the largest connected component."""
-        components = self.connected_components()
-        if not components:
-            return RoadNetwork()
-        keep = max(components, key=len)
-        sub = RoadNetwork()
-        for node_id in keep:
-            sub.add_node(node_id, self._points[node_id])
-        for edge in self._edges.values():
-            if edge.u in keep and edge.v in keep:
-                sub.add_edge(
-                    edge.u,
-                    edge.v,
-                    length=edge.length,
-                    geometry=edge.geometry,
-                    edge_id=edge.edge_id,
-                )
-        return sub
-
-    def average_detour_factor(self, sample_edges: int | None = None) -> float:
-        """Mean ``length / chord`` over edges — a cheap proxy for δ.
-
-        The paper's δ (average network/Euclidean distance ratio over
-        node pairs) drives EDC's behaviour; the per-edge detour factor
-        correlates with it and is free to compute.
-        """
-        edges: Iterable[Edge] = self._edges.values()
-        if sample_edges is not None:
-            edges = list(self._edges.values())[:sample_edges]
-        total = 0.0
-        count = 0
-        for edge in edges:
-            chord = self._points[edge.u].distance_to(self._points[edge.v])
-            if chord > 0.0:
-                total += edge.length / chord
-                count += 1
-        return total / count if count else 1.0
-
-    def validate(self) -> None:
-        """Assert structural invariants (used by tests and generators)."""
-        for edge in self._edges.values():
-            if edge.u not in self._points or edge.v not in self._points:
-                raise AssertionError(f"edge {edge.edge_id} references missing node")
-            chord = self._points[edge.u].distance_to(self._points[edge.v])
-            if edge.length < chord - _LENGTH_SLACK * max(1.0, chord):
-                raise AssertionError(
-                    f"edge {edge.edge_id} shorter than its chord"
-                )
-            if not math.isfinite(edge.length) or edge.length <= 0:
-                raise AssertionError(f"edge {edge.edge_id} has bad length")
-        for node_id, adjacency in self._adjacency.items():
-            for neighbor, edge_id in adjacency:
-                edge = self._edges.get(edge_id)
-                if edge is None:
-                    raise AssertionError(f"adjacency references missing edge {edge_id}")
-                if not edge.is_incident_to(node_id) or (
-                    edge.other_end(node_id) != neighbor
-                ):
-                    raise AssertionError(
-                        f"adjacency of node {node_id} inconsistent with edge {edge_id}"
-                    )

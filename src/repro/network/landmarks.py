@@ -126,39 +126,3 @@ class LandmarkHeuristic:
             edge.length - target.offset
         )
         return min(via_u, via_v)
-
-    # ------------------------------------------------------------------
-    # Diagnostics
-    # ------------------------------------------------------------------
-    def tightness_sample(
-        self, pairs: int = 100, seed: int = 0
-    ) -> tuple[float, float]:
-        """Mean (euclidean/true, landmark/true) bound quality on samples.
-
-        Values in (0, 1]; closer to 1 is tighter.  Used by tests to
-        assert the landmark bound beats Euclidean on detour-heavy
-        networks.
-        """
-        rng = random.Random(seed)
-        node_ids = sorted(self.network.node_ids())
-        euclid_total = landmark_total = 0.0
-        counted = 0
-        attempts = 0
-        while counted < pairs and attempts < pairs * 4:
-            attempts += 1
-            a, b = rng.sample(node_ids, 2)
-            expander = DijkstraExpander(
-                self.network, self.network.location_at_node(a)
-            )
-            true = expander.distance_to_node(b)
-            if not (0.0 < true < float("inf")):
-                continue
-            euclid = self.network.node_point(a).distance_to(
-                self.network.node_point(b)
-            )
-            euclid_total += euclid / true
-            landmark_total += self.node_to_node(a, b) / true
-            counted += 1
-        if counted == 0:
-            return (1.0, 1.0)
-        return (euclid_total / counted, landmark_total / counted)

@@ -39,7 +39,6 @@ __all__ = [
     "ADJACENCY_ENTRY_BYTES",
     "NODE_RECORD_BASE_BYTES",
     "NetworkStore",
-    "clustering_quality",
     "hilbert_index",  # re-exported from repro.columnar.curve
 ]
 
@@ -133,20 +132,3 @@ class NetworkStore:
             max_entries=max_entries,
             pager=pager,
         )
-
-
-def clustering_quality(store: NetworkStore) -> float:
-    """Fraction of edges whose two endpoints share a page.
-
-    A diagnostic for the Hilbert clustering (tests assert it beats a
-    random layout on grid-like networks).
-    """
-    network = store.network
-    if network.edge_count == 0:
-        return 1.0
-    same = sum(
-        1
-        for edge in network.edges()
-        if store.page_of(edge.u) == store.page_of(edge.v)
-    )
-    return same / network.edge_count

@@ -41,8 +41,6 @@ SPAN_NAMES = frozenset(
         # LBC phases (repro.core.lbc)
         "lbc.stream",
         "lbc.resolve",
-        # Columnar block kernels (repro.skyline over repro.columnar)
-        "columnar.skyline",
         # Distance-oracle preprocessing and verification (repro.oracle)
         "oracle.build",
         "oracle.verify",

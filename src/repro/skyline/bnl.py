@@ -2,9 +2,9 @@
 
 The paper's related work opens with BNL: the simplest correct skyline
 algorithm, streaming the dataset against a window of incomparable
-tuples.  We use it as the exhaustive reference and as the final
-pair-wise comparison step of EDC (step 5), where the candidate set is
-already small.
+tuples.  :class:`~repro.core.naive.NaiveSkyline`, the exhaustive
+reference every algorithm is checked against, runs it over the full
+distance vectors.
 
 This in-memory variant uses an unbounded window (the window never
 overflows, so no temp-file passes are needed).
@@ -12,11 +12,9 @@ overflows, so no temp-file passes are needed).
 
 from __future__ import annotations
 
-from typing import Sequence, TypeVar
+from typing import Sequence
 
 from repro.skyline.dominance import Vector, dominates
-
-T = TypeVar("T")
 
 
 def bnl_skyline(vectors: Sequence[Vector]) -> list[int]:
@@ -38,12 +36,3 @@ def bnl_skyline(vectors: Sequence[Vector]) -> list[int]:
         else:
             window = survivors
     return sorted(window)
-
-
-def bnl_skyline_items(
-    items: Sequence[T], key: "callable[[T], Vector]"
-) -> list[T]:
-    """Skyline of arbitrary items under a vector-valued ``key``."""
-    vectors = [tuple(key(item)) for item in items]
-    return [items[i] for i in bnl_skyline(vectors)]
-

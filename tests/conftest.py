@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from repro.columnar import CandidateBlock
 from repro.geometry import Point
 from repro.network import ObjectSet, RoadNetwork, SpatialObject
 
@@ -35,6 +36,45 @@ def build_random_network(
         a, b = rng.sample(range(node_count), 2)
         chord = points[a].distance_to(points[b])
         network.add_edge(a, b, length=chord * (1.0 + rng.random() * detour_max))
+    return network
+
+
+def grid_network(
+    rows: int,
+    cols: int,
+    jitter: float = 0.0,
+    detour: float = 1.0,
+    seed: int = 0,
+) -> RoadNetwork:
+    """A rows x cols grid over the unit square, optionally jittered.
+
+    ``jitter`` displaces nodes by up to that fraction of the cell size;
+    ``detour`` multiplies every edge length (>= 1).
+    """
+    if rows < 2 or cols < 2:
+        raise ValueError("grid needs at least 2x2 nodes")
+    if detour < 1.0:
+        raise ValueError(f"detour factor must be >= 1, got {detour}")
+    rng = random.Random(seed)
+    network = RoadNetwork()
+    dx = 1.0 / (cols - 1)
+    dy = 1.0 / (rows - 1)
+    for r in range(rows):
+        for c in range(cols):
+            jx = rng.uniform(-jitter, jitter) * dx if jitter else 0.0
+            jy = rng.uniform(-jitter, jitter) * dy if jitter else 0.0
+            network.add_node(r * cols + c, Point(c * dx + jx, r * dy + jy))
+    edges = []
+    for r in range(rows):
+        for c in range(cols):
+            u = r * cols + c
+            if c + 1 < cols:
+                edges.append((u, u + 1))
+            if r + 1 < rows:
+                edges.append((u, u + cols))
+    for u, v in edges:
+        chord = network.node_point(u).distance_to(network.node_point(v))
+        network.add_edge(u, v, length=chord * detour)
     return network
 
 
@@ -72,6 +112,17 @@ def random_locations(network: RoadNetwork, count: int, seed: int):
             offset = edge.length * rng.uniform(0.05, 0.95)
             locations.append(network.location_on_edge(edge.edge_id, offset))
     return locations
+
+
+def block_skyline_rows(vectors) -> list[int]:
+    """Skyline rows of ``vectors`` from ``CandidateBlock.skyline()`` (EDC's
+    refine step), in its SFS order; an empty list has no width."""
+    if not vectors:
+        return []
+    block = CandidateBlock(len(vectors[0]))
+    for row, vector in enumerate(vectors):
+        block.add(row, vector)
+    return block.skyline()
 
 
 def cold_run(algorithm, workspace, queries):

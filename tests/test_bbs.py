@@ -12,13 +12,13 @@ from repro.network.graph import NetworkLocation
 from repro.network.objects import SpatialObject
 from repro.skyline import (
     dominates,
-    dominates_lower_bounds,
     euclidean_skyline,
     euclidean_vector,
     incremental_euclidean_skyline,
     mbr_lower_bound_vector,
-    skyline_of,
 )
+
+from reference_dominance import dominates_lower_bounds, skyline_of_scalar
 
 coordinate = st.floats(min_value=0, max_value=10, allow_nan=False)
 point_strategy = st.builds(Point, coordinate, coordinate)
@@ -80,7 +80,7 @@ class TestEuclideanSkyline:
         tree = build_rtree(objs)
         got = sorted(o.object_id for o, _ in euclidean_skyline(tree, queries))
         vecs = [euclidean_vector(p, queries) for p in points]
-        assert got == sorted(skyline_of(vecs))
+        assert got == skyline_of_scalar(vecs)
 
     def test_streams_in_aggregate_order(self):
         rng = random.Random(2)
@@ -105,7 +105,7 @@ class TestEuclideanSkyline:
             euclidean_vector(p, queries, (price,))
             for p, price in zip(points, prices)
         ]
-        assert got == sorted(skyline_of(vecs))
+        assert got == skyline_of_scalar(vecs)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -116,7 +116,7 @@ class TestEuclideanSkyline:
         tree = build_rtree(as_objects(points))
         got = sorted(o.object_id for o, _ in euclidean_skyline(tree, queries))
         vecs = [euclidean_vector(p, queries) for p in points]
-        assert got == sorted(skyline_of(vecs))
+        assert got == skyline_of_scalar(vecs)
 
 
 def scalar_bbs(tree, queries, attribute_count=0):
@@ -171,7 +171,7 @@ class TestColumnarPrune:
         vecs = [
             euclidean_vector(o.point, queries, o.attributes) for o in objs
         ]
-        assert sorted(o.object_id for o, _ in got) == sorted(skyline_of(vecs))
+        assert sorted(o.object_id for o, _ in got) == skyline_of_scalar(vecs)
 
     def test_duplicate_points_all_survive(self):
         objs = as_objects([Point(0.5, 0.5)] * 3 + [Point(0.9, 0.9)])

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from repro.index import BPlusTree
 from repro.storage import NodePager
 
+from invariants import check_bptree
+
 
 class TestBPlusTreeBasics:
     def test_empty_tree(self):
@@ -44,7 +46,7 @@ class TestBPlusTreeBasics:
         for i in range(20):
             tree.insert(i, i)
         assert tree.height() >= 2
-        tree.validate()
+        check_bptree(tree)
 
     def test_items_sorted(self):
         tree = BPlusTree(order=4)
@@ -100,7 +102,7 @@ class TestBulkLoad:
         tree = BPlusTree.bulk_load([(2, "b"), (1, "a")], order=4)
         assert tree.search(1) == ["a"]
         assert tree.search(2) == ["b"]
-        tree.validate()
+        check_bptree(tree)
 
     def test_bulk_load_empty(self):
         tree = BPlusTree.bulk_load([], order=4)
@@ -110,17 +112,17 @@ class TestBulkLoad:
         rng = random.Random(1)
         pairs = [(rng.randrange(500), i) for i in range(1000)]
         bulk = BPlusTree.bulk_load(pairs, order=8)
-        bulk.validate()
+        check_bptree(bulk)
         incremental = BPlusTree(order=8)
         incremental.insert_many(pairs)
-        incremental.validate()
+        check_bptree(incremental)
         for key in range(500):
             assert sorted(bulk.search(key)) == sorted(incremental.search(key))
 
     def test_bulk_load_supports_later_inserts(self):
         tree = BPlusTree.bulk_load([(i, i) for i in range(100)], order=6)
         tree.insert(1000, "late")
-        tree.validate()
+        check_bptree(tree)
         assert tree.search(1000) == ["late"]
 
 
@@ -166,7 +168,7 @@ class TestBPlusTreeProperties:
         for key, value in pairs:
             tree.insert(key, value)
             model.setdefault(key, []).append(value)
-        tree.validate()
+        check_bptree(tree)
         for key in range(0, 201, 7):
             assert tree.search(key) == model.get(key, [])
         assert list(tree.keys()) == sorted(model)

@@ -121,7 +121,7 @@ class TestSkylineSemantics:
                     assert not dominates(a, b)
 
     def test_non_members_dominated(self, workload):
-        from repro.network import network_distances
+        from repro.network import DijkstraExpander
         from repro.skyline import dominates
 
         network, workspace, queries, reference = workload
@@ -133,7 +133,7 @@ class TestSkylineSemantics:
             if obj.object_id in member_ids:
                 continue
             distances = [
-                network_distances(network, q, [obj.location])[0]
+                DijkstraExpander(network, q).distance_to(obj.location)
                 for q in queries
             ]
             vector = tuple(distances) + obj.attributes

@@ -9,9 +9,11 @@ from repro.datasets import (
     save_network,
     save_objects,
 )
-from repro.network import ObjectSet, SpatialObject
+from repro.geometry import Point, Polyline
+from repro.network import ObjectSet, RoadNetwork, SpatialObject
 
 from conftest import build_random_network, place_random_objects
+from invariants import check_network
 
 
 class TestNetworkRoundTrip:
@@ -28,10 +30,10 @@ class TestNetworkRoundTrip:
             a, b = original.edge(edge_id), loaded.edge(edge_id)
             assert (a.u, a.v) == (b.u, b.v)
             assert a.length == b.length
-        loaded.validate()
+        check_network(loaded)
 
     def test_round_trip_distances_identical(self, tmp_path):
-        from repro.network import network_distance
+        from repro.network import DijkstraExpander
 
         original = build_random_network(30, 15, seed=402)
         path = tmp_path / "net.net"
@@ -41,8 +43,8 @@ class TestNetworkRoundTrip:
         b = original.location_at_node(17)
         a2 = loaded.location_at_node(0)
         b2 = loaded.location_at_node(17)
-        assert network_distance(original, a, b) == pytest.approx(
-            network_distance(loaded, a2, b2)
+        assert DijkstraExpander(original, a).distance_to(b) == pytest.approx(
+            DijkstraExpander(loaded, a2).distance_to(b2)
         )
 
     def test_comments_and_blank_lines_ignored(self, tmp_path):
@@ -76,6 +78,37 @@ class TestNetworkRoundTrip:
         path.write_text("node 0 0.0 0.0\nedge 0 0 9 1.0\n")
         with pytest.raises(NetworkFormatError):
             load_network(path)
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("node 0 0.0 0.0\nnode 1 nan 0.0\n", 2),
+            ("node 0 0.0 0.0\nnode 1 1.0 0.0\nedge 0 0 1 nan\n", 3),
+            ("node 0 0.0 0.0\nnode 1 1.0 0.0\nedge 0 0 1 inf\n", 3),
+        ],
+        ids=["node-nan", "edge-nan", "edge-inf"],
+    )
+    def test_non_finite_values_rejected_with_line(self, tmp_path, text, line):
+        path = tmp_path / "net.net"
+        path.write_text(text)
+        with pytest.raises(NetworkFormatError, match="finite") as err:
+            load_network(path)
+        assert err.value.line_number == line
+        assert f"net.net:{line}:" in str(err.value)
+
+    def test_polyline_edge_refused_before_writing(self, tmp_path):
+        """The format has no polyline record: a bent edge would come back
+        straight, moving every on-edge point."""
+        net = RoadNetwork()
+        net.add_node(0, Point(0.0, 0.0))
+        net.add_node(1, Point(1.0, 0.0))
+        net.add_edge(0, 1, length=1.0)
+        bent = Polyline((Point(0.0, 0.0), Point(0.5, 0.5), Point(1.0, 0.0)))
+        net.add_edge(0, 1, geometry=bent)
+        path = tmp_path / "net.net"
+        with pytest.raises(ValueError, match="edge 1 carries polyline"):
+            save_network(net, path)
+        assert not path.exists()
 
     def test_short_edge_rejected(self, tmp_path):
         path = tmp_path / "net.net"

@@ -13,14 +13,16 @@ from repro.datasets import (
     AttributeSpec,
     build_preset,
     delaunay_road_network,
-    estimate_delta,
     extract_n_objects,
     extract_objects,
-    grid_network,
     network_density,
     select_query_points,
     select_query_points_on_edges,
 )
+
+from conftest import grid_network
+from invariants import check_network
+from network_measures import estimate_delta
 
 
 class TestGridNetwork:
@@ -28,7 +30,7 @@ class TestGridNetwork:
         net = grid_network(4, 5)
         assert net.node_count == 20
         assert net.edge_count == 4 * 4 + 3 * 5  # horizontal + vertical
-        net.validate()
+        check_network(net)
 
     def test_too_small_rejected(self):
         with pytest.raises(ValueError):
@@ -45,15 +47,6 @@ class TestGridNetwork:
         with pytest.raises(ValueError):
             grid_network(3, 3, detour=0.9)
 
-    def test_drop_fraction_keeps_connected(self):
-        net = grid_network(8, 8, drop_fraction=0.3, seed=5)
-        assert net.is_connected()
-        assert net.edge_count < grid_network(8, 8).edge_count
-
-    def test_bad_drop_fraction_rejected(self):
-        with pytest.raises(ValueError):
-            grid_network(3, 3, drop_fraction=1.0)
-
     def test_jitter_moves_nodes(self):
         straight = grid_network(4, 4, seed=0)
         jittered = grid_network(4, 4, jitter=0.3, seed=0)
@@ -63,7 +56,7 @@ class TestGridNetwork:
             if straight.node_point(v) != jittered.node_point(v)
         )
         assert moved > 0
-        jittered.validate()
+        check_network(jittered)
 
 
 class TestDelaunayNetwork:
@@ -72,7 +65,7 @@ class TestDelaunayNetwork:
         assert net.node_count == 200
         assert net.edge_count == pytest.approx(250, abs=2)
         assert net.is_connected()
-        net.validate()
+        check_network(net)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -117,7 +110,7 @@ class TestPresets:
         for name in PRESETS:
             net = build_preset(name, scale=0.02)
             assert net.is_connected()
-            net.validate()
+            check_network(net)
 
     def test_unknown_preset_rejected(self):
         with pytest.raises(ValueError):

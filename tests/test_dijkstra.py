@@ -7,13 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.network import (
-    DijkstraExpander,
-    InMemoryPlacements,
-    to_networkx,
-)
+from repro.network import DijkstraExpander, InMemoryPlacements
 
 from conftest import build_random_network, place_random_objects, random_locations
+from network_measures import to_networkx
 
 
 class TestNodeDistances:
@@ -83,27 +80,6 @@ class TestNodeDistances:
         b = tiny_network.location_on_edge(edge.edge_id, 0.45)
         expander = DijkstraExpander(tiny_network, a)
         assert expander.distance_to(b) == pytest.approx(0.35)
-
-    def test_path_reconstruction(self, tiny_network):
-        expander = DijkstraExpander(tiny_network, tiny_network.location_at_node(0))
-        expander.distance_to_node(5)
-        path = expander.path_to_node(5)
-        assert path[0] == 0
-        assert path[-1] == 5
-        # Consecutive path nodes must be adjacent.
-        for a, b in zip(path, path[1:]):
-            assert any(nbr == b for nbr, _ in tiny_network.neighbors(a))
-
-    def test_path_to_unreachable_raises(self):
-        from repro.geometry import Point
-        from repro.network import RoadNetwork
-
-        net = RoadNetwork()
-        net.add_node(0, Point(0, 0))
-        net.add_node(1, Point(1, 1))
-        expander = DijkstraExpander(net, net.location_at_node(0))
-        with pytest.raises(ValueError):
-            expander.path_to_node(1)
 
     def test_frontier_radius_monotone(self, medium_network):
         expander = DijkstraExpander(

@@ -1,133 +1,10 @@
-"""Tests for DIMACS ingestion and the explanation API."""
+"""Tests for the explanation API (``repro.core.explain``)."""
 
 import pytest
 
-from repro.core import LBC, NaiveSkyline, Workspace, explain_object, explain_result
-from repro.datasets import DimacsFormatError, load_dimacs
+from repro.core import LBC, Workspace, explain_object, explain_result
 
 from conftest import build_random_network, place_random_objects, random_locations
-
-
-def write_dimacs(tmp_path, coordinates, arcs, co_name="g.co", gr_name="g.gr"):
-    co = tmp_path / co_name
-    gr = tmp_path / gr_name
-    co_lines = ["c coordinates", f"p aux sp co {len(coordinates)}"]
-    for node_id, (x, y) in coordinates.items():
-        co_lines.append(f"v {node_id} {x} {y}")
-    co.write_text("\n".join(co_lines) + "\n")
-    gr_lines = ["c graph", f"p sp {len(coordinates)} {len(arcs)}"]
-    for u, v, w in arcs:
-        gr_lines.append(f"a {u} {v} {w}")
-    gr.write_text("\n".join(gr_lines) + "\n")
-    return gr, co
-
-
-class TestDimacsLoader:
-    def test_basic_load(self, tmp_path):
-        gr, co = write_dimacs(
-            tmp_path,
-            {1: (0, 0), 2: (1000, 0), 3: (1000, 1000)},
-            [(1, 2, 120), (2, 1, 120), (2, 3, 130), (3, 2, 130)],
-        )
-        net = load_dimacs(gr, co)
-        assert net.node_count == 3
-        assert net.edge_count == 2  # symmetric arcs collapsed
-        net.validate()
-
-    def test_ids_renumbered_zero_based(self, tmp_path):
-        gr, co = write_dimacs(
-            tmp_path, {5: (0, 0), 9: (10, 10)}, [(5, 9, 20)]
-        )
-        net = load_dimacs(gr, co)
-        assert sorted(net.node_ids()) == [0, 1]
-
-    def test_coordinates_scaled_to_region(self, tmp_path):
-        gr, co = write_dimacs(
-            tmp_path,
-            {1: (-500, -500), 2: (500, 500)},
-            [(1, 2, 2000)],
-        )
-        net = load_dimacs(gr, co, region_side=1.0)
-        box = net.mbr()
-        assert box.max_x - box.min_x <= 1.0 + 1e-9
-        assert box.min_x == pytest.approx(0.0)
-
-    def test_weight_ratios_preserved(self, tmp_path):
-        gr, co = write_dimacs(
-            tmp_path,
-            {1: (0, 0), 2: (100, 0), 3: (200, 0)},
-            [(1, 2, 150), (2, 3, 300)],
-        )
-        net = load_dimacs(gr, co)
-        lengths = sorted(e.length for e in net.edges())
-        assert lengths[1] / lengths[0] == pytest.approx(2.0)
-
-    def test_admissibility_after_scaling(self, tmp_path):
-        """A weight much shorter than its chord must still load."""
-        gr, co = write_dimacs(
-            tmp_path,
-            {1: (0, 0), 2: (1000, 0)},
-            [(1, 2, 1)],  # nominal weight 1 over a 1000-unit span
-        )
-        net = load_dimacs(gr, co)
-        net.validate()  # length >= chord enforced by RoadNetwork
-
-    def test_asymmetric_duplicate_keeps_smaller(self, tmp_path):
-        gr, co = write_dimacs(
-            tmp_path, {1: (0, 0), 2: (10, 0)}, [(1, 2, 50), (2, 1, 40)]
-        )
-        net = load_dimacs(gr, co)
-        edge = next(iter(net.edges()))
-        # One global scale factor; ratios to the kept weight are 1.
-        other_gr, other_co = write_dimacs(
-            tmp_path, {1: (0, 0), 2: (10, 0)}, [(1, 2, 40)],
-            co_name="h.co", gr_name="h.gr",
-        )
-        reference = next(iter(load_dimacs(other_gr, other_co).edges()))
-        assert edge.length == pytest.approx(reference.length)
-
-    def test_self_loops_skipped(self, tmp_path):
-        gr, co = write_dimacs(
-            tmp_path, {1: (0, 0), 2: (10, 0)}, [(1, 1, 5), (1, 2, 20)]
-        )
-        assert load_dimacs(gr, co).edge_count == 1
-
-    def test_bad_arc_record(self, tmp_path):
-        gr, co = write_dimacs(tmp_path, {1: (0, 0)}, [])
-        gr.write_text(gr.read_text() + "a 1 7 10\n")
-        with pytest.raises(DimacsFormatError):
-            load_dimacs(gr, co)
-
-    def test_non_positive_weight_rejected(self, tmp_path):
-        gr, co = write_dimacs(
-            tmp_path, {1: (0, 0), 2: (1, 0)}, [(1, 2, 0)]
-        )
-        with pytest.raises(DimacsFormatError):
-            load_dimacs(gr, co)
-
-    def test_skyline_on_loaded_network(self, tmp_path):
-        """End-to-end: DIMACS grid -> objects -> agreeing algorithms."""
-        coordinates = {}
-        arcs = []
-        side = 5
-        for r in range(side):
-            for c in range(side):
-                coordinates[r * side + c + 1] = (c * 100, r * 100)
-        for r in range(side):
-            for c in range(side):
-                nid = r * side + c + 1
-                if c + 1 < side:
-                    arcs += [(nid, nid + 1, 100), (nid + 1, nid, 100)]
-                if r + 1 < side:
-                    arcs += [(nid, nid + side, 100), (nid + side, nid, 100)]
-        gr, co = write_dimacs(tmp_path, coordinates, arcs)
-        net = load_dimacs(gr, co)
-        objects = place_random_objects(net, 12, seed=1)
-        ws = Workspace.build(net, objects, paged=False)
-        queries = [net.location_at_node(0), net.location_at_node(24)]
-        assert LBC().run(ws, queries).same_answer(
-            NaiveSkyline().run(ws, queries)
-        )
 
 
 class TestExplain:

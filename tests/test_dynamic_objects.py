@@ -1,5 +1,6 @@
 """Dynamic object updates: the workspace stays consistent under churn."""
 
+import math
 import random
 
 import pytest
@@ -13,6 +14,7 @@ from conftest import (
     place_random_objects,
     random_locations,
 )
+from invariants import check_rtree
 
 
 def fresh_workspace(seed, paged, attribute_count=0):
@@ -236,6 +238,39 @@ class TestEngineInvalidation:
         assert NaiveSkyline().run(workspace, queries).same_answer(before)
 
 
+    @pytest.mark.parametrize("length", [math.nan, math.inf])
+    @pytest.mark.parametrize("occupied", [True, False])
+    def test_non_finite_reweight_leaves_workspace_untouched(self, occupied, length):
+        """NaN slipped past every ``<=``/``<`` check: on an occupied edge
+        the objects were deregistered before re-placing them failed, and
+        an object-free edge kept the NaN and skewed later answers."""
+        network, workspace = fresh_workspace(2091, paged=False)
+        queries = random_locations(network, 3, seed=2092)
+        before = NaiveSkyline().run(workspace, queries)
+        edge_id = next(
+            e.edge_id
+            for e in network.edges()
+            if bool(workspace.middle.objects_on(e.edge_id)) == occupied
+        )
+        old_length = network.edge(edge_id).length
+        placements = [
+            (p.obj.object_id, p.dist_from_u)
+            for p in workspace.middle.objects_on(edge_id)
+        ]
+        count = len(workspace.objects)
+        version = workspace.version
+        with pytest.raises(ValueError, match="finite"):
+            workspace.update_edge_length(edge_id, length)
+        assert network.edge(edge_id).length == old_length
+        assert [
+            (p.obj.object_id, p.dist_from_u)
+            for p in workspace.middle.objects_on(edge_id)
+        ] == placements
+        assert len(workspace.objects) == count
+        assert workspace.version == version
+        assert cold_run(NaiveSkyline(), workspace, queries).same_answer(before)
+
+
 class TestChurn:
     @pytest.mark.parametrize("paged", [False, True])
     def test_random_churn_keeps_algorithms_agreeing(self, paged):
@@ -261,4 +296,4 @@ class TestChurn:
                     assert cold_run(algorithm, workspace, queries).same_answer(
                         reference
                     ), f"step {step}: {algorithm.name}"
-        workspace.object_rtree.validate()
+        check_rtree(workspace.object_rtree)

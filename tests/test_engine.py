@@ -18,7 +18,6 @@ import pytest
 
 from repro.core import CE, EDC, LBC, NaiveSkyline, Workspace
 from repro.core.explain import object_vector
-from repro.datasets import grid_network
 from repro.datasets.objects import extract_objects
 from repro.engine import (
     BACKEND_NAMES,
@@ -26,13 +25,13 @@ from repro.engine import (
     DistanceMemo,
     make_backend,
 )
-from repro.network import network_distance
 from repro.network.astar import AStarExpander
 from repro.network.dijkstra import DijkstraExpander
 
 from conftest import (
     build_random_network,
     cold_run,
+    grid_network,
     place_random_objects,
     random_locations,
 )
@@ -340,9 +339,9 @@ class TestAccounting:
         network, workspace = small_workspace(paged=True)
         a, b = random_locations(network, 2, seed=29)
         workspace.reset_io(cold=True)
-        without = network_distance(network, a, b)
+        without = DijkstraExpander(network, a).distance_to(b)
         assert workspace.network_pages_read() == 0
-        with_store = network_distance(network, a, b, store=workspace.store)
+        with_store = DijkstraExpander(network, a, store=workspace.store).distance_to(b)
         assert workspace.network_pages_read() > 0
         assert with_store == pytest.approx(without)
 

@@ -48,10 +48,3 @@ class TestExamples:
         assert proc.returncode == 0, proc.stderr
         assert "LBC" in proc.stdout
         assert "naive" in proc.stdout
-
-    def test_visualize_search(self, tmp_path):
-        proc = run_example("visualize_search.py", str(tmp_path), timeout=420)
-        assert proc.returncode == 0, proc.stderr
-        assert (tmp_path / "footprint_ce.svg").exists()
-        assert (tmp_path / "footprint_lbc.svg").exists()
-        assert (tmp_path / "skyline.svg").exists()

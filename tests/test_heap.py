@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from repro.index import AddressableHeap
 
+from invariants import check_heap
+
 TIED_PRIORITIES = [0.0, 1.0, 2.0, math.inf]
 
 
@@ -147,7 +149,7 @@ class TestFromItems:
         pairs = [(i, rng.choice(TIED_PRIORITIES)) for i in range(200)]
         rng.shuffle(pairs)
         heap = AddressableHeap.from_items(pairs)
-        heap.validate()
+        check_heap(heap)
         reference = AddressableHeap()
         for item, priority in pairs:
             reference.push(item, priority)
@@ -281,7 +283,7 @@ class TestHeapProperties:
                 assert heap.peek() == model_min()
             else:
                 assert heap.min_priority() == model_min()[1]
-            heap.validate()
+            check_heap(heap)
             assert len(heap) == len(model)
             assert bool(heap) == bool(model)
             assert dict(heap.items()) == {

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from repro.geometry import Point
 from repro.index import BPlusTree, RTree
 
+from invariants import check_bptree, check_rtree
+
 
 class TestBPlusTreeDeletion:
     def test_delete_single_value(self):
@@ -40,7 +42,7 @@ class TestBPlusTreeDeletion:
         tree.delete(5)
         tree.insert(5, "y")
         assert tree.search(5) == ["y"]
-        tree.validate()
+        check_bptree(tree)
 
     def test_delete_across_deep_tree(self):
         tree = BPlusTree(order=3)
@@ -107,7 +109,7 @@ class TestRTreeDeletion:
         assert tree.delete_point(points[10], 10)
         assert len(tree) == 119
         assert 10 not in [p for _, p in tree.all_entries()]
-        tree.validate()
+        check_rtree(tree)
 
     def test_delete_missing_returns_false(self):
         tree, points = self._populated()
@@ -134,7 +136,7 @@ class TestRTreeDeletion:
         victims = rng.sample(range(200), 150)
         for i in victims:
             assert tree.delete_point(points[i], i)
-        tree.validate()
+        check_rtree(tree)
         survivors = sorted(p for _, p in tree.all_entries())
         assert survivors == sorted(set(range(200)) - set(victims))
 
@@ -160,14 +162,14 @@ class TestRTreeDeletion:
             tree.delete_point(points[i], i)
         for i in range(20):
             tree.insert_point(points[i], i)
-        tree.validate()
+        check_rtree(tree)
         assert len(tree) == 40
 
     def test_root_shrinks(self):
         tree, points = self._populated(count=100, seed=7, max_entries=4)
         for i in range(95):
             tree.delete_point(points[i], i)
-        tree.validate()
+        check_rtree(tree)
         assert len(tree) == 5
 
     @settings(max_examples=20, deadline=None)
@@ -186,5 +188,5 @@ class TestRTreeDeletion:
                 tree.insert_point(p, next_id)
                 alive[next_id] = p
                 next_id += 1
-        tree.validate()
+        check_rtree(tree)
         assert sorted(p for _, p in tree.all_entries()) == sorted(alive)

@@ -18,6 +18,7 @@ from conftest import (
     place_random_objects,
     random_locations,
 )
+from network_measures import landmark_tightness
 
 
 @pytest.fixture(scope="module")
@@ -108,7 +109,7 @@ class TestBoundValidity:
 
     def test_tighter_than_euclidean_on_detour_network(self, detour_network):
         lm = LandmarkHeuristic(detour_network, count=6, seed=15)
-        euclid, landmark = lm.tightness_sample(pairs=25, seed=16)
+        euclid, landmark = landmark_tightness(lm, pairs=25, seed=16)
         assert landmark > euclid
 
 

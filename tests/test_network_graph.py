@@ -1,5 +1,6 @@
 """Unit tests for the road-network graph model."""
 
+import math
 
 import pytest
 
@@ -7,6 +8,7 @@ from repro.geometry import Point, Polyline
 from repro.network import NetworkLocation, RoadNetwork
 
 from conftest import build_random_network
+from invariants import check_network
 
 
 class TestNodesAndEdges:
@@ -42,6 +44,29 @@ class TestNodesAndEdges:
         net.add_node(1, Point(3, 4))
         with pytest.raises(ValueError):
             net.add_edge(0, 1, length=4.9)
+
+    @pytest.mark.parametrize("x, y", [(math.nan, 0.0), (0.0, math.inf)])
+    def test_non_finite_coordinates_rejected(self, x, y):
+        net = RoadNetwork()
+        with pytest.raises(ValueError, match="finite"):
+            net.add_node(0, Point(x, y))
+        assert not net.has_node(0)
+
+    @pytest.mark.parametrize("length", [math.nan, math.inf])
+    def test_non_finite_length_rejected(self, length):
+        """NaN passes both ``<= 0`` and ``< chord``; it must still fail."""
+        net = RoadNetwork()
+        net.add_node(0, Point(0, 0))
+        net.add_node(1, Point(1, 0))
+        with pytest.raises(ValueError, match="finite"):
+            net.add_edge(0, 1, length=length)
+        assert net.edge_count == 0
+        edge = net.add_edge(0, 1, length=1.5)
+        with pytest.raises(ValueError, match="finite"):
+            net.validate_edge_length(edge.edge_id, length)
+        with pytest.raises(ValueError, match="finite"):
+            net.update_edge_length(edge.edge_id, length)
+        assert net.edge(edge.edge_id).length == 1.5
 
     def test_edge_longer_than_chord_allowed(self):
         net = RoadNetwork()
@@ -94,13 +119,6 @@ class TestNodesAndEdges:
         wrong = Polyline((Point(0, 0), Point(1, 1)))
         with pytest.raises(ValueError):
             net.add_edge(0, 1, geometry=wrong)
-
-    def test_other_end_and_incidence(self, tiny_network):
-        edge = next(iter(tiny_network.edges()))
-        assert edge.other_end(edge.u) == edge.v
-        assert edge.is_incident_to(edge.u)
-        with pytest.raises(ValueError):
-            edge.other_end(9999)
 
     def test_degree_and_total_length(self, tiny_network):
         assert tiny_network.degree(1) == 3  # edges to 0, 2, 4
@@ -193,28 +211,9 @@ class TestAnalysis:
         assert sorted(sorted(c) for c in components) == [[0, 1], [2, 3]]
         assert not net.is_connected()
 
-    def test_largest_component_subnetwork(self):
-        net = RoadNetwork()
-        for i, (x, y) in enumerate([(0, 0), (1, 0), (2, 0), (5, 5), (6, 5)]):
-            net.add_node(i, Point(x, y))
-        net.add_edge(0, 1)
-        net.add_edge(1, 2)
-        net.add_edge(3, 4)
-        sub = net.largest_component_subnetwork()
-        assert sorted(sub.node_ids()) == [0, 1, 2]
-        assert sub.edge_count == 2
-        sub.validate()
-
-    def test_average_detour_factor(self):
-        net = RoadNetwork()
-        net.add_node(0, Point(0, 0))
-        net.add_node(1, Point(1, 0))
-        net.add_edge(0, 1, length=1.5)
-        assert net.average_detour_factor() == pytest.approx(1.5)
-
     def test_validate_passes_on_random_network(self):
         net = build_random_network(50, 30, seed=5, detour_max=0.5)
-        net.validate()
+        check_network(net)
 
     def test_edge_mbr(self, tiny_network):
         edge = next(e for e in tiny_network.edges() if (e.u, e.v) == (2, 5))

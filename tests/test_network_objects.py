@@ -11,6 +11,7 @@ from repro.network import (
 from repro.storage import NodePager
 
 from conftest import build_random_network, place_random_objects
+from invariants import check_rtree
 
 NAN = float("nan")
 
@@ -78,7 +79,7 @@ class TestObjectSet:
         network = build_random_network(40, 20, seed=9)
         objects = place_random_objects(network, 30, seed=10)
         tree = objects.build_rtree(max_entries=4)
-        tree.validate()
+        check_rtree(tree)
         ids = sorted(o.object_id for _, o in tree.all_entries())
         assert ids == list(range(30))
 

@@ -3,10 +3,12 @@
 import random
 
 
-from repro.datasets import grid_network
-from repro.network import NetworkStore, clustering_quality, hilbert_index
+from repro.network import NetworkStore, hilbert_index
 from repro.storage import DEFAULT_PAGE_SIZE
 
+from conftest import grid_network
+from invariants import check_rtree
+from network_measures import clustering_quality
 
 
 class TestHilbertIndex:
@@ -111,7 +113,7 @@ class TestNetworkStore:
     def test_edge_rtree(self, medium_network):
         store = NetworkStore(medium_network)
         tree = store.build_edge_rtree(max_entries=8)
-        tree.validate()
+        check_rtree(tree)
         assert len(list(tree.all_entries())) == medium_network.edge_count
 
 

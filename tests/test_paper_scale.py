@@ -13,12 +13,9 @@ Marked ``slow``; runs in roughly half a minute.  Deselect with
 import pytest
 
 from repro.core import CE, EDC, LBC, NaiveSkyline, Workspace
-from repro.datasets import (
-    build_preset,
-    estimate_delta,
-    extract_objects,
-    select_query_points,
-)
+from repro.datasets import build_preset, extract_objects, select_query_points
+
+from network_measures import estimate_delta
 
 pytestmark = pytest.mark.slow
 

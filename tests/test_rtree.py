@@ -10,6 +10,8 @@ from repro.geometry import MBR, Point
 from repro.index import RTree
 from repro.storage import NodePager
 
+from invariants import check_rtree
+
 coordinate = st.floats(min_value=0, max_value=100, allow_nan=False)
 point_strategy = st.builds(Point, coordinate, coordinate)
 
@@ -45,14 +47,14 @@ class TestRTreeConstruction:
         points = [Point(rng.random(), rng.random()) for _ in range(300)]
         tree = build_tree(points, max_entries=5)
         assert len(tree) == 300
-        tree.validate()
+        check_rtree(tree)
 
     def test_bulk_load_validates(self):
         rng = random.Random(1)
         points = [Point(rng.random(), rng.random()) for _ in range(300)]
         tree = build_tree(points, max_entries=8, bulk=True)
         assert len(tree) == 300
-        tree.validate()
+        check_rtree(tree)
 
     def test_bulk_load_empty(self):
         tree = RTree.bulk_load([])
@@ -63,7 +65,7 @@ class TestRTreeConstruction:
         rng = random.Random(count)
         points = [Point(rng.random(), rng.random()) for _ in range(count)]
         tree = build_tree(points, max_entries=8, bulk=True)
-        tree.validate()
+        check_rtree(tree)
         assert len(list(tree.all_entries())) == count
 
     def test_root_mbr_covers_everything(self):
@@ -180,7 +182,7 @@ class TestRTreeProperties:
         if bulk and not points:
             return
         tree = build_tree(points, max_entries=5, bulk=bulk)
-        tree.validate()
+        check_rtree(tree)
         assert sorted(p for _, p in tree.all_entries()) == list(range(len(points)))
 
     @settings(max_examples=30, deadline=None)

@@ -180,6 +180,40 @@ class TestRoutes:
         assert status == 200
         assert len(workspace.objects) == count_before
 
+    @pytest.mark.parametrize("length", [float("nan"), float("inf")])
+    def test_mutate_non_finite_length_is_400(self, server, length):
+        """JSON carries ``NaN``/``Infinity``; the reweight must be refused
+        with the network, placements and service counters unchanged."""
+        service = server.service
+        workspace = service.workspace
+        network = workspace.network
+        edge_id = next(
+            e.edge_id
+            for e in network.edges()
+            if workspace.middle.objects_on(e.edge_id)
+        )
+        old_length = network.edge(edge_id).length
+        placements = [
+            (p.obj.object_id, p.dist_from_u)
+            for p in workspace.middle.objects_on(edge_id)
+        ]
+        version = workspace.version
+        mutations = service.stats_dict()["requests"]["mutations"]
+        status, payload, _ = post(
+            server,
+            "/mutate",
+            {"op": "update_edge", "edge_id": edge_id, "length": length},
+        )
+        assert status == 400
+        assert "finite" in payload["error"]
+        assert network.edge(edge_id).length == old_length
+        assert [
+            (p.obj.object_id, p.dist_from_u)
+            for p in workspace.middle.objects_on(edge_id)
+        ] == placements
+        assert workspace.version == version
+        assert service.stats_dict()["requests"]["mutations"] == mutations
+
     def test_mutate_unknown_op_is_400(self, server):
         status, payload, _ = post(server, "/mutate", {"op": "defragment"})
         assert status == 400

@@ -1,18 +1,22 @@
-"""Tests for the one-shot shortest-path helpers."""
+"""Point-to-point distances and nearest objects from the expanders.
 
+Dijkstra, A* and the networkx export agree; a resumed wavefront
+answers as fresh ones do; INE's first emissions are the nearest
+objects.
+"""
+
+import itertools
 
 import pytest
 
-from repro.network import (
-    distance_matrix,
-    network_distance,
-    network_distances,
-    shortest_path_nodes,
-    to_networkx,
-)
-from repro.network.shortest_path import eccentricity_sample
+from repro.network import AStarExpander, DijkstraExpander
 
-from conftest import build_random_network, random_locations
+from conftest import random_locations
+from network_measures import to_networkx
+
+
+def dijkstra_distance(network, a, b):
+    return DijkstraExpander(network, a).distance_to(b)
 
 
 class TestNetworkDistance:
@@ -20,72 +24,41 @@ class TestNetworkDistance:
         locations = random_locations(medium_network, 6, seed=3)
         for a in locations[:2]:
             for b in locations[2:]:
-                d1 = network_distance(medium_network, a, b, method="dijkstra")
-                d2 = network_distance(medium_network, a, b, method="astar")
+                d1 = dijkstra_distance(medium_network, a, b)
+                d2 = AStarExpander(medium_network, a).distance_to(b)
                 assert d1 == pytest.approx(d2)
-
-    def test_unknown_method_rejected(self, tiny_network):
-        a = tiny_network.location_at_node(0)
-        b = tiny_network.location_at_node(1)
-        with pytest.raises(ValueError):
-            network_distance(tiny_network, a, b, method="bfs")
 
     def test_distance_to_self(self, tiny_network):
         a = tiny_network.location_at_node(0)
-        assert network_distance(tiny_network, a, a) == 0.0
+        assert dijkstra_distance(tiny_network, a, a) == 0.0
 
     def test_symmetry(self, medium_network):
         locations = random_locations(medium_network, 4, seed=8)
         for a in locations[:2]:
             for b in locations[2:]:
-                assert network_distance(medium_network, a, b) == pytest.approx(
-                    network_distance(medium_network, b, a)
+                assert dijkstra_distance(medium_network, a, b) == pytest.approx(
+                    dijkstra_distance(medium_network, b, a)
                 )
 
     def test_at_least_euclidean(self, medium_network):
         locations = random_locations(medium_network, 6, seed=13)
         for a in locations[:3]:
             for b in locations[3:]:
-                network = network_distance(medium_network, a, b)
+                network = dijkstra_distance(medium_network, a, b)
                 assert network >= a.point.distance_to(b.point) - 1e-9
 
 
 class TestBatchHelpers:
     def test_network_distances_one_wavefront(self, medium_network):
+        """One resumed wavefront answers many targets as fresh ones do."""
         source = medium_network.location_at_node(0)
         targets = random_locations(medium_network, 5, seed=21)
-        batch = network_distances(medium_network, source, targets)
+        expander = DijkstraExpander(medium_network, source)
+        batch = [expander.distance_to(t) for t in targets]
         singles = [
-            network_distance(medium_network, source, t) for t in targets
+            dijkstra_distance(medium_network, source, t) for t in targets
         ]
         assert batch == pytest.approx(singles)
-
-    def test_distance_matrix_shape_and_values(self, medium_network):
-        sources = random_locations(medium_network, 2, seed=31)
-        targets = random_locations(medium_network, 3, seed=32)
-        matrix = distance_matrix(medium_network, sources, targets)
-        assert len(matrix) == 2
-        assert all(len(row) == 3 for row in matrix)
-        assert matrix[0][0] == pytest.approx(
-            network_distance(medium_network, sources[0], targets[0])
-        )
-
-    def test_shortest_path_nodes(self, tiny_network):
-        dist, path = shortest_path_nodes(
-            tiny_network, tiny_network.location_at_node(0), 5
-        )
-        assert dist == pytest.approx(1.5)
-        assert path[0] == 0 and path[-1] == 5
-
-    def test_shortest_path_unreachable_raises(self):
-        from repro.geometry import Point
-        from repro.network import RoadNetwork
-
-        net = RoadNetwork()
-        net.add_node(0, Point(0, 0))
-        net.add_node(1, Point(1, 1))
-        with pytest.raises(ValueError):
-            shortest_path_nodes(net, net.location_at_node(0), 1)
 
 
 class TestInterop:
@@ -105,12 +78,11 @@ class TestInterop:
         graph = to_networkx(medium_network)
         assert graph.number_of_nodes() == medium_network.node_count
 
-    def test_eccentricity_sample(self, tiny_network):
-        result = eccentricity_sample(tiny_network, [0])
-        assert result[0] == pytest.approx(1.5)
-
 
 class TestKNearestObjects:
+    """The first ``k`` emissions of an INE wavefront are the ``k``
+    nearest objects."""
+
     def _setup(self, seed=71):
         from repro.network import InMemoryPlacements
 
@@ -120,24 +92,24 @@ class TestKNearestObjects:
         objects = place_random_objects(network, 30, seed=seed + 1)
         return network, objects, InMemoryPlacements(objects)
 
-    def test_returns_k_in_order(self):
-        from repro.network import k_nearest_objects
+    def _nearest(self, network, source, placements, k):
+        expander = DijkstraExpander(network, source, placements=placements)
+        return list(itertools.islice(expander.iter_objects(), k))
 
+    def test_returns_k_in_order(self):
         network, objects, placements = self._setup()
         source = network.location_at_node(0)
-        answers = k_nearest_objects(network, source, placements, k=5)
+        answers = self._nearest(network, source, placements, k=5)
         assert len(answers) == 5
         distances = [d for _, d in answers]
         assert distances == sorted(distances)
 
     def test_matches_brute_force(self):
-        from repro.network import k_nearest_objects, network_distance
-
         network, objects, placements = self._setup(seed=73)
         source = network.location_at_node(3)
-        answers = k_nearest_objects(network, source, placements, k=4)
+        answers = self._nearest(network, source, placements, k=4)
         brute = sorted(
-            (network_distance(network, source, obj.location), obj.object_id)
+            (dijkstra_distance(network, source, obj.location), obj.object_id)
             for obj in objects
         )[:4]
         assert [round(d, 9) for _, d in answers] == [
@@ -145,16 +117,7 @@ class TestKNearestObjects:
         ]
 
     def test_k_exceeding_objects(self):
-        from repro.network import k_nearest_objects
-
         network, objects, placements = self._setup(seed=75)
         source = network.location_at_node(1)
-        answers = k_nearest_objects(network, source, placements, k=1000)
+        answers = self._nearest(network, source, placements, k=1000)
         assert len(answers) == len(objects)
-
-    def test_bad_k_rejected(self):
-        from repro.network import k_nearest_objects
-
-        network, _, placements = self._setup(seed=77)
-        with pytest.raises(ValueError):
-            k_nearest_objects(network, network.location_at_node(0), placements, k=0)
