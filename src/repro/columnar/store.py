@@ -10,7 +10,7 @@ work is delegated to :mod:`repro.columnar.kernels`.
 from __future__ import annotations
 
 from array import array
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from repro.columnar.kernels import (
     block_skyline,
@@ -61,10 +61,6 @@ class VectorTable:
         if not 0 <= index < len(self):
             raise IndexError(f"row {index} outside 0..{len(self) - 1}")
         return tuple(self.data[base : base + self.width])
-
-    def rows(self) -> Iterator[tuple[float, ...]]:
-        for index in range(len(self)):
-            yield self.row(index)
 
     def clear(self) -> None:
         del self.data[:]

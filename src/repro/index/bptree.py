@@ -6,8 +6,8 @@ that, while a wavefront visits an edge, the objects on that edge can be
 fetched cheaply.  This module provides that index, built from scratch:
 
 * internal nodes route by separator keys;
-* leaves hold ``key -> [values]`` buckets and are chained for range and
-  full scans;
+* leaves hold ``key -> [values]`` buckets and are chained for full
+  scans;
 * an optional :class:`~repro.storage.binding.NodePager` charges one page
   access per node visited, so middle-layer lookups show up in the I/O
   statistics exactly like the paper's storage scheme.
@@ -72,7 +72,6 @@ class BPlusTree(Generic[K, V]):
         self._pager = pager
         self._root: _Node = _Leaf()
         self._size = 0
-        self._key_count = 0
         if pager is not None:
             pager.register(id(self._root))
 
@@ -86,11 +85,6 @@ class BPlusTree(Generic[K, V]):
     def __len__(self) -> int:
         """Total number of stored values (not distinct keys)."""
         return self._size
-
-    @property
-    def key_count(self) -> int:
-        """Number of distinct keys."""
-        return self._key_count
 
     def height(self) -> int:
         """Number of levels (1 for a lone leaf)."""
@@ -133,25 +127,6 @@ class BPlusTree(Generic[K, V]):
         index = _bisect_left(leaf.keys, key)
         return index < len(leaf.keys) and leaf.keys[index] == key
 
-    def range_search(self, low: K, high: K) -> Iterator[tuple[K, V]]:
-        """All ``(key, value)`` pairs with ``low <= key <= high``, in order."""
-        if low > high:  # type: ignore[operator]
-            return
-        leaf: _Leaf | None = self._descend_to_leaf(low)
-        index = _bisect_left(leaf.keys, low)
-        while leaf is not None:
-            while index < len(leaf.keys):
-                key = leaf.keys[index]
-                if key > high:  # type: ignore[operator]
-                    return
-                for value in leaf.buckets[index]:
-                    yield (key, value)
-                index += 1
-            leaf = leaf.next_leaf
-            if leaf is not None:
-                self._touch(leaf)
-            index = 0
-
     def items(self) -> Iterator[tuple[K, V]]:
         """Every ``(key, value)`` pair in key order (full leaf scan)."""
         node = self._root
@@ -167,16 +142,6 @@ class BPlusTree(Generic[K, V]):
             leaf = leaf.next_leaf
             if leaf is not None:
                 self._touch(leaf)
-
-    def keys(self) -> Iterator[K]:
-        """Distinct keys in ascending order."""
-        seen_any = False
-        last: Any = None
-        for key, _ in self.items():
-            if not seen_any or key != last:
-                yield key
-                last = key
-                seen_any = True
 
     # ------------------------------------------------------------------
     # Insertion
@@ -194,11 +159,6 @@ class BPlusTree(Generic[K, V]):
                 self._pager.register(id(new_root))
         self._size += 1
 
-    def insert_many(self, pairs: Iterable[tuple[K, V]]) -> None:
-        """Insert many ``(key, value)`` pairs."""
-        for key, value in pairs:
-            self.insert(key, value)
-
     def _insert_into(
         self, node: _Node, key: K, value: V
     ) -> tuple[Any, _Node] | None:
@@ -210,7 +170,6 @@ class BPlusTree(Generic[K, V]):
                 return None
             node.keys.insert(index, key)
             node.buckets.insert(index, [value])
-            self._key_count += 1
             if len(node.keys) > self._order:
                 return self._split_leaf(node)
             return None
@@ -284,7 +243,6 @@ class BPlusTree(Generic[K, V]):
         if not bucket:
             del leaf.keys[index]
             del leaf.buckets[index]
-            self._key_count -= 1
         self._size -= removed
         return removed
 
@@ -322,7 +280,6 @@ class BPlusTree(Generic[K, V]):
                 current = nxt
             current.keys.append(key)
             current.buckets.append(grouped[key])
-            tree._key_count += 1
             tree._size += len(grouped[key])
         leaves.append(current)
 

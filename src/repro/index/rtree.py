@@ -3,7 +3,8 @@
 The paper indexes both the data-object set and the network-edge MBRs
 with R-trees.  Three traversal styles are needed:
 
-* plain window queries (EDC step 3's hypercube-region retrieval);
+* pruned region traversal (:meth:`RTree.traverse`; EDC step 3's
+  union-of-hypercubes retrieval);
 * best-first incremental search with an arbitrary priority key — this
   yields single-point NN, the *aggregate* NN used by the Euclidean
   multi-source skyline (heap ordered by the sum of distances to all
@@ -13,7 +14,7 @@ with R-trees.  Three traversal styles are needed:
   which is how dominance pruning against known skyline points skips
   whole subtrees.
 
-All three are provided by one generic :meth:`RTree.best_first`; the
+The last two are one generic :meth:`RTree.best_first`; the
 convenience wrapper :meth:`nearest` builds on it.  An optional
 :class:`~repro.storage.binding.NodePager` charges a page access per node
 visited.
@@ -77,13 +78,6 @@ class RTree:
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         return self._size
-
-    @property
-    def root_mbr(self) -> MBR | None:
-        """Bounding box of everything indexed, None when empty."""
-        if not self._root.entries:
-            return None
-        return self._root.mbr()
 
     def insert(self, mbr: MBR, payload: Any) -> None:
         """Insert one entry (Guttman: least-enlargement descent)."""
@@ -366,22 +360,6 @@ class RTree:
             tracing.record("rtree_nodes")
             self._pager.touch(id(node))
 
-    def search(self, region: MBR) -> Iterator[tuple[MBR, Any]]:
-        """All leaf entries whose MBR intersects ``region``."""
-        if not self._root.entries:
-            return
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            self._touch(node)
-            for rect, child in node.entries:
-                if not rect.intersects(region):
-                    continue
-                if node.is_leaf:
-                    yield (rect, child)
-                else:
-                    stack.append(child)
-
     def traverse(
         self, descend: Callable[[MBR, Any | None], bool]
     ) -> Iterator[tuple[MBR, Any]]:
@@ -404,18 +382,6 @@ class RTree:
                     if descend(rect, child):
                         yield (rect, child)
                 elif descend(rect, None):
-                    stack.append(child)
-
-    def all_entries(self) -> Iterator[tuple[MBR, Any]]:
-        """Every leaf entry (full scan)."""
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            self._touch(node)
-            if node.is_leaf:
-                yield from node.entries
-            else:
-                for _, child in node.entries:
                     stack.append(child)
 
     def best_first(

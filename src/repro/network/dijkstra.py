@@ -26,7 +26,7 @@ objects, so a replay equals a fresh expansion's, emission for emission.
 from __future__ import annotations
 
 import math
-from typing import Iterator, Protocol
+from typing import Protocol
 
 from repro.index.heap import AddressableHeap
 from repro.network.graph import NetworkLocation, RoadNetwork
@@ -111,16 +111,6 @@ class DijkstraExpander:
     def exhausted(self) -> bool:
         """True when the wavefront can grow no further."""
         return len(self._heap) == 0
-
-    def frontier_radius(self) -> float:
-        """Distance at which the wavefront currently sits (inf if done).
-
-        This is the exact distance of the *next* node to settle; every
-        unsettled location lies at least this far from the source.
-        """
-        if self._heap:
-            return self._heap.min_priority()
-        return INFINITY
 
     def expand_next(self) -> tuple[int, float] | None:
         """Settle the single nearest unsettled node; None when exhausted."""
@@ -220,26 +210,10 @@ class DijkstraExpander:
             if self.expand_next() is None:
                 return None
 
-    def iter_objects(self) -> Iterator[tuple[SpatialObject, float]]:
-        """All reachable objects in ascending network distance."""
-        while True:
-            item = self.next_nearest_object()
-            if item is None:
-                return
-            yield item
-
-    @property
-    def visited_object_count(self) -> int:
-        """Objects emitted so far."""
-        return len(self._emitted)
-
     @property
     def last_emitted_distance(self) -> float:
         """Network distance of the most recently emitted object."""
         return self.emissions[-1][1] if self.emissions else 0.0
-
-    def has_visited(self, object_id: int) -> bool:
-        return object_id in self._emitted
 
 
 class EmissionCursor:

@@ -79,6 +79,29 @@ class BatchPlan:
     def request_count(self) -> int:
         return sum(len(unit.requests) for unit in self.units)
 
+    def split_expired(
+        self, now: float
+    ) -> tuple[list[ServiceRequest], "BatchPlan"]:
+        """The requests past their deadline at ``now``, and the plan of
+        the rest.
+
+        A unit whose canonical request expired runs under its first
+        live follower, so a live request pays for the work; a unit with
+        no live request drops out.
+        """
+        expired: list[ServiceRequest] = []
+        units: list[ExecutionUnit] = []
+        for unit in self.units:
+            live = []
+            for request in unit.requests:
+                if request.deadline is not None and now > request.deadline:
+                    expired.append(request)
+                else:
+                    live.append(request)
+            if live:
+                units.append(ExecutionUnit(live[0], live[1:]))
+        return expired, BatchPlan(units)
+
 
 class BatchPlanner:
     """Turns a drained slice of the queue into conflict-free batches."""

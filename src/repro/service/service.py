@@ -8,19 +8,25 @@ into a long-running server:
   immediately instead of queuing unboundedly; the shed is counted and
   surfaced in ``/statsz``.  Bounded queues are what keep tail latency
   finite under overload.
-* **A worker pool** — N threads drain the queue.  Each worker takes
-  one request, lingers for ``batch_window_s`` so co-arriving requests
-  can join (group commit), then plans the drained slice with the
-  :class:`~repro.service.batching.BatchPlanner`.
-* **Batching with conflict isolation** — batches sharing query points
-  with an in-flight batch wait their turn (the engine's pooled
+* **A worker pool** — N threads drain the queue, one gathering at a
+  time: the gatherer takes one request, lingers for ``batch_window_s``
+  so co-arriving requests can join (group commit), drains up to
+  ``max_batch``, then plans the slice with the
+  :class:`~repro.service.batching.BatchPlanner`.  Workers that wake
+  meanwhile wait for the window to drain, so a burst becomes one
+  batch; a drain capped at ``max_batch`` wakes a worker for the rest.
+* **Batching with conflict isolation** — a batch's plans run one after
+  another on the worker that gathered it; plans sharing query points
+  with an in-flight plan wait their turn (the engine's pooled
   wavefronts are single-driver; see the concurrency contract in
-  :mod:`repro.engine.engine`); disjoint batches run in parallel under
-  the workspace's shared read lock.
+  :mod:`repro.engine.engine`); disjoint plans of different batches run
+  in parallel under the workspace's shared read lock.
 * **Deadlines** — every request carries one (default
-  ``default_timeout_s``); expired requests fail with
+  ``default_timeout_s``), checked as each plan starts, after its key
+  wait; expired requests fail with
   :class:`~repro.service.errors.DeadlineExceeded` instead of occupying
-  a worker.
+  a worker.  A unit whose canonical request expired runs under its
+  first live follower, which then pays for the work.
 * **Snapshot-isolated mutations** — :meth:`update_edge_length`,
   :meth:`add_object`, :meth:`remove_object` take the workspace's write
   lock, so they wait for in-flight queries, apply atomically, and
@@ -161,6 +167,7 @@ class QueryService:
         self._cond = threading.Condition()
         self._queue: deque[PendingQuery] = deque()
         self._active_keys: set = set()
+        self._gathering = False  # a worker is inside its batch window
         self._paused = False
         self._closed = False
         self._ids = itertools.count(1)
@@ -552,20 +559,33 @@ class QueryService:
     # Worker machinery
     # ------------------------------------------------------------------
     def _worker_loop(self) -> None:
+        gather = self.batch_window_s > 0.0 and self.max_batch > 1
         while True:
             with self._cond:
-                while (not self._queue or self._paused) and not self._closed:
+                while (
+                    not self._queue or self._paused or self._gathering
+                ) and not self._closed:
                     self._cond.wait()
                 if self._closed and not self._queue:
                     return
                 batch = [self._queue.popleft()]
-            if self.batch_window_s > 0.0 and self.max_batch > 1:
+                self._gathering = gather
+            if gather:
                 # Group commit: give co-arriving requests one short
-                # window to join this batch.
+                # window to join this batch.  Only one worker gathers
+                # at a time, so a burst becomes one batch, not one per
+                # worker; the others wait for this window to drain.
                 time.sleep(self.batch_window_s)
             with self._cond:
                 while self._queue and len(batch) < self.max_batch:
                     batch.append(self._queue.popleft())
+                if gather:
+                    self._gathering = False
+                    if self._queue:
+                        # A drain capped at max_batch: another worker
+                        # gathers the rest.  notify() could wake a key
+                        # waiter instead (they share _cond), so wake all.
+                        self._cond.notify_all()
                 self._busy_workers += 1
             try:
                 self._process(batch)
@@ -574,26 +594,21 @@ class QueryService:
                     self._busy_workers -= 1
 
     def _process(self, batch: list[PendingQuery]) -> None:
-        now = time.monotonic()
-        live: list[PendingQuery] = []
-        for pending in batch:
-            deadline = pending.request.deadline
-            if deadline is not None and now > deadline:
-                self._finish(
-                    pending,
-                    DeadlineExceeded(deadline - pending.request.enqueued_at),
-                )
-            else:
-                live.append(pending)
-        if not live:
-            return
-        by_id = {p.request.request_id: p for p in live}
-        plans = self._planner.plan([p.request for p in live])
-        for plan in plans:
+        by_id = {p.request.request_id: p for p in batch}
+        for plan in self._planner.plan([p.request for p in batch]):
             keys = plan.key_union()
             self._acquire_keys(keys)
+            expired: list[ServiceRequest] = []
             try:
-                outcomes = execute_plan(self.workspace, plan, self.algorithms)
+                # Deadlines are checked as each plan starts, after its
+                # key wait: a request that expired in the queue, behind
+                # an earlier plan or during the wait fails unrun.
+                expired, plan = plan.split_expired(time.monotonic())
+                outcomes = (
+                    execute_plan(self.workspace, plan, self.algorithms)
+                    if plan.units
+                    else {}
+                )
             except BaseException as exc:
                 # Planner/lock failures fail the whole plan, typed.
                 outcomes = {
@@ -603,6 +618,13 @@ class QueryService:
                 }
             finally:
                 self._release_keys(keys)
+            for request in expired:
+                self._finish(
+                    by_id[request.request_id],
+                    DeadlineExceeded(request.deadline - request.enqueued_at),
+                )
+            if not plan.units:
+                continue
             with self._cond:
                 self._batches += 1
                 self._batched_requests += plan.request_count

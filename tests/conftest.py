@@ -114,6 +114,13 @@ def random_locations(network: RoadNetwork, count: int, seed: int):
     return locations
 
 
+def iter_objects(expander):
+    """Every object an INE expander reaches, in ascending network
+    distance: ``next_nearest_object`` driven until it returns None."""
+    while (item := expander.next_nearest_object()) is not None:
+        yield item
+
+
 def block_skyline_rows(vectors) -> list[int]:
     """Skyline rows of ``vectors`` from ``CandidateBlock.skyline()`` (EDC's
     refine step), in its SFS order; an empty list has no width."""

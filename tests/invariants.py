@@ -51,9 +51,22 @@ def check_rtree(tree: RTree) -> None:
         raise AssertionError(f"entry count {seen} != recorded size {tree._size}")
 
 
+def rtree_entries(tree: RTree) -> list[tuple[Any, Any]]:
+    """Every leaf entry, read straight off the nodes (charges no page)."""
+    entries: list[tuple[Any, Any]] = []
+    stack = [tree._root]
+    while stack:
+        node = stack.pop()
+        if node.is_leaf:
+            entries.extend(node.entries)
+        else:
+            stack.extend(child for _, child in node.entries)
+    return entries
+
+
 def check_bptree(tree: BPlusTree) -> None:
     """Sorted keys within separator bounds, equal leaf depth, and a leaf
-    chain that visits every key once, in order."""
+    chain that visits every key once, in order, and holds every value."""
     leaf_depths: set[int] = set()
 
     def recurse(node: _Node, depth: int, low: Any, high: Any) -> None:
@@ -83,18 +96,21 @@ def check_bptree(tree: BPlusTree) -> None:
     recurse(tree._root, 0, None, None)
     if len(leaf_depths) > 1:
         raise AssertionError(f"leaves at different depths: {leaf_depths}")
-    chained = [key for key, _ in tree.items()]
-    deduped: list[Any] = []
-    for key in chained:
-        if not deduped or deduped[-1] != key:
-            deduped.append(key)
-    if len(deduped) != tree._key_count:
+    leaf = tree._root
+    while isinstance(leaf, _Internal):
+        leaf = leaf.children[0]
+    chained: list[Any] = []
+    stored = 0
+    while leaf is not None:
+        chained.extend(leaf.keys)
+        stored += sum(len(bucket) for bucket in leaf.buckets)
+        leaf = leaf.next_leaf
+    if any(a >= b for a, b in zip(chained, chained[1:])):
+        raise AssertionError("leaf chain out of order or repeats a key")
+    if stored != tree._size:
         raise AssertionError(
-            f"leaf chain has {len(deduped)} distinct keys, "
-            f"expected {tree._key_count}"
+            f"leaf chain holds {stored} values, expected {tree._size}"
         )
-    if deduped != sorted(deduped):
-        raise AssertionError("leaf chain out of order")
 
 
 def check_heap(heap: AddressableHeap) -> None:

@@ -9,7 +9,12 @@ from hypothesis import strategies as st
 
 from repro.network import DijkstraExpander, InMemoryPlacements
 
-from conftest import build_random_network, place_random_objects, random_locations
+from conftest import (
+    build_random_network,
+    iter_objects,
+    place_random_objects,
+    random_locations,
+)
 from network_measures import to_networkx
 
 
@@ -82,16 +87,14 @@ class TestNodeDistances:
         assert expander.distance_to(b) == pytest.approx(0.35)
 
     def test_frontier_radius_monotone(self, medium_network):
+        """The wavefront settles nodes in non-decreasing distance."""
         expander = DijkstraExpander(
             medium_network, medium_network.location_at_node(3)
         )
         last = 0.0
-        while True:
-            radius = expander.frontier_radius()
-            assert radius >= last - 1e-12
-            last = radius
-            if expander.expand_next() is None:
-                break
+        while (step := expander.expand_next()) is not None:
+            assert step[1] >= last
+            last = step[1]
         assert expander.exhausted
 
 
@@ -109,7 +112,7 @@ class TestIncrementalNearestObject:
         placements = InMemoryPlacements(objects)
         source = random_locations(network, 1, seed=23)[0]
         expander = DijkstraExpander(network, source, placements=placements)
-        emitted = list(expander.iter_objects())
+        emitted = list(iter_objects(expander))
         assert len(emitted) == 45
         distances = [d for _, d in emitted]
         assert distances == sorted(distances)
@@ -120,7 +123,7 @@ class TestIncrementalNearestObject:
         placements = InMemoryPlacements(objects)
         source = random_locations(network, 1, seed=33)[0]
         expander = DijkstraExpander(network, source, placements=placements)
-        for obj, dist in expander.iter_objects():
+        for obj, dist in iter_objects(expander):
             reference = DijkstraExpander(network, source).distance_to(obj.location)
             assert dist == pytest.approx(reference)
 
@@ -153,7 +156,7 @@ class TestIncrementalNearestObject:
             network.location_at_node(0),
             placements=InMemoryPlacements(objects),
         )
-        ids = [obj.object_id for obj, _ in expander.iter_objects()]
+        ids = [obj.object_id for obj, _ in iter_objects(expander)]
         assert len(ids) == len(set(ids))
 
     def test_visited_tracking(self):
@@ -165,8 +168,7 @@ class TestIncrementalNearestObject:
             placements=InMemoryPlacements(objects),
         )
         obj, dist = expander.next_nearest_object()
-        assert expander.has_visited(obj.object_id)
-        assert expander.visited_object_count == 1
+        assert expander.emissions == [(obj, dist)]
         assert expander.last_emitted_distance == dist
 
     def test_node_resident_object_discovered(self, tiny_network):
@@ -216,7 +218,7 @@ class TestINEProperties:
         placements = InMemoryPlacements(objects)
         source = random_locations(network, 1, seed=seed + 2)[0]
         expander = DijkstraExpander(network, source, placements=placements)
-        emitted = list(expander.iter_objects())
+        emitted = list(iter_objects(expander))
         assert sorted(obj.object_id for obj, _ in emitted) == sorted(
             o.object_id for o in objects
         )

@@ -14,7 +14,7 @@ from conftest import (
     place_random_objects,
     random_locations,
 )
-from invariants import check_rtree
+from invariants import check_rtree, rtree_entries
 
 
 def fresh_workspace(seed, paged, attribute_count=0):
@@ -68,7 +68,7 @@ class TestAddObject:
         before = len(workspace.objects)
         workspace.add_object(object_on_edge(network, 9000))
         assert len(workspace.objects) == before + 1
-        assert len(list(workspace.object_rtree.all_entries())) == before + 1
+        assert len(rtree_entries(workspace.object_rtree)) == before + 1
 
 
 class TestRemoveObject:

@@ -37,7 +37,12 @@ from repro.network import (
 )
 
 import reference_heap
-from conftest import build_random_network, place_random_objects, random_locations
+from conftest import (
+    build_random_network,
+    iter_objects,
+    place_random_objects,
+    random_locations,
+)
 
 SPACING = 0.1
 OBJECT_OFFSETS = (0.025, 0.05, 0.075)
@@ -123,7 +128,7 @@ def dijkstra_trace(network, objects, sources, heap_class):
         ine = DijkstraExpander(network, source, placements=placements)
         assert type(ine._heap) is heap_class
         assert type(ine._object_heap) is heap_class
-        emissions = [(obj.object_id, dist) for obj, dist in ine.iter_objects()]
+        emissions = [(obj.object_id, dist) for obj, dist in iter_objects(ine)]
         full = DijkstraExpander(network, source, placements=placements)
         steps = []
         while (step := full.expand_next()) is not None:

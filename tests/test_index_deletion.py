@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from repro.geometry import Point
 from repro.index import BPlusTree, RTree
 
-from invariants import check_bptree, check_rtree
+from invariants import check_bptree, check_rtree, rtree_entries
 
 
 class TestBPlusTreeDeletion:
@@ -26,7 +26,6 @@ class TestBPlusTreeDeletion:
             tree.insert(7, value)
         assert tree.delete(7) == 3
         assert tree.search(7) == []
-        assert tree.key_count == 0
         assert len(tree) == 0
 
     def test_delete_missing_key(self):
@@ -50,7 +49,7 @@ class TestBPlusTreeDeletion:
             tree.insert(i, i)
         for i in range(0, 100, 2):
             assert tree.delete(i) == 1
-        assert list(tree.keys()) == list(range(1, 100, 2))
+        assert [k for k, _ in tree.items()] == list(range(1, 100, 2))
         for i in range(1, 100, 2):
             assert tree.search(i) == [i]
 
@@ -60,8 +59,9 @@ class TestBPlusTreeDeletion:
             tree.insert(i, i)
         for i in range(10, 20):
             tree.delete(i)
-        got = [k for k, _ in tree.range_search(5, 25)]
-        assert got == [5, 6, 7, 8, 9, 20, 21, 22, 23, 24, 25]
+        check_bptree(tree)
+        got = [k for k, _ in tree.items()]
+        assert got == [*range(10), *range(20, 50)]
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -108,7 +108,7 @@ class TestRTreeDeletion:
         tree, points = self._populated()
         assert tree.delete_point(points[10], 10)
         assert len(tree) == 119
-        assert 10 not in [p for _, p in tree.all_entries()]
+        assert 10 not in [p for _, p in rtree_entries(tree)]
         check_rtree(tree)
 
     def test_delete_missing_returns_false(self):
@@ -128,7 +128,7 @@ class TestRTreeDeletion:
         for i in order:
             assert tree.delete_point(points[i], i)
         assert len(tree) == 0
-        assert list(tree.all_entries()) == []
+        assert rtree_entries(tree) == []
 
     def test_structure_valid_after_heavy_deletion(self):
         tree, points = self._populated(count=200, seed=2)
@@ -137,7 +137,7 @@ class TestRTreeDeletion:
         for i in victims:
             assert tree.delete_point(points[i], i)
         check_rtree(tree)
-        survivors = sorted(p for _, p in tree.all_entries())
+        survivors = sorted(p for _, p in rtree_entries(tree))
         assert survivors == sorted(set(range(200)) - set(victims))
 
     def test_nearest_still_exact_after_deletion(self):
@@ -189,4 +189,4 @@ class TestRTreeDeletion:
                 alive[next_id] = p
                 next_id += 1
         check_rtree(tree)
-        assert sorted(p for _, p in tree.all_entries()) == sorted(alive)
+        assert sorted(p for _, p in rtree_entries(tree)) == sorted(alive)

@@ -11,7 +11,7 @@ from repro.network import (
 from repro.storage import NodePager
 
 from conftest import build_random_network, place_random_objects
-from invariants import check_rtree
+from invariants import check_rtree, rtree_entries
 
 NAN = float("nan")
 
@@ -80,7 +80,7 @@ class TestObjectSet:
         objects = place_random_objects(network, 30, seed=10)
         tree = objects.build_rtree(max_entries=4)
         check_rtree(tree)
-        ids = sorted(o.object_id for _, o in tree.all_entries())
+        ids = sorted(o.object_id for _, o in rtree_entries(tree))
         assert ids == list(range(30))
 
     def test_point_property(self, tiny_network):

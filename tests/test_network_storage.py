@@ -7,7 +7,7 @@ from repro.network import NetworkStore, hilbert_index
 from repro.storage import DEFAULT_PAGE_SIZE
 
 from conftest import grid_network
-from invariants import check_rtree
+from invariants import check_rtree, rtree_entries
 from network_measures import clustering_quality
 
 
@@ -114,7 +114,7 @@ class TestNetworkStore:
         store = NetworkStore(medium_network)
         tree = store.build_edge_rtree(max_entries=8)
         check_rtree(tree)
-        assert len(list(tree.all_entries())) == medium_network.edge_count
+        assert len(rtree_entries(tree)) == medium_network.edge_count
 
 
 class TestWavefrontLocality:

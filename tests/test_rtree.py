@@ -10,7 +10,7 @@ from repro.geometry import MBR, Point
 from repro.index import RTree
 from repro.storage import NodePager
 
-from invariants import check_rtree
+from invariants import check_rtree, rtree_entries
 
 coordinate = st.floats(min_value=0, max_value=100, allow_nan=False)
 point_strategy = st.builds(Point, coordinate, coordinate)
@@ -30,8 +30,7 @@ class TestRTreeConstruction:
     def test_empty_tree(self):
         tree = RTree()
         assert len(tree) == 0
-        assert tree.root_mbr is None
-        assert list(tree.search(MBR(0, 0, 1, 1))) == []
+        assert list(tree.traverse(lambda mbr, payload: True)) == []
         assert list(tree.nearest(Point(0, 0))) == []
 
     def test_bad_parameters(self):
@@ -66,13 +65,12 @@ class TestRTreeConstruction:
         points = [Point(rng.random(), rng.random()) for _ in range(count)]
         tree = build_tree(points, max_entries=8, bulk=True)
         check_rtree(tree)
-        assert len(list(tree.all_entries())) == count
+        assert len(rtree_entries(tree)) == count
 
-    def test_root_mbr_covers_everything(self):
-        points = [Point(0, 0), Point(5, 7), Point(-2, 3)]
-        tree = build_tree(points)
-        for p in points:
-            assert tree.root_mbr.contains_point(p)
+
+def window(tree, region):
+    """A window query as EDC runs one: a traversal pruned to ``region``."""
+    return list(tree.traverse(lambda mbr, payload: mbr.intersects(region)))
 
 
 class TestWindowSearch:
@@ -80,20 +78,20 @@ class TestWindowSearch:
         rng = random.Random(2)
         points = [Point(rng.random() * 10, rng.random() * 10) for _ in range(400)]
         tree = build_tree(points, max_entries=6)
-        window = MBR(2, 3, 6, 8)
-        got = sorted(i for _, i in tree.search(window))
+        region = MBR(2, 3, 6, 8)
+        got = sorted(i for _, i in window(tree, region))
         expected = sorted(
-            i for i, p in enumerate(points) if window.contains_point(p)
+            i for i, p in enumerate(points) if region.contains_point(p)
         )
         assert got == expected
 
     def test_boundary_points_included(self):
         tree = build_tree([Point(1, 1)])
-        assert list(tree.search(MBR(1, 1, 2, 2))) != []
+        assert window(tree, MBR(1, 1, 2, 2)) != []
 
     def test_disjoint_window_empty(self):
         tree = build_tree([Point(1, 1), Point(2, 2)])
-        assert list(tree.search(MBR(10, 10, 11, 11))) == []
+        assert window(tree, MBR(10, 10, 11, 11)) == []
 
 
 class TestNearest:
@@ -155,7 +153,7 @@ class TestPagedRTree:
         pager = NodePager()
         tree = build_tree(points, max_entries=8, bulk=True, pager=pager)
         pager.pool.reset_stats()
-        list(tree.search(MBR(0.4, 0.4, 0.6, 0.6)))
+        window(tree, MBR(0.4, 0.4, 0.6, 0.6))
         assert pager.stats.logical_reads > 0
 
     def test_window_search_cheaper_than_full_scan(self):
@@ -164,10 +162,10 @@ class TestPagedRTree:
         pager = NodePager()
         tree = build_tree(points, max_entries=8, bulk=True, pager=pager)
         pager.pool.reset_stats()
-        list(tree.search(MBR(0.45, 0.45, 0.55, 0.55)))
+        window(tree, MBR(0.45, 0.45, 0.55, 0.55))
         window_cost = pager.stats.logical_reads
         pager.pool.reset_stats()
-        list(tree.all_entries())
+        list(tree.traverse(lambda mbr, payload: True))
         scan_cost = pager.stats.logical_reads
         assert window_cost < scan_cost
 
@@ -183,7 +181,7 @@ class TestRTreeProperties:
             return
         tree = build_tree(points, max_entries=5, bulk=bulk)
         check_rtree(tree)
-        assert sorted(p for _, p in tree.all_entries()) == list(range(len(points)))
+        assert sorted(p for _, p in rtree_entries(tree)) == list(range(len(points)))
 
     @settings(max_examples=30, deadline=None)
     @given(

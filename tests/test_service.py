@@ -7,12 +7,14 @@ Concurrent mutation/query interleaving lives in
 
 from __future__ import annotations
 
+import threading
 import time
 
 import pytest
 
 from conftest import build_random_network, cold_run, place_random_objects
 from repro.core import ALGORITHMS, LBC, Workspace
+from repro.datasets import build_preset, extract_objects, select_query_points
 from repro.service import (
     BadRequest,
     BatchPlanner,
@@ -41,6 +43,21 @@ def workspace(dataset):
 
 def locations(network, *nodes):
     return [network.location_at_node(n) for n in nodes]
+
+
+@pytest.fixture(scope="module")
+def au():
+    """AU at 2 %, the fan-out workload's preset at test size."""
+    network = build_preset("AU", scale=0.02, seed=3)
+    return network, extract_objects(network, omega=0.5, seed=4)
+
+
+class SlowLBC(LBC):
+    """LBC that sleeps before running: a plan that holds its worker."""
+
+    def run(self, workspace, queries):
+        time.sleep(0.3)
+        return super().run(workspace, queries)
 
 
 # ----------------------------------------------------------------------
@@ -296,6 +313,141 @@ class TestQueryService:
             # The post-mutation answer matches a fresh direct run.
             assert after.same_answer(cold_run(LBC(), workspace, queries))
             del before  # answers may or may not differ; no torn state
+
+
+class TestGathering:
+    """One worker gathers at a time, so a burst becomes one batch."""
+
+    def test_fan_out_burst_becomes_one_deduped_batch(self, au):
+        network, objects = au
+        workspace = Workspace.build(network, objects)
+        queries = select_query_points(network, 4, seed=5)
+        permuted = [queries[i] for i in (2, 0, 3, 1)]
+        settled = workspace.engine.nodes_settled()
+        pages = workspace.network_pages_read()
+        with QueryService(workspace, workers=2, batch_window_s=0.05) as service:
+            pendings = [
+                service.submit(algorithm, order)
+                for algorithm in ("LBC", "EDC", "CE")
+                for order in (queries, permuted)
+            ]
+            results = [p.result(timeout=30) for p in pendings]
+            stats = service.stats_dict()
+            assert stats["batches"]["executed"] == 1
+            assert stats["requests"]["deduped"] == 3
+            records = service.recorder.ring_entries()
+            assert len(records) == 6
+            assert sum(r.counters["nodes_settled"] for r in records) == (
+                workspace.engine.nodes_settled() - settled
+            )
+            assert sum(r.counters["network_pages"] for r in records) == (
+                workspace.network_pages_read() - pages
+            )
+        for canonical, follower in zip(pendings[::2], results[1::2]):
+            assert follower.stats.extras["deduped_of"] == (
+                canonical.request.request_id
+            )
+        # Exact vectors: a follower's columns are the canonical's,
+        # permuted into the follower's query order.
+        for pending, result in zip(pendings, results):
+            request = pending.request
+            reference = cold_run(
+                ALGORITHMS[request.algorithm](), workspace, request.queries
+            )
+            assert result.object_ids() == reference.object_ids()
+            assert result.vectors_by_id() == reference.vectors_by_id()
+
+    def test_capped_drain_wakes_another_gatherer(self, au):
+        network, objects = au
+        workspace = Workspace.build(network, objects)
+        gate = threading.Event()
+
+        class Blocked(LBC):
+            def run(self, workspace, queries):
+                gate.wait(30)
+                return super().run(workspace, queries)
+
+        nodes = sorted(network.node_ids())
+        pairs = [locations(network, *nodes[i : i + 2]) for i in range(0, 10, 2)]
+        with QueryService(
+            workspace,
+            workers=2,
+            max_batch=2,
+            batch_window_s=0.05,
+            algorithms={**ALGORITHMS, "blocked": Blocked},
+        ) as service:
+            try:
+                service.pause()
+                blocked = [service.submit("blocked", q) for q in pairs[:2]]
+                plain = [service.submit("LBC", q) for q in pairs[2:]]
+                service.resume()
+                # The first gatherer drains the two blocked requests and
+                # holds its worker; the other worker gathers the rest.
+                answers = [p.result(timeout=10) for p in plain]
+                assert not any(p.done() for p in blocked)
+            finally:
+                gate.set()
+            for pending in blocked:
+                pending.result(timeout=30)
+        for queries, answer in zip(pairs[2:], answers):
+            assert answer.same_answer(cold_run(LBC(), workspace, queries))
+
+
+class TestPlanDeadlines:
+    """Deadlines are checked as each plan starts, not once per batch."""
+
+    def test_request_expired_behind_a_slow_plan_fails_unrun(self, au):
+        network, objects = au
+        workspace = Workspace.build(network, objects)
+        queries = select_query_points(network, 4, seed=5)
+        with QueryService(
+            workspace, workers=1, algorithms={**ALGORITHMS, "slow": SlowLBC}
+        ) as service:
+            service.pause()
+            slow = service.submit("slow", queries[:2])
+            late = service.submit("LBC", queries[2:], timeout_s=0.1)
+            service.resume()
+            slow.result(timeout=30)
+            with pytest.raises(DeadlineExceeded):
+                late.result(timeout=30)
+            (record,) = [
+                r
+                for r in service.recorder.ring_entries()
+                if r.request_id == late.request.request_id
+            ]
+            assert record.outcome == "timed_out"
+            assert record.counters.get("nodes_settled", 0) == 0
+            assert service.stats_dict()["requests"]["timed_out"] == 1
+
+    def test_expired_canonical_hands_its_unit_to_a_live_follower(self, au):
+        network, objects = au
+        workspace = Workspace.build(network, objects)
+        queries = select_query_points(network, 4, seed=5)
+        reversed_pair = queries[3:1:-1]
+        settled = workspace.engine.nodes_settled()
+        with QueryService(
+            workspace, workers=1, algorithms={**ALGORITHMS, "slow": SlowLBC}
+        ) as service:
+            service.pause()
+            service.submit("slow", queries[:2])
+            canonical = service.submit("LBC", queries[2:], timeout_s=0.1)
+            follower = service.submit("LBC", reversed_pair)
+            service.resume()
+            with pytest.raises(DeadlineExceeded):
+                canonical.result(timeout=30)
+            answer = follower.result(timeout=30)
+            # The follower ran the unit, so it, not the expired
+            # canonical, pays for the work.
+            assert "deduped_of" not in answer.stats.extras
+            assert answer.stats.nodes_settled > 0
+            records = service.recorder.ring_entries()
+            assert len(records) == 3
+            assert sum(r.counters.get("nodes_settled", 0) for r in records) == (
+                workspace.engine.nodes_settled() - settled
+            )
+        reference = cold_run(LBC(), workspace, reversed_pair)
+        assert answer.object_ids() == reference.object_ids()
+        assert answer.vectors_by_id() == reference.vectors_by_id()
 
 
 # ----------------------------------------------------------------------

@@ -5,17 +5,19 @@ a writer mutates edge weights must never observe a *torn* snapshot —
 every answer equals the ground truth of either the pre-mutation or the
 post-mutation network, never a mixture.  Plus targeted stress for the
 two locked structures (engine memo/pool, buffer pool hit/miss
-accounting) whose unguarded versions lose updates.
+accounting) whose unguarded versions lose updates, and for the
+service's one-gatherer rule, whose lost wake-up would wedge a burst.
 """
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import pytest
 
-from conftest import build_random_network, place_random_objects
-from repro.core import LBC, Workspace
+from conftest import build_random_network, cold_run, place_random_objects
+from repro.core import ALGORITHMS, LBC, Workspace
 from repro.service import QueryService
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import DiskManager
@@ -115,6 +117,85 @@ class TestMutationQueryInterleaving:
         # The mutation happened once, so at least one side was observed.
         assert matched_before + matched_after == len(outcomes)
         assert matched_after >= 1  # queries after the mutation see it
+
+
+class TestGatheringUnderStress:
+    """One worker gathers at a time: bursts from many clients lose no
+    request, batch none twice, bill every settle once and wedge no
+    worker."""
+
+    WORKERS = 4  # more workers than the runners have cores
+    CLIENTS = 6
+    BURSTS = 3
+    POINT_SETS = ((3, 40), (40, 77), (5, 9), (11, 60))
+
+    def test_every_request_is_batched_once_and_answered(self):
+        workspace = build_workspace()
+        network = workspace.network
+        point_sets = [
+            [network.location_at_node(n) for n in nodes]
+            for nodes in self.POINT_SETS
+        ]
+        settled = workspace.engine.nodes_settled()
+        pendings: list = []
+        errors: list = []
+        start = threading.Barrier(self.CLIENTS)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with QueryService(
+                workspace, workers=self.WORKERS, max_batch=3,
+                batch_window_s=0.001,
+            ) as service:
+
+                def client(index):
+                    start.wait()
+                    for burst in range(self.BURSTS):
+                        queries = point_sets[(index + burst) % len(point_sets)]
+                        for algorithm in ("LBC", "EDC", "CE"):
+                            try:
+                                pendings.append(
+                                    service.submit(algorithm, queries, timeout_s=60)
+                                )
+                            except Exception as exc:  # fail the test
+                                errors.append(exc)
+
+                threads = [
+                    threading.Thread(target=client, args=(i,))
+                    for i in range(self.CLIENTS)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                    assert not thread.is_alive(), "client wedged"
+                results = [p.result(timeout=60) for p in pendings]
+                stats = service.stats_dict()
+                records = service.recorder.ring_entries()
+                with service._cond:
+                    assert not service._gathering
+                    assert not service._active_keys
+        finally:
+            sys.setswitchinterval(interval)
+
+        assert not errors, errors
+        total = self.CLIENTS * self.BURSTS * 3
+        assert len(results) == total
+        assert stats["requests"]["completed"] == total
+        assert stats["batches"]["requests_batched"] == total
+        assert len(records) == total
+        assert sum(r.counters["nodes_settled"] for r in records) == (
+            workspace.engine.nodes_settled() - settled
+        )
+        references = {}
+        for pending, result in zip(pendings, results):
+            request = pending.request
+            key = (request.algorithm, tuple(q.node_id for q in request.queries))
+            if key not in references:
+                references[key] = cold_run(
+                    ALGORITHMS[request.algorithm](), workspace, request.queries
+                )
+            assert result.same_answer(references[key])
 
 
 class TestEngineThreadSafety:

@@ -11,7 +11,7 @@ import pytest
 
 from repro.network import AStarExpander, DijkstraExpander
 
-from conftest import random_locations
+from conftest import iter_objects, random_locations
 from network_measures import to_networkx
 
 
@@ -94,7 +94,7 @@ class TestKNearestObjects:
 
     def _nearest(self, network, source, placements, k):
         expander = DijkstraExpander(network, source, placements=placements)
-        return list(itertools.islice(expander.iter_objects(), k))
+        return list(itertools.islice(iter_objects(expander), k))
 
     def test_returns_k_in_order(self):
         network, objects, placements = self._setup()
