@@ -204,7 +204,7 @@ class TestScrapeCost:
         workspace = Workspace.build(
             network, objects, paged=True, buffer_bytes=BENCH_BUFFER
         )
-        with QueryService(workspace, workers=2, batch_window_s=0.0) as service:
+        with QueryService(workspace, workers=2) as service:
             for seed in range(4):
                 queries = select_query_points(
                     network, 3, region_fraction=0.2, seed=seed

@@ -257,9 +257,7 @@ def _run_service_workload(workload: ServiceWorkload) -> dict:
             distance_backend=workload.distance_backend,
         )
         rows: list[dict[str, int]] = []
-        with QueryService(
-            workspace, workers=1, batch_window_s=0.0, max_batch=1
-        ) as service:
+        with QueryService(workspace, workers=1, max_batch=1) as service:
             started = time.perf_counter()
             for index in range(workload.requests):
                 queries = select_query_points(

@@ -99,7 +99,7 @@ class QueryWorkload:
 class ServiceWorkload:
     """A closed-loop serving run: sequential requests, one worker.
 
-    One worker and a zero batch window make the request schedule — and
+    One worker and batches of one make the request schedule — and
     therefore the counters — deterministic while still exercising the
     full admission/planning/execution path.
     """

@@ -53,15 +53,15 @@ def is_regression(
 
 
 def format_growth(base: float, current: float) -> str:
-    """``"120 -> 380 (+3.2x)"`` / ``"(+12.5%)"`` — the attribution
-    suffix both comparators print."""
+    """``"120 -> 380 (+3.2x)"`` / ``"(+12.5%)"`` / ``"(-100.0%)"`` — the
+    attribution suffix both comparators print."""
     growth = relative_increase(base, current)
     if growth == float("inf"):
         factor = "0 -> >0"
     elif growth >= 1.0:
         factor = f"+{1.0 + growth:.1f}x"
     else:
-        factor = f"+{growth * 100:.1f}%"
+        factor = f"{growth * 100:+.1f}%"
     base_text = _compact(base)
     current_text = _compact(current)
     return f"{base_text} -> {current_text} ({factor})"

@@ -38,7 +38,6 @@ from repro.service.errors import (
 )
 from repro.service.http import ServiceHTTPServer, run_serve
 from repro.service.service import (
-    DEFAULT_BATCH_WINDOW_S,
     DEFAULT_MAX_BATCH,
     DEFAULT_QUEUE_LIMIT,
     DEFAULT_TIMEOUT_S,
@@ -52,7 +51,6 @@ __all__ = [
     "BadRequest",
     "BatchPlan",
     "BatchPlanner",
-    "DEFAULT_BATCH_WINDOW_S",
     "DEFAULT_MAX_BATCH",
     "DEFAULT_QUEUE_LIMIT",
     "DEFAULT_TIMEOUT_S",

@@ -8,15 +8,15 @@ into a long-running server:
   immediately instead of queuing unboundedly; the shed is counted and
   surfaced in ``/statsz``.  Bounded queues are what keep tail latency
   finite under overload.
-* **A worker pool** — N threads drain the queue, one gathering at a
-  time: the gatherer takes one request, lingers for ``batch_window_s``
-  so co-arriving requests can join (group commit), drains up to
-  ``max_batch``, then plans the slice with the
-  :class:`~repro.service.batching.BatchPlanner`.  Workers that wake
-  meanwhile wait for the window to drain, so a burst becomes one
-  batch; a drain capped at ``max_batch`` wakes a worker for the rest.
+* **A worker pool** — N threads drain the queue.  A worker that finds
+  requests queued takes what is there, up to ``max_batch``, in one
+  critical section, and plans the slice with the
+  :class:`~repro.service.batching.BatchPlanner` at once: nothing
+  lingers for later arrivals.  A burst that queued before a worker
+  was scheduled, or while every worker was busy, becomes one batch; a
+  lone request runs alone, without waiting.
 * **Batching with conflict isolation** — a batch's plans run one after
-  another on the worker that gathered it; plans sharing query points
+  another on the worker that took it; plans sharing query points
   with an in-flight plan wait their turn (the engine's pooled
   wavefronts are single-driver; see the concurrency contract in
   :mod:`repro.engine.engine`); disjoint plans of different batches run
@@ -86,7 +86,6 @@ DEFAULT_WORKERS = 4
 DEFAULT_QUEUE_LIMIT = 64
 DEFAULT_TIMEOUT_S = 30.0
 DEFAULT_MAX_BATCH = 8
-DEFAULT_BATCH_WINDOW_S = 0.002
 DEFAULT_SLOW_THRESHOLD_S = 0.5
 BATCH_SIZE_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
 DEFAULT_FLIGHT_RING = 64
@@ -139,7 +138,6 @@ class QueryService:
         queue_limit: int = DEFAULT_QUEUE_LIMIT,
         default_timeout_s: float | None = DEFAULT_TIMEOUT_S,
         max_batch: int = DEFAULT_MAX_BATCH,
-        batch_window_s: float = DEFAULT_BATCH_WINDOW_S,
         algorithms: Mapping[str, type] | None = None,
         slow_threshold_s: float = DEFAULT_SLOW_THRESHOLD_S,
         event_log_path: str | None = None,
@@ -160,14 +158,17 @@ class QueryService:
         self.queue_limit = queue_limit
         self.default_timeout_s = default_timeout_s
         self.max_batch = max_batch
-        self.batch_window_s = batch_window_s
         self.algorithms = dict(algorithms or ALGORITHMS)
 
         self._planner = BatchPlanner()
-        self._cond = threading.Condition()
+        # One lock guards the service's state.  Idle workers wait on
+        # _cond for requests; plans wait on _keys_freed for query-point
+        # keys, so submit()'s notify() always wakes an idle worker.
+        lock = threading.RLock()
+        self._cond = threading.Condition(lock)
+        self._keys_freed = threading.Condition(lock)
         self._queue: deque[PendingQuery] = deque()
         self._active_keys: set = set()
-        self._gathering = False  # a worker is inside its batch window
         self._paused = False
         self._closed = False
         self._ids = itertools.count(1)
@@ -559,33 +560,16 @@ class QueryService:
     # Worker machinery
     # ------------------------------------------------------------------
     def _worker_loop(self) -> None:
-        gather = self.batch_window_s > 0.0 and self.max_batch > 1
         while True:
             with self._cond:
-                while (
-                    not self._queue or self._paused or self._gathering
-                ) and not self._closed:
+                while (not self._queue or self._paused) and not self._closed:
                     self._cond.wait()
                 if self._closed and not self._queue:
                     return
-                batch = [self._queue.popleft()]
-                self._gathering = gather
-            if gather:
-                # Group commit: give co-arriving requests one short
-                # window to join this batch.  Only one worker gathers
-                # at a time, so a burst becomes one batch, not one per
-                # worker; the others wait for this window to drain.
-                time.sleep(self.batch_window_s)
-            with self._cond:
-                while self._queue and len(batch) < self.max_batch:
-                    batch.append(self._queue.popleft())
-                if gather:
-                    self._gathering = False
-                    if self._queue:
-                        # A drain capped at max_batch: another worker
-                        # gathers the rest.  notify() could wake a key
-                        # waiter instead (they share _cond), so wake all.
-                        self._cond.notify_all()
+                # Batch what is queued, up to max_batch, and run it at
+                # once: a request never waits for company.
+                count = min(len(self._queue), self.max_batch)
+                batch = [self._queue.popleft() for _ in range(count)]
                 self._busy_workers += 1
             try:
                 self._process(batch)
@@ -753,13 +737,13 @@ class QueryService:
     def _acquire_keys(self, keys: frozenset) -> None:
         with self._cond:
             while keys & self._active_keys:
-                self._cond.wait()
+                self._keys_freed.wait()
             self._active_keys |= keys
 
     def _release_keys(self, keys: frozenset) -> None:
         with self._cond:
             self._active_keys -= keys
-            self._cond.notify_all()
+            self._keys_freed.notify_all()
 
     # ------------------------------------------------------------------
     # Operations

@@ -136,6 +136,7 @@ class TestGateArithmetic:
     def test_format_growth_reads_as_attribution(self):
         assert format_growth(120, 380) == "120 -> 380 (+3.2x)"
         assert "+12.5%" in format_growth(80, 90)
+        assert format_growth(0.117647, 0) == "0.117647 -> 0 (-100.0%)"
 
     def test_bench_compare_shares_the_arithmetic(self):
         from repro.bench import compare as bench_compare
@@ -468,7 +469,6 @@ def _run_service_log(tmp_path, name, delay_s, queries_per_algo=6):
     service = QueryService(
         workspace,
         workers=2,
-        batch_window_s=0.0,
         event_log_path=path,
         algorithms={**ALGORITHMS, "molasses": _Sleepy},
     )
@@ -600,9 +600,7 @@ def insight_service(tmp_path_factory):
     objects = place_random_objects(network, 35, seed=72, attribute_count=2)
     workspace = Workspace.build(network, objects, distance_backend="astar")
     path = str(tmp_path / "events.jsonl")
-    service = QueryService(
-        workspace, workers=2, batch_window_s=0.0, event_log_path=path
-    )
+    service = QueryService(workspace, workers=2, event_log_path=path)
     try:
         for i in range(10):
             queries = random_locations(network, 2 + (i % 3), seed=200 + i)
@@ -710,7 +708,6 @@ class TestSingleLatencyAggregator:
         service = QueryService(
             workspace,
             workers=2,
-            batch_window_s=0.0,
             event_log_path=path,
             slo_latency_threshold_s=threshold_s,
         )

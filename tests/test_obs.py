@@ -461,9 +461,7 @@ def small_service():
     network = build_random_network(50, 35, seed=5)
     objects = place_random_objects(network, 25, seed=6, attribute_count=1)
     workspace = Workspace.build(network, objects, paged=True)
-    service = QueryService(
-        workspace, workers=2, batch_window_s=0.0, slow_threshold_s=0.0
-    )
+    service = QueryService(workspace, workers=2, slow_threshold_s=0.0)
     try:
         yield service
     finally:

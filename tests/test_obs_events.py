@@ -219,9 +219,7 @@ def served_events(tmp_path_factory):
     objects = place_random_objects(network, 30, seed=22, attribute_count=2)
     workspace = Workspace.build(network, objects, distance_backend="astar")
     path = str(tmp_path / "events.jsonl")
-    service = QueryService(
-        workspace, workers=2, event_log_path=path, batch_window_s=0.0
-    )
+    service = QueryService(workspace, workers=2, event_log_path=path)
     results = {}
     for i, seed in enumerate((5, 6, 7)):
         queries = random_locations(network, 2 + i % 2, seed=seed)
@@ -270,9 +268,7 @@ class TestDualClocks:
         objects = place_random_objects(network, 15, seed=24)
         workspace = Workspace.build(network, objects)
         path = str(tmp_path / "events.jsonl")
-        service = QueryService(
-            workspace, workers=1, batch_window_s=0.0, event_log_path=path
-        )
+        service = QueryService(workspace, workers=1, event_log_path=path)
         try:
             service.pause()
             pending = service.submit(

@@ -312,7 +312,6 @@ def blocked_service(tmp_path):
     service = QueryService(
         workspace,
         workers=1,
-        batch_window_s=0.0,
         algorithms={**ALGORITHMS, "blocking": BlockingAlgorithm},
         stall_deadline_s=0.2,
         diag_interval_s=0.02,
@@ -393,7 +392,6 @@ class TestSinkFailure:
         service = QueryService(
             workspace,
             workers=1,
-            batch_window_s=0.0,
             default_timeout_s=2.0,
             flight_dir=str(not_a_dir),
             slow_threshold_s=0.0,

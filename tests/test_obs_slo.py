@@ -165,7 +165,6 @@ def slo_service():
     service = QueryService(
         workspace,
         workers=2,
-        batch_window_s=0.0,
         algorithms={**ALGORITHMS, "molasses": MolassesAlgorithm},
         slo_windows=(BurnWindow(3600.0, 3600.0, 1.0),),
         slo_latency_target=0.5,

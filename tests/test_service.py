@@ -9,12 +9,14 @@ from __future__ import annotations
 
 import threading
 import time
+import types
 
 import pytest
 
 from conftest import build_random_network, cold_run, place_random_objects
 from repro.core import ALGORITHMS, LBC, Workspace
 from repro.datasets import build_preset, extract_objects, select_query_points
+import repro.service.service as service_module
 from repro.service import (
     BadRequest,
     BatchPlanner,
@@ -316,7 +318,8 @@ class TestQueryService:
 
 
 class TestGathering:
-    """One worker gathers at a time, so a burst becomes one batch."""
+    """A worker batches what is queued, so a queued burst becomes one
+    batch and a lone request runs at once."""
 
     def test_fan_out_burst_becomes_one_deduped_batch(self, au):
         network, objects = au
@@ -325,12 +328,14 @@ class TestGathering:
         permuted = [queries[i] for i in (2, 0, 3, 1)]
         settled = workspace.engine.nodes_settled()
         pages = workspace.network_pages_read()
-        with QueryService(workspace, workers=2, batch_window_s=0.05) as service:
+        with QueryService(workspace, workers=2) as service:
+            service.pause()
             pendings = [
                 service.submit(algorithm, order)
                 for algorithm in ("LBC", "EDC", "CE")
                 for order in (queries, permuted)
             ]
+            service.resume()
             results = [p.result(timeout=30) for p in pendings]
             stats = service.stats_dict()
             assert stats["batches"]["executed"] == 1
@@ -373,7 +378,6 @@ class TestGathering:
             workspace,
             workers=2,
             max_batch=2,
-            batch_window_s=0.05,
             algorithms={**ALGORITHMS, "blocked": Blocked},
         ) as service:
             try:
@@ -381,8 +385,8 @@ class TestGathering:
                 blocked = [service.submit("blocked", q) for q in pairs[:2]]
                 plain = [service.submit("LBC", q) for q in pairs[2:]]
                 service.resume()
-                # The first gatherer drains the two blocked requests and
-                # holds its worker; the other worker gathers the rest.
+                # The first worker drains the two blocked requests and
+                # holds on to them; the other worker takes the rest.
                 answers = [p.result(timeout=10) for p in plain]
                 assert not any(p.done() for p in blocked)
             finally:
@@ -390,6 +394,21 @@ class TestGathering:
             for pending in blocked:
                 pending.result(timeout=30)
         for queries, answer in zip(pairs[2:], answers):
+            assert answer.same_answer(cold_run(LBC(), workspace, queries))
+
+    def test_lone_requests_never_sleep(self, au, monkeypatch):
+        network, objects = au
+        workspace = Workspace.build(network, objects)
+        sleeps = []
+        clock = types.SimpleNamespace(**vars(time))
+        clock.sleep = sleeps.append
+        monkeypatch.setattr(service_module, "time", clock)
+        point_sets = [select_query_points(network, 2, seed=s) for s in range(10)]
+        with QueryService(workspace, workers=2) as service:
+            answers = [service.query("LBC", q, timeout_s=10) for q in point_sets]
+            assert service.stats_dict()["batches"]["executed"] == 10
+        assert sleeps == []
+        for queries, answer in zip(point_sets, answers):
             assert answer.same_answer(cold_run(LBC(), workspace, queries))
 
 
@@ -448,6 +467,48 @@ class TestPlanDeadlines:
         reference = cold_run(LBC(), workspace, reversed_pair)
         assert answer.object_ids() == reference.object_ids()
         assert answer.vectors_by_id() == reference.vectors_by_id()
+
+    def test_deadline_lapsing_during_a_key_wait_fails_unbilled(self, au):
+        network, objects = au
+        workspace = Workspace.build(network, objects)
+        queries = select_query_points(network, 2, seed=5)
+        started = threading.Event()
+        gate = threading.Event()
+
+        class Held(LBC):
+            def run(self, workspace, queries):
+                started.set()
+                gate.wait(30)
+                return super().run(workspace, queries)
+
+        with QueryService(
+            workspace, workers=2, algorithms={**ALGORITHMS, "held": Held}
+        ) as service:
+            try:
+                held = service.submit("held", queries)
+                assert started.wait(10)
+                late = service.submit("LBC", queries, timeout_s=0.2)
+                # The second worker takes the request at once and waits
+                # for the held plan's keys past its deadline.
+                while service.queue_depth():
+                    time.sleep(0.001)
+                time.sleep(0.3)
+                assert not late.done()
+            finally:
+                gate.set()
+            held.result(timeout=30)
+            with pytest.raises(DeadlineExceeded):
+                late.result(timeout=30)
+            (record,) = [
+                r
+                for r in service.recorder.ring_entries()
+                if r.request_id == late.request.request_id
+            ]
+            assert record.outcome == "timed_out"
+            assert record.counters.get("nodes_settled", 0) == 0
+            with service._cond:
+                assert not service._active_keys
+            assert service.inflight.count() == 0
 
 
 # ----------------------------------------------------------------------

@@ -6,13 +6,14 @@ every answer equals the ground truth of either the pre-mutation or the
 post-mutation network, never a mixture.  Plus targeted stress for the
 two locked structures (engine memo/pool, buffer pool hit/miss
 accounting) whose unguarded versions lose updates, and for the
-service's one-gatherer rule, whose lost wake-up would wedge a burst.
+service's worker wake-ups, whose loss would strand a queued request.
 """
 
 from __future__ import annotations
 
 import sys
 import threading
+import time
 
 import pytest
 
@@ -120,7 +121,7 @@ class TestMutationQueryInterleaving:
 
 
 class TestGatheringUnderStress:
-    """One worker gathers at a time: bursts from many clients lose no
+    """Workers batch what is queued: bursts from many clients lose no
     request, batch none twice, bill every settle once and wedge no
     worker."""
 
@@ -143,10 +144,7 @@ class TestGatheringUnderStress:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            with QueryService(
-                workspace, workers=self.WORKERS, max_batch=3,
-                batch_window_s=0.001,
-            ) as service:
+            with QueryService(workspace, workers=self.WORKERS, max_batch=3) as service:
 
                 def client(index):
                     start.wait()
@@ -173,7 +171,6 @@ class TestGatheringUnderStress:
                 stats = service.stats_dict()
                 records = service.recorder.ring_entries()
                 with service._cond:
-                    assert not service._gathering
                     assert not service._active_keys
         finally:
             sys.setswitchinterval(interval)
@@ -196,6 +193,54 @@ class TestGatheringUnderStress:
                     ALGORITHMS[request.algorithm](), workspace, request.queries
                 )
             assert result.same_answer(references[key])
+
+
+class TestKeyWaits:
+    """A plan waiting for another plan's query-point keys never takes
+    the wake-up meant for an idle worker."""
+
+    def test_submit_wakes_an_idle_worker_not_a_key_waiter(self):
+        workspace = build_workspace()
+        network = workspace.network
+        held_points, first, second = (
+            [network.location_at_node(n) for n in nodes]
+            for nodes in ((3, 40), (5, 9), (11, 60))
+        )
+        started = threading.Event()
+        gate = threading.Event()
+
+        class Held(LBC):
+            def run(self, workspace, queries):
+                started.set()
+                gate.wait(30)
+                return super().run(workspace, queries)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with QueryService(
+                workspace, workers=3, algorithms={**ALGORITHMS, "held": Held}
+            ) as service:
+                try:
+                    held = service.submit("held", held_points)
+                    assert started.wait(10)
+                    waiter = service.submit("LBC", held_points)
+                    while service.queue_depth():
+                        time.sleep(0.001)
+                    time.sleep(0.05)  # the waiter reaches its key wait
+                    # The idle worker answers a disjoint request; its
+                    # key release wakes the key waiter, which waits again.
+                    service.query("LBC", first, timeout_s=10)
+                    lone = service.submit("LBC", second)
+                    answer = lone.result(timeout=3)
+                    assert not waiter.done()
+                finally:
+                    gate.set()
+                held.result(timeout=30)
+                waiter.result(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert answer.same_answer(cold_run(LBC(), workspace, second))
 
 
 class TestEngineThreadSafety:
