@@ -187,7 +187,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     oracle_verify = oracle_sub.add_parser(
         "verify",
-        help="sample random junction pairs against online Dijkstra",
+        help="sample random location pairs through the engine against "
+        "online Dijkstra",
     )
     oracle_verify.add_argument("network")
     oracle_verify.add_argument("oracle")
@@ -533,11 +534,7 @@ def _cmd_oracle_verify(args) -> int:
 
     from repro.engine import DistanceEngine
     from repro.obs import tracing
-    from repro.oracle import (
-        DistanceOracle,
-        load_oracle_index,
-        network_signature,
-    )
+    from repro.oracle import load_oracle_index, network_signature
 
     network = load_network(args.network)
     index = load_oracle_index(args.oracle)
@@ -548,18 +545,44 @@ def _cmd_oracle_verify(args) -> int:
             file=sys.stderr,
         )
         return 1
-    oracle = DistanceOracle(index, network)
+    # Queries' path: the engine's memo, then the attached index through
+    # each source's pooled label column.
     engine = DistanceEngine(network, backend="dijkstra")
+    engine.attach_oracle(index)
+    reference = DistanceEngine(network, backend="dijkstra")
     rng = random.Random(args.seed)
     nodes = sorted(network.node_ids())
+    edges = sorted(network.edge_ids())
+
+    def on_edge(edge_id: int):
+        length = network.edge(edge_id).length
+        return network.location_on_edge(edge_id, rng.uniform(0.0, length))
+
     worst = 0.0
     failures = 0
     with tracing.span("oracle.verify", samples=args.samples):
-        for _ in range(args.samples):
-            a = network.location_at_node(rng.choice(nodes))
-            b = network.location_at_node(rng.choice(nodes))
-            expected = engine.distance(a, b)
-            got = oracle.distance(a, b)
+        for sample in range(args.samples):
+            # Four targets per source around one edge: its two ends and
+            # two points on it, so the source's column answers the
+            # junctions the later targets share; the last point lies
+            # on the source's own edge when the source lies on one (the
+            # direct walk).  Every other source lies on an edge.
+            group, slot = divmod(sample, 4)
+            if slot == 0:
+                source = (
+                    on_edge(rng.choice(edges))
+                    if group % 2
+                    else network.location_at_node(rng.choice(nodes))
+                )
+                edge = network.edge(rng.choice(edges))
+            if slot % 2 == 0:
+                target = network.location_at_node(edge.v if slot else edge.u)
+            elif slot == 3 and source.edge_id is not None:
+                target = on_edge(source.edge_id)
+            else:
+                target = on_edge(edge.edge_id)
+            expected = reference.distance(source, target)
+            got = engine.distance(source, target)
             if got == expected:  # covers exact matches and inf == inf
                 continue
             rel = abs(got - expected) / max(abs(expected), 1e-300)

@@ -204,7 +204,8 @@ class ChBackend:
 
 class HubLabelBackend(ChBackend):
     """Hub labels on top of the CH: per node pair, one scan of the
-    target's label probing the source's cached hub map."""
+    target's label probing the source's hub map, kept in the query
+    point's pooled label column."""
 
     name = "hublabel"
     kind = "hublabel"

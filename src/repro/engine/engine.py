@@ -9,7 +9,10 @@ owns all network-distance work:
   idea, promoted from per-algorithm bookkeeping to a shared service).
   CE's INE wavefronts are pooled too: each query reads one through its
   own :class:`~repro.network.dijkstra.EmissionCursor`, which replays
-  what the wavefront already emitted before driving it further;
+  what the wavefront already emitted before driving it further.  So is
+  each query point's hub-label column
+  (:class:`~repro.oracle.runtime.LabelColumn`), which keeps the node
+  distances a ``hublabel`` oracle scanned from the point's seeds;
 * a bounded LRU **memo** of settled ``(source, target) -> distance``
   results shared across queries, algorithms and backends;
   :meth:`known_distance` reads it (then a usable oracle) without
@@ -46,13 +49,14 @@ priority queue and one settled map, and interleaved ``distance_to``
 calls on it would interleave two searches.  Callers that share an
 engine across threads must therefore partition work so that no two
 concurrently-executing queries share a source location (pool keys are
-per-source; INE wavefronts, read through per-query cursors, fall under
-the same rule).  The serving layer (:mod:`repro.service`) enforces
-exactly that: its batch scheduler never lets two in-flight batches
-overlap in query points, and workspace mutations run behind a
-writer-exclusive lock (see :meth:`Workspace.mutating
-<repro.core.query.Workspace.mutating>`), so invalidation never races a
-live wavefront.  Single-threaded use is unaffected.
+per-source; INE wavefronts, read through per-query cursors, and label
+columns fall under the same rule).  The serving layer
+(:mod:`repro.service`) enforces exactly that: its batch scheduler
+never lets two in-flight batches overlap in query points, and
+workspace mutations run behind a writer-exclusive lock (see
+:meth:`Workspace.mutating <repro.core.query.Workspace.mutating>`), so
+invalidation never races a live wavefront.  Single-threaded use is
+unaffected.
 
 Per-query counter *deltas* (``nodes_settled``, memo hit/miss) are only
 meaningful when one query runs at a time; under concurrency they
@@ -82,11 +86,13 @@ from repro.network.graph import NetworkLocation, RoadNetwork
 from repro.network.storage import NetworkStore
 from repro.obs import tracing
 from repro.oracle import OracleIndex, OracleIndexError, network_signature
-from repro.oracle.runtime import DistanceOracle
+from repro.oracle.runtime import DistanceOracle, LabelColumn
 
-#: Pooled wavefronts kept alive.  One ``serve-fanout-au`` pass checks
-#: out 217–236 distinct A* keys plus 124 INE keys, so 512 holds a pass
-#: with room to spare; 128 held less than one.
+#: Pooled wavefronts and label columns kept alive.  One
+#: ``serve-fanout-au`` pass checks out 217–236 distinct A* keys plus 124
+#: INE keys, and one ``serve-oracle-na`` pass 80 A* keys plus 157 label
+#: columns, so 512 holds a pass with room to spare; 128 held less than
+#: one.
 DEFAULT_POOL_CAPACITY = 512
 
 
@@ -232,7 +238,9 @@ class DistanceEngine:
         """
         handle = self._attached_oracle
         if handle is None and self.backend_name in ORACLE_BACKEND_NAMES:
-            backend = self._backend(self.backend_name)
+            # The registry only grows, under the lock, so a plain read
+            # finds a built backend; only the first lookup locks.
+            backend = self._backends.get(self.backend_name) or self._backend()
             handle = backend.oracle() if build else backend.oracle_if_built()
         if handle is None:
             return None
@@ -249,11 +257,34 @@ class DistanceEngine:
         ``None`` means *no usable oracle* (none attached, backend is
         not an oracle backend, or the index went stale) — never an
         unreachable pair, which answers ``inf`` like every other path.
+        A ``hublabel`` oracle answers through ``source``'s pooled label
+        column, so the node pairs it scanned for earlier targets are
+        not scanned again (they are still charged).
         """
         oracle = self._usable_oracle(build=True)
         if oracle is None:
             return None
-        return oracle.distance(source, target)
+        if oracle.kind != "hublabel":
+            return oracle.distance(source, target)
+        return oracle.distance(source, target, self._label_column(oracle, source))
+
+    def _label_column(
+        self, oracle: DistanceOracle, source: NetworkLocation
+    ) -> LabelColumn:
+        """``source``'s pooled hub-label column, built by ``oracle``.
+
+        Pooled under an ``"oracle"`` key, so the pool's LRU slots bound
+        the columns and every drop of the pool drops them.  A column
+        another handle built (before :meth:`attach_oracle` or a backend
+        rebuild) is replaced, never read.
+        """
+        key = ("oracle", _location_key(source), None)
+        column = self._checkout(key, lambda: LabelColumn(oracle, source))
+        if column.oracle is not oracle:
+            with self._lock:
+                self._pool.pop(key, None)
+            column = self._checkout(key, lambda: LabelColumn(oracle, source))
+        return column
 
     def ensure_oracle(self) -> DistanceOracle | None:
         """Force the lazy oracle build now (bench ``preprocessed`` state).

@@ -18,11 +18,11 @@ literature).
 
 Queries need no graph search at all: the target's label is scanned
 once, probing a ``hub -> distance`` map of the source's label (the
-runtime caches one map per source node), so a lookup costs O(|label|)
-dict probes.  The engine still charges ``oracle_label_entries`` with
-what a sorted merge-intersection of the two labels would visit, a
-figure fixed by the labels alone, so the counter does not depend on
-how the lookup is carried out.
+runtime keeps one map per seed in a query point's label column), so a
+lookup costs O(|label|) dict probes.  The engine still charges
+``oracle_label_entries`` with what a sorted merge-intersection of the
+two labels would visit, a figure fixed by the labels alone, so the
+counter does not depend on how the lookup is carried out.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ def hub_label_distance(
     """Distance between two labelled nodes: ``(distance, merge entries)``.
 
     Probes every entry of ``b`` against ``a_hubs``, which must equal
-    ``dict(a)`` (callers cache it per source node), so the distance
+    ``dict(a)`` (callers keep it per source node), so the distance
     is ``min(d(a, hub) + d(hub, b))`` over the shared hubs, and ``inf``
     when the labels share no hub (nodes in different connected
     components).  The count is the number of steps a sorted merge of

@@ -15,10 +15,16 @@ resolves online, which is what makes oracle answers drop-in exact.
 Cost accounting per node-pair lookup:
 
 * ``hublabel`` — both labels are read (one page touch each through the
-  :class:`~repro.oracle.store.OracleStore`); the target's label is
-  probed against the source's hub map, cached on the handle on first
-  use, and ``oracle_label_entries`` charges the entries a sorted merge
-  of the two labels visits;
+  :class:`~repro.oracle.store.OracleStore`), and
+  ``oracle_label_entries`` charges the entries a sorted merge of the two
+  labels visits.  The source's side lives in a :class:`LabelColumn`:
+  the hub maps of the source's seeds and, per target junction already
+  scanned from a seed, that pair's ``(distance, merge count)``.  A
+  pair the column holds is not scanned again, but it is charged as if
+  it were — both pages and the merge count — so every counter is the
+  same as one scan per pair.  A location lookup charges its page
+  touches with one :meth:`OracleStore.touch_many` call and records its
+  summed merge count once;
 * ``ch`` — every node the bidirectional upward search settles reads
   its shortcut record (page touch) and charges
   ``oracle_nodes_settled``.
@@ -46,7 +52,7 @@ INFINITY = math.inf
 class DistanceOracle:
     """Query-side view of one preprocessed index."""
 
-    __slots__ = ("index", "kind", "network", "store", "stale", "_hub_maps")
+    __slots__ = ("index", "kind", "network", "store", "stale")
 
     def __init__(
         self,
@@ -59,11 +65,6 @@ class DistanceOracle:
         self.network = network
         self.store = store
         self.stale = False
-        # Source node -> dict(label): built on a node's first lookup as
-        # the source, and dropped with the handle, so a rebuilt index
-        # never sees another index's maps.  Two threads filling the
-        # same entry build equal maps.
-        self._hub_maps: dict[int, dict[int, float]] = {}
 
     def mark_stale(self) -> None:
         """Refuse further answers (the backing graph mutated)."""
@@ -73,20 +74,8 @@ class DistanceOracle:
     # Distances
     # ------------------------------------------------------------------
     def node_distance(self, source: int, target: int) -> float:
-        """Exact junction-to-junction distance (inf when disconnected)."""
-        if self.kind == "hublabel":
-            labels = self.index.labels
-            assert labels is not None
-            if self.store is not None:
-                self.store.touch(source)
-                self.store.touch(target)
-            source_label = labels[source]
-            hubs = self._hub_maps.get(source)
-            if hubs is None:
-                hubs = self._hub_maps[source] = dict(source_label)
-            best, scanned = hub_label_distance(source_label, labels[target], hubs)
-            tracing.record("oracle_label_entries", scanned)
-            return best
+        """Exact junction-to-junction distance by CH upward search
+        (inf when disconnected)."""
         store = self.store
 
         def on_settle(node: int) -> None:
@@ -98,17 +87,48 @@ class DistanceOracle:
             self.index.upward, source, target, on_settle=on_settle
         )
 
-    def distance(self, a: NetworkLocation, b: NetworkLocation) -> float:
-        """Exact network distance between two locations."""
+    def distance(
+        self,
+        a: NetworkLocation,
+        b: NetworkLocation,
+        column: LabelColumn | None = None,
+    ) -> float:
+        """Exact network distance between two locations.
+
+        A ``hublabel`` lookup reads and extends ``column``, which must
+        be ``a``'s column built by this handle; without one it builds a
+        transient column.  A ``ch`` lookup ignores ``column``.
+        """
         best = INFINITY
         direct = self.network.direct_edge_distance(a, b)
         if direct is not None:
             best = direct
-        for u, to_u in self.network.seed_frontier(a):
-            for w, to_w in self.network.seed_frontier(b):
-                candidate = to_u + self.node_distance(u, w) + to_w
+        targets = self.network.seed_frontier(b)
+        if self.kind != "hublabel":
+            for u, to_u in self.network.seed_frontier(a):
+                for w, to_w in targets:
+                    candidate = to_u + self.node_distance(u, w) + to_w
+                    if candidate < best:
+                        best = candidate
+            return best
+        if column is None:
+            column = LabelColumn(self, a)
+        labels = self.index.labels
+        touched: list[int] = []
+        entries = 0
+        for u, to_u, label, hubs, scanned in column.seeds:
+            for w, to_w in targets:
+                touched += (u, w)
+                pair = scanned.get(w)
+                if pair is None:
+                    pair = scanned[w] = hub_label_distance(label, labels[w], hubs)
+                entries += pair[1]
+                candidate = to_u + pair[0] + to_w
                 if candidate < best:
                     best = candidate
+        if self.store is not None:
+            self.store.touch_many(touched)
+        tracing.record("oracle_label_entries", entries)
         return best
 
     # ------------------------------------------------------------------
@@ -118,3 +138,35 @@ class DistanceOracle:
         """Zero the store's counters; ``cold`` also empties its buffer."""
         if self.store is not None:
             self.store.reset(cold=cold)
+
+
+class LabelColumn:
+    """One source location's hub-label lookups, kept across targets.
+
+    The paper's query points each keep "a hash table to store the
+    intermediate nodes visited, together with their network distances"
+    (Section 6.1); a column is that table for a ``hublabel`` oracle.
+    :attr:`seeds` holds ``(seed, offset, label, hub map, scanned)`` per
+    seed of the source, where ``scanned`` maps a target junction to
+    ``(distance, merge count)`` and grows by one entry per target
+    junction the seed is asked for.
+
+    The engine pools columns beside its wavefronts (see
+    :meth:`repro.engine.engine.DistanceEngine.oracle_distance`).  Like a
+    wavefront, a column must not be driven by two threads at once; it
+    answers only for :attr:`oracle`, the handle that built it.
+    """
+
+    __slots__ = ("oracle", "seeds")
+
+    #: Read by the engine pool's settle sum: a column settles nothing.
+    nodes_settled = 0
+
+    def __init__(self, oracle: DistanceOracle, source: NetworkLocation) -> None:
+        self.oracle = oracle
+        labels = oracle.index.labels
+        assert labels is not None
+        self.seeds = [
+            (u, to_u, labels[u], dict(labels[u]), {})
+            for u, to_u in oracle.network.seed_frontier(source)
+        ]

@@ -84,6 +84,28 @@ class BufferPool:
             self._resident[page_id] = page
             return page
 
+    def fetch_many(self, page_ids: list[int]) -> None:
+        """Fetch pages in order under one lock hold.
+
+        Residency, recency order, stats and the span's miss count end up
+        exactly as a loop of :meth:`fetch` over ``page_ids`` leaves them.
+        """
+        misses = 0
+        with self._lock:
+            resident = self._resident
+            for page_id in page_ids:
+                try:
+                    resident.move_to_end(page_id)
+                except KeyError:
+                    misses += 1
+                    if len(resident) >= self._frames:
+                        resident.popitem(last=False)
+                    resident[page_id] = self._disk.read(page_id)
+            self.stats.logical_reads += len(page_ids)
+            self.stats.physical_reads += misses
+        if misses and self._miss_key is not None:
+            tracing.record(self._miss_key, misses)
+
     def is_resident(self, page_id: int) -> bool:
         """True if the page is currently cached (no state change)."""
         with self._lock:

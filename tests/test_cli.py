@@ -157,6 +157,35 @@ def _write_flight_record(directory):
     return path
 
 
+class TestOracle:
+    def test_verify_passes_on_a_matching_index(self, dataset, tmp_path, capsys):
+        net_path, _ = dataset
+        index = tmp_path / "net.oracle"
+        assert main(["oracle", "build", str(net_path), "--out", str(index)]) == 0
+        capsys.readouterr()
+        code = main(
+            ["oracle", "verify", str(net_path), str(index), "--samples", "32"]
+        )
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "verified 32 sampled pairs (hublabel)"
+        assert lines[1].startswith("max relative error: ")
+        assert lines[-1] == "OK"
+
+    def test_verify_rejects_a_signature_mismatch(self, dataset, tmp_path, capsys):
+        net_path, _ = dataset
+        other = tmp_path / "other.net"
+        index = tmp_path / "other.oracle"
+        code = main(["generate", "--nodes", "60", "--seed", "4", "--out", str(other)])
+        assert code == 0
+        assert main(["oracle", "build", str(other), "--out", str(index)]) == 0
+        capsys.readouterr()
+        assert main(["oracle", "verify", str(net_path), str(index)]) == 1
+        captured = capsys.readouterr()
+        assert "signature mismatch" in captured.err
+        assert "OK" not in captured.out
+
+
 class TestTraceLast:
     def test_renders_newest_trace_export(self, tmp_path, capsys):
         _write_trace_file(tmp_path)

@@ -29,7 +29,9 @@ from repro.oracle import (
     network_signature,
     save_oracle_index,
 )
+from repro.oracle.runtime import LabelColumn
 from repro.oracle.store import OracleStore
+from reference_oracle import PerPairOracle
 
 INF = math.inf
 
@@ -210,22 +212,184 @@ class TestHubLabelProbe:
         assert hub_label_distance(a, b, dict(a)) == (INF, 3)
         assert hub_label_distance(b, a, dict(b)) == (INF, 3)
 
-    def test_oracle_lookups_charge_the_merge_count(self):
-        net = integer_network(3, node_count=30, extra_edges=20)
-        index = build_oracle_index(net, kind="hublabel")
-        oracle = DistanceOracle(index, net)
+
+
+# ----------------------------------------------------------------------
+# Label columns: what a query point keeps, against the per-pair path
+# ----------------------------------------------------------------------
+def located_sweeps(net: RoadNetwork, seed: int, sources: int = 12, width: int = 6):
+    """``(source, targets)`` sweeps over junctions and on-edge points.
+
+    Targets come from four junctions and the edges around them, so
+    junctions repeat within and across sweeps; an on-edge source also
+    gets targets on its own edge (the direct walk).  Offsets are
+    integers, which keeps every sum exact.
+    """
+    rng = random.Random(seed)
+    nodes = sorted(net.node_ids())
+    edges = sorted(net.edge_ids())
+    pool = rng.sample(nodes, 4)
+
+    def on_edge(edge_id: int):
+        length = int(net.edge(edge_id).length)
+        return net.location_on_edge(edge_id, float(rng.randrange(length + 1)))
+
+    for _ in range(sources):
+        if rng.random() < 0.5:
+            source = net.location_at_node(rng.choice(nodes))
+        else:
+            source = on_edge(rng.choice(edges))
+        targets = []
+        for _ in range(width):
+            draw = rng.random()
+            if draw < 0.4:
+                targets.append(net.location_at_node(rng.choice(pool)))
+            elif draw < 0.8:
+                _, edge_id = rng.choice(net.neighbors(rng.choice(pool)))
+                targets.append(on_edge(edge_id))
+            elif source.edge_id is not None:
+                targets.append(on_edge(source.edge_id))
+            else:
+                targets.append(source)
+        yield source, targets
+
+
+def oracle_columns(engine: DistanceEngine) -> list[LabelColumn]:
+    with engine._lock:
+        return [c for key, c in engine._pool.items() if key[0] == "oracle"]
+
+
+class TestLabelColumns:
+    def test_column_charges_what_the_per_pair_path_charged(self):
+        for seed in (3, 8, 13):
+            net = integer_network(seed, node_count=30, extra_edges=20)
+            index = build_oracle_index(net, kind="hublabel")
+            # 256-byte pages hold a few labels each; three frames evict.
+            stores = [
+                OracleStore(index, net, page_size=256, buffer_bytes=3 * 256)
+                for _ in range(2)
+            ]
+            oracle = DistanceOracle(index, net, store=stores[0])
+            reference = PerPairOracle(DistanceOracle(index, net, store=stores[1]))
+            sweeps = list(located_sweeps(net, seed))
+            pairs = [(s, t) for s, targets in sweeps for t in targets]
+            with tracing.span("query.columns") as columns_span:
+                got = []
+                for source, targets in sweeps:
+                    column = LabelColumn(oracle, source)
+                    got += [oracle.distance(source, t, column) for t in targets]
+                # No column given: a transient one, charged the same.
+                got += [oracle.distance(s, t) for s, t in pairs]
+            with tracing.span("query.per-pair") as per_pair_span:
+                want = [reference.distance(s, t) for s, t in pairs + pairs]
+            assert got == want
+            totals = columns_span.totals()
+            assert totals == per_pair_span.totals()
+            assert totals["oracle_label_entries"] > 0
+            assert stores[0].stats == stores[1].stats
+            assert stores[0].stats.physical_reads > stores[0].page_count
+            assert list(stores[0].pool._resident) == list(stores[1].pool._resident)
+
+            # Every junction pair: the sorted merge's distance, and its
+            # step count charged as oracle_label_entries.
+            unpaged = DistanceOracle(index, net)
+            nodes = sorted(net.node_ids())
+            with tracing.span("query.hub-probe") as root:
+                for u in nodes:
+                    source = net.location_at_node(u)
+                    column = LabelColumn(unpaged, source)
+                    for w in nodes:
+                        want, _ = merge_reference(index.labels[u], index.labels[w])
+                        target = net.location_at_node(w)
+                        assert unpaged.distance(source, target, column) == want
+            expected_entries = sum(
+                merge_reference(index.labels[u], index.labels[w])[1]
+                for u in nodes
+                for w in nodes
+            )
+            assert root.total("oracle_label_entries") == expected_entries
+
+
+class TestColumnLifetime:
+    @pytest.mark.parametrize("drop", ["clear", "invalidate", "invalidate_network"])
+    def test_every_pool_drop_drops_the_columns(self, drop):
+        net = integer_network(6)
+        engine = DistanceEngine(net, store=NetworkStore(net), backend="hublabel")
+        for a, b in edge_pairs(net, 7, 10):
+            engine.distance(a, b)
+        assert oracle_columns(engine)
+        # A column settles nothing.
+        assert engine.nodes_settled() == 0
+        getattr(engine, drop)()
+        assert not oracle_columns(engine)
+        assert engine.nodes_settled() == 0
+
+    def test_attached_ch_index_answers_not_an_old_column(self):
+        net = integer_network(8)
+        engine = DistanceEngine(net, store=NetworkStore(net), backend="hublabel")
+        reference = DistanceEngine(net, backend="dijkstra")
         nodes = sorted(net.node_ids())
-        with tracing.span("query.hub-probe") as root:
-            for u in nodes:
-                for w in nodes:
-                    want, _ = merge_reference(index.labels[u], index.labels[w])
-                    assert oracle.node_distance(u, w) == want
-        expected_entries = sum(
-            merge_reference(index.labels[u], index.labels[w])[1]
-            for u in nodes
-            for w in nodes
+        sources = [net.location_at_node(n) for n in nodes[:4]]
+        for source in sources:
+            for node in nodes[10:20]:
+                engine.distance(source, net.location_at_node(node))
+        assert len(oracle_columns(engine)) == len(sources)
+
+        engine.attach_oracle(build_oracle_index(net, kind="ch"))
+        with tracing.span("query.attached") as root:
+            for source in sources:
+                for node in nodes[20:30]:
+                    target = net.location_at_node(node)
+                    assert engine.distance(source, target) == reference.distance(
+                        source, target
+                    )
+        totals = root.totals()
+        assert totals["oracle_nodes_settled"] > 0
+        assert totals.get("oracle_label_entries", 0) == 0
+
+    def test_a_new_handle_replaces_the_columns_it_did_not_build(self):
+        net = integer_network(8)
+        engine = DistanceEngine(net, store=NetworkStore(net), backend="hublabel")
+        reference = DistanceEngine(net, backend="dijkstra")
+        sweeps = list(located_sweeps(net, 21, sources=4))
+        for source, targets in sweeps[:2]:
+            for target in targets:
+                engine.distance(source, target)
+        built = engine.ensure_oracle()
+        assert {id(c.oracle) for c in oracle_columns(engine)} == {id(built)}
+
+        handle = engine.attach_oracle(build_oracle_index(net, kind="hublabel"))
+        for source, targets in sweeps:
+            for target in targets:
+                # Past the memo, which still holds the old answers.
+                assert engine.oracle_distance(
+                    source, target
+                ) == reference.distance(source, target)
+        kept = oracle_columns(engine)
+        assert len(kept) == 4
+        assert all(c.oracle is handle for c in kept)
+
+    def test_an_evicted_column_is_rebuilt_and_answers_the_same_bits(self):
+        net = integer_network(10)
+        tight = DistanceEngine(
+            net, store=NetworkStore(net), backend="hublabel", pool_capacity=1
         )
-        assert root.total("oracle_label_entries") == expected_entries
+        roomy = DistanceEngine(net, store=NetworkStore(net), backend="hublabel")
+        sweeps = list(located_sweeps(net, 33, sources=3))
+        spans = []
+        for engine in (tight, roomy):
+            with tracing.span("query.sweeps") as root:
+                # Round-robin over the sources: each lookup evicts the
+                # previous source's column from the one slot.
+                answers = [
+                    engine.distance(source, targets[i])
+                    for i in range(len(sweeps[0][1]))
+                    for source, targets in sweeps
+                ]
+            spans.append((answers, root.totals()))
+        assert spans[0] == spans[1]
+        assert tight.counters.pool_evictions > 0
+        assert roomy.counters.pool_evictions == 0
 
 
 # ----------------------------------------------------------------------

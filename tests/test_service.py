@@ -317,6 +317,105 @@ class TestQueryService:
             del before  # answers may or may not differ; no torn state
 
 
+class TestServedFaultsAndBilling:
+    """Item 8's billing invariant through the service, on the paths the
+    library tests cannot reach: a failing batch unit and oracle-served
+    queries."""
+
+    def test_unit_failure_fails_one_request_and_leaks_nothing(
+        self, workspace, tmp_path
+    ):
+        network = workspace.network
+        boom = RuntimeError("boom")
+
+        class Exploding:
+            name = "explode"
+
+            def run(self, workspace, queries):
+                raise boom
+
+        submitted = [
+            ("explode", locations(network, 1, 2)),
+            ("LBC", locations(network, 2, 3, 9)),
+            ("EDC", locations(network, 9, 12)),
+        ]
+        settled = workspace.engine.nodes_settled()
+        with QueryService(
+            workspace,
+            workers=2,
+            algorithms={**ALGORITHMS, "explode": Exploding},
+            flight_dir=str(tmp_path),
+            slow_threshold_s=60.0,
+        ) as service:
+            service.pause()
+            pendings = [service.submit(a, q) for a, q in submitted]
+            service.resume()
+            with pytest.raises(RuntimeError) as raised:
+                pendings[0].result(timeout=30)
+            assert raised.value is boom
+            answers = [p.result(timeout=30) for p in pendings[1:]]
+            assert service.stats_dict()["batches"]["executed"] == 1
+            with service._cond:
+                assert not service._active_keys
+            assert service.inflight.count() == 0
+            records = service.recorder.ring_entries()
+            assert sorted(r.outcome for r in records) == [
+                "completed",
+                "completed",
+                "failed",
+            ]
+            assert sum(r.counters.get("nodes_settled", 0) for r in records) == (
+                workspace.engine.nodes_settled() - settled
+            )
+            assert service.recorder.dump_count == 1
+        (dump,) = tmp_path.iterdir()
+        assert dump.name.endswith("-error.json")
+        for (algorithm, queries), answer in zip(submitted[1:], answers):
+            direct = cold_run(ALGORITHMS[algorithm](), workspace, queries)
+            assert answer.object_ids() == direct.object_ids()
+            assert answer.vectors_by_id() == direct.vectors_by_id()
+
+    def test_oracle_served_batch_bills_every_oracle_page(self, dataset):
+        network, objects = dataset
+        workspace = Workspace.build(network, objects, distance_backend="hublabel")
+        workspace.engine.ensure_oracle()
+        oracle_io = workspace.engine.oracle_io_stats()
+        shared = locations(network, 1, 2, 3)
+        submitted = [
+            ("LBC", shared),
+            ("EDC", locations(network, 2, 3, 9)),
+            ("LBC", [shared[2], shared[0], shared[1]]),  # dedupes
+        ]
+        oracle_pages = oracle_io.physical_reads
+        settled = workspace.engine.nodes_settled()
+        with QueryService(workspace, workers=2) as service:
+            service.pause()
+            pendings = [service.submit(a, q) for a, q in submitted]
+            service.resume()
+            answers = [p.result(timeout=30) for p in pendings]
+            assert service.stats_dict()["requests"]["deduped"] == 1
+            records = {r.request_id: r for r in service.recorder.ring_entries()}
+        canonical, edc, follower = (
+            records[p.request.request_id].counters for p in pendings
+        )
+        assert canonical["oracle_label_entries"] > 0
+        assert edc["oracle_label_entries"] > 0
+        assert answers[2].stats.extras["deduped_of"] == pendings[0].request.request_id
+        assert follower["oracle_label_entries"] == 0
+        assert follower["oracle_pages"] == 0
+        assert canonical["oracle_pages"] + edc["oracle_pages"] == (
+            oracle_io.physical_reads - oracle_pages
+        )
+        assert canonical["oracle_pages"] + edc["oracle_pages"] > 0
+        assert canonical["nodes_settled"] + edc["nodes_settled"] == (
+            workspace.engine.nodes_settled() - settled
+        )
+        for (algorithm, queries), answer in zip(submitted, answers):
+            direct = cold_run(ALGORITHMS[algorithm](), workspace, queries)
+            assert answer.object_ids() == direct.object_ids()
+            assert answer.vectors_by_id() == direct.vectors_by_id()
+
+
 class TestGathering:
     """A worker batches what is queued, so a queued burst becomes one
     batch and a lone request runs at once."""

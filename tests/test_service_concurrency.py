@@ -19,6 +19,7 @@ import pytest
 
 from conftest import build_random_network, cold_run, place_random_objects
 from repro.core import ALGORITHMS, LBC, Workspace
+from repro.engine import DistanceEngine
 from repro.service import QueryService
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import DiskManager
@@ -293,6 +294,58 @@ class TestEngineThreadSafety:
         for key, expected in reference.items():
             assert results[key] == pytest.approx(expected)
 
+    def test_concurrent_label_columns_answer_and_charge_exactly(self):
+        """Threads on distinct query points drive their own pooled label
+        columns over one oracle page pool; no page charge may be lost."""
+        network = build_random_network(120, 90, seed=31, detour_max=0.6)
+        objects = place_random_objects(network, 40, seed=32, attribute_count=2)
+        workspace = Workspace.build(network, objects, distance_backend="hublabel")
+        engine = workspace.engine
+        oracle_io = engine.ensure_oracle().store.stats
+        node_ids = sorted(network.node_ids())
+        sources = [network.location_at_node(n) for n in node_ids[:16]]
+        targets = [obj.location for obj in list(objects)[:24]]
+        reference = DistanceEngine(network, backend="dijkstra")
+        expected = {
+            (i, j): reference.distance(s, t)
+            for i, s in enumerate(sources)
+            for j, t in enumerate(targets)
+        }
+        touches = 2 * sum(
+            len(network.seed_frontier(s)) * len(network.seed_frontier(t))
+            for s in sources
+            for t in targets
+        )
+        results: dict = {}
+        errors: list = []
+
+        def hammer(indices):
+            try:
+                for i in indices:
+                    for j, target in enumerate(targets):
+                        results[(i, j)] = engine.distance(sources[i], target)
+            except Exception as exc:
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=hammer, args=(range(i, 16, 4),))
+                for i in range(4)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+                assert not thread.is_alive(), "worker wedged"
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors, errors
+        assert results == pytest.approx(expected)
+        assert oracle_io.logical_reads == touches
+        assert engine.cache_info()["pool_entries"] == len(sources)
+
     def test_memo_lru_structure_survives_hammering(self):
         """Tiny capacity forces constant eviction under contention."""
         from repro.engine.cache import DistanceMemo
@@ -335,11 +388,22 @@ class TestBufferPoolThreadSafety:
         errors: list = []
 
         def churn(seed):
+            # Odd seeds fetch one page a call, even seeds four pages a
+            # fetch_many call: both paths share one lock.
             try:
                 state = seed
+                batch = []
                 for _ in range(self.FETCHES_PER_THREAD):
                     state = (state * 1103515245 + 12345) & 0x7FFFFFFF
-                    pool.fetch(pages[state % len(pages)])
+                    page_id = pages[state % len(pages)]
+                    if seed % 2:
+                        pool.fetch(page_id)
+                        continue
+                    batch.append(page_id)
+                    if len(batch) == 4:
+                        pool.fetch_many(batch)
+                        batch = []
+                pool.fetch_many(batch)
             except Exception as exc:
                 errors.append(exc)
 

@@ -1,6 +1,10 @@
 """Unit tests for the simulated storage stack (repro.storage)."""
 
+import random
+
 import pytest
+
+from repro.obs import tracing
 
 from repro.storage import (
     DEFAULT_PAGE_SIZE,
@@ -107,6 +111,35 @@ class TestBufferPool:
         disk = DiskManager()
         pool = BufferPool(disk, capacity_bytes=DEFAULT_PAGE_SIZE * 7)
         assert pool.frame_count == 7
+
+    def test_fetch_many_is_a_loop_of_fetch(self):
+        rng = random.Random(5)
+        for _ in range(200):
+            disk = DiskManager()
+            pages = [disk.allocate().page_id for _ in range(rng.randint(1, 12))]
+            frames = rng.randint(1, 6)
+            looped, batched = (
+                BufferPool(
+                    disk,
+                    capacity_bytes=DEFAULT_PAGE_SIZE * frames,
+                    component="oracle",
+                )
+                for _ in range(2)
+            )
+            batches = [
+                [rng.choice(pages) for _ in range(rng.randint(0, 20))]
+                for _ in range(rng.randint(1, 5))
+            ]
+            with tracing.span("query.loop") as loop_span:
+                for batch in batches:
+                    for page_id in batch:
+                        looped.fetch(page_id)
+            with tracing.span("query.batched") as batch_span:
+                for batch in batches:
+                    batched.fetch_many(batch)
+            assert list(batched._resident) == list(looped._resident)
+            assert batched.stats == looped.stats
+            assert batch_span.totals() == loop_span.totals()
 
 
 class TestIOStats:
