@@ -318,9 +318,9 @@ class TestQueryService:
 
 
 class TestServedFaultsAndBilling:
-    """Item 8's billing invariant through the service, on the paths the
-    library tests cannot reach: a failing batch unit and oracle-served
-    queries."""
+    """Every settle and page billed to exactly one completion record,
+    through the service, on two paths the library tests cannot reach: a
+    failing batch unit and oracle-served queries."""
 
     def test_unit_failure_fails_one_request_and_leaks_nothing(
         self, workspace, tmp_path
