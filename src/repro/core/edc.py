@@ -69,13 +69,15 @@ class EuclideanDistanceConstraint(SkylineAlgorithm):
         timer: _ResponseTimer,
     ) -> list[SkylinePoint]:
         self._workspace = workspace
-        self._queries = queries
         self._query_points = [q.point for q in queries]
-        self._engine = workspace.engine
+        self._engine = engine = workspace.engine
         # EDC's cost profile is built on goal-directed A* ("intermediate
-        # results kept", Section 6.1): stay on the engine's A*-family
-        # backend even when the workspace default is plain Dijkstra.
-        self._backend = self._engine._astar_backend_name()
+        # results kept", Section 6.1): one pooled A*-family expander per
+        # query point, even when the workspace default is plain
+        # Dijkstra, held with the point's label column for the query.
+        self._resolvers = [
+            (q, engine.astar_expander(q), engine.label_column(q)) for q in queries
+        ]
         self._vector_width = len(queries) + workspace.attribute_count
         self._network_vectors: dict[int, tuple[float, ...]] = {}
         self._euclidean_vectors: dict[int, tuple[float, ...]] = {}
@@ -136,9 +138,9 @@ class EuclideanDistanceConstraint(SkylineAlgorithm):
         if cached is not None:
             return cached
         distances = []
-        for q in self._queries:
+        for q, expander, column in self._resolvers:
             distances.append(
-                self._engine.distance(q, obj.location, backend=self._backend)
+                self._engine.distance_via(q, obj.location, expander, column)
             )
             tracing.record("distance_computations")
         vector = tuple(distances) + obj.attributes

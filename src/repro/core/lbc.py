@@ -28,9 +28,10 @@ Step 1 — next network NN of ``q``:
 Step 2 — resolve the network NN ``p``:
   maintain ``bounds = (dN(q,p), plb(q2,p), …, plb(qn,p), attrs…)``,
   starting each dimension at the exact distance the engine already
-  holds (memo, then oracle: ``DistanceEngine.known_distance``) and
-  each remaining ``plb`` at the Euclidean distance; repeatedly expand
-  the unresolved non-source query point with the smallest current
+  holds (``DistanceEngine.known_distance``: the query point's label
+  column under a hub-label oracle, else the memo, then a CH oracle)
+  and each remaining ``plb`` at the Euclidean distance; repeatedly
+  expand the open non-source query point with the smallest current
   ``plb`` by one node; discard ``p`` the moment a known skyline point
   dominates the bounds vector (sound: bounds never exceed the true
   values); if every search completes without that happening, ``p``
@@ -65,6 +66,7 @@ from repro.network.astar import AStarExpander
 from repro.network.graph import NetworkLocation
 from repro.network.objects import SpatialObject
 from repro.obs import tracing
+from repro.oracle.runtime import LabelColumn
 from repro.skyline.bbs import mbr_lower_bound_vector
 
 
@@ -113,6 +115,9 @@ class LowerBoundConstraint(SkylineAlgorithm):
         # expander carries at most one live LowerBoundSearch).
         source_expander = engine.astar_expander(source, slot=self.source_index)
         other_expanders = {i: engine.astar_expander(q, slot=i) for i, q in others}
+        # Beside each expander, the point's label column (None without a
+        # hub-label oracle), checked out once for the whole query.
+        other_columns = {i: engine.label_column(q) for i, q in others}
 
         skyline: list[SkylinePoint] = []
         # Indexed mirror of the confirmed vectors: every prune probe is
@@ -130,6 +135,7 @@ class LowerBoundConstraint(SkylineAlgorithm):
                 queries,
                 others,
                 other_expanders,
+                other_columns,
                 sky,
                 stats,
             )
@@ -158,8 +164,10 @@ class LowerBoundConstraint(SkylineAlgorithm):
         (with dominance pruning against the *live* ``sky`` block, which
         the caller updates); each gets its network distance and waits
         in a heap until provably the closest remaining.  Ties pop in
-        object-id order.
+        object-id order.  The source's label column is checked out once,
+        beside ``source_expander``.
         """
+        source_column = self._engine.label_column(source)
         prune = _lower_bound_prune(workspace, queries, sky)
         euclid_stream = workspace.object_rtree.nearest(source.point, prune)
 
@@ -195,7 +203,7 @@ class LowerBoundConstraint(SkylineAlgorithm):
                     continue
                 with tracing.span("lbc.stream"):
                     network_dist = self._engine.distance_via(
-                        source, candidate.location, source_expander
+                        source, candidate.location, source_expander, source_column
                     )
                 tracing.record("distance_computations")
                 stats.candidate_count += 1
@@ -221,10 +229,15 @@ class LowerBoundConstraint(SkylineAlgorithm):
         queries: list[NetworkLocation],
         others: list[tuple[int, NetworkLocation]],
         other_expanders: dict[int, AStarExpander],
+        other_columns: dict[int, LabelColumn | None],
         sky: SkylineBlock,
         stats: QueryStats,
     ) -> tuple[float, ...] | None:
-        """Return ``p``'s full vector, or None when provably dominated."""
+        """Return ``p``'s full vector, or None when provably dominated.
+
+        ``others`` lists the dimensions to resolve in ascending index
+        order, each with its expander and label column.
+        """
         source_index = self.source_index
         n = len(queries)
         # One scratch row per candidate (distances then attributes);
@@ -242,24 +255,24 @@ class LowerBoundConstraint(SkylineAlgorithm):
 
         with tracing.span("lbc.resolve", object_id=p.object_id):
             # Known-distance prefill: a dimension the engine already
-            # holds exactly (memo, then oracle) needs no plb search.  A
-            # miss on one dimension says nothing about the next.
-            resolved: set[int] = set()
+            # holds exactly needs no plb search.  A miss on one
+            # dimension says nothing about the next.  What is left open
+            # stays in ascending index order.
+            open_dims: list[int] = []
             for i, q in others:
-                value = self._engine.known_distance(q, p.location)
-                if value is not None:
+                value = self._engine.known_distance(q, p.location, other_columns[i])
+                if value is None:
+                    open_dims.append(i)
+                else:
                     scratch[i] = value
-                    resolved.add(i)
                     tracing.record("distance_computations")
 
             if not self.use_lower_bounds:
                 # Ablation path: full distance computation for every
                 # candidate, then one exact dominance check.
-                for i, _ in others:
-                    if i in resolved:
-                        continue
+                for i in open_dims:
                     scratch[i] = self._engine.distance_via(
-                        queries[i], p.location, other_expanders[i]
+                        queries[i], p.location, other_expanders[i], other_columns[i]
                     )
                     tracing.record("distance_computations")
                 if sky.dominates_lb(scratch):
@@ -269,16 +282,11 @@ class LowerBoundConstraint(SkylineAlgorithm):
             while True:
                 if sky.dominates_lb(scratch):
                     return None
-                unfinished = [
-                    i
-                    for i, _ in others
-                    if i not in resolved
-                    and (i not in searches or not searches[i].done)
-                ]
-                if not unfinished:
+                if not open_dims:
                     return tuple(scratch)
-                # Expand the non-source query point with the smallest plb.
-                target = min(unfinished, key=lambda i: (scratch[i], i))
+                # Expand the open query point with the smallest plb; min
+                # keeps the first of equals, so ties go to the lowest index.
+                target = min(open_dims, key=scratch.__getitem__)
                 search = searches.get(target)
                 if search is None:
                     search = other_expanders[target].search_toward(p.location)
@@ -286,17 +294,14 @@ class LowerBoundConstraint(SkylineAlgorithm):
                     tracing.record("distance_computations")
                     if search.plb > scratch[target]:
                         scratch[target] = search.plb
-                    if search.done:
-                        # Exact distance (settled fast path): feed the memo.
-                        self._engine.record(
-                            queries[target], p.location, search.distance
-                        )
-                    continue
-                step = search.expand_step()
-                if step > scratch[target]:
-                    scratch[target] = step
-                tracing.record("lb_expansions")
+                else:
+                    step = search.expand_step()
+                    if step > scratch[target]:
+                        scratch[target] = step
+                    tracing.record("lb_expansions")
                 if search.done:
+                    # Exact distance: close the dimension, feed the memo.
+                    open_dims.remove(target)
                     self._engine.record(queries[target], p.location, search.distance)
 
 
@@ -348,6 +353,7 @@ class LowerBoundConstraintLazy(LowerBoundConstraint):
         expanders = {
             i: engine.astar_expander(q, slot=i) for i, q in enumerate(queries)
         }
+        columns = {i: engine.label_column(q) for i, q in enumerate(queries)}
         all_dims = list(enumerate(queries))
 
         skyline: list[SkylinePoint] = []
@@ -363,6 +369,7 @@ class LowerBoundConstraintLazy(LowerBoundConstraint):
                 queries,
                 all_dims,
                 expanders,
+                columns,
                 sky,
                 stats,
             )

@@ -1,11 +1,13 @@
 """Bounded LRU memo of settled network distances.
 
-The :class:`DistanceMemo` is the engine's cross-query cache: every
-``(source, target)`` pair whose exact distance has been settled once —
-by any backend, on behalf of any algorithm — can be answered again
-without touching the network store.  Distances are backend-independent
-(every backend is exact), so the memo is keyed on locations only and a
-fill from one backend serves them all.
+The :class:`DistanceMemo` is the engine's cross-query cache for
+distances that cost a search: every ``(source, target)`` pair whose
+exact distance an online wavefront or a CH lookup settled once — on
+behalf of any algorithm — can be answered again without touching the
+network store.  Distances are backend-independent (every backend is
+exact), so the memo is keyed on locations only and a fill from one
+backend serves them all.  A hub-label oracle bypasses it: the query
+point's label column already is its table of resolved distances.
 
 The memo is deliberately dumb about invalidation: it only knows how to
 drop everything.  The :class:`~repro.engine.engine.DistanceEngine`

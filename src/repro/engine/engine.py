@@ -12,12 +12,17 @@ owns all network-distance work:
   what the wavefront already emitted before driving it further.  So is
   each query point's hub-label column
   (:class:`~repro.oracle.runtime.LabelColumn`), which keeps the node
-  distances a ``hublabel`` oracle scanned from the point's seeds;
+  distances a ``hublabel`` oracle scanned from the point's seeds.
+  While a hub-label oracle is usable it answers every lookup from the
+  column, and no memo is read or written: the column is the point's
+  table of resolved distances.  Algorithms check a column out once per
+  query point per query (:meth:`label_column`) and hand it to each
+  lookup;
 * a bounded LRU **memo** of settled ``(source, target) -> distance``
-  results shared across queries, algorithms and backends;
-  :meth:`known_distance` reads it (then a usable oracle) without
-  searching, so LBC starts each candidate from every exact distance
-  the engine already holds;
+  results that cost a search (online wavefronts, CH lookups), shared
+  across queries, algorithms and backends; :meth:`known_distance`
+  reads it (or a usable oracle) without searching, so LBC starts each
+  candidate from every exact distance the engine already holds;
 * pluggable **backends** (:mod:`repro.engine.backends`) selected
   per-engine or per-call;
 * batch helpers (:meth:`distances`, :meth:`vectors`) that sweep every
@@ -89,10 +94,10 @@ from repro.oracle import OracleIndex, OracleIndexError, network_signature
 from repro.oracle.runtime import DistanceOracle, LabelColumn
 
 #: Pooled wavefronts and label columns kept alive.  One
-#: ``serve-fanout-au`` pass checks out 217–236 distinct A* keys plus 124
-#: INE keys, and one ``serve-oracle-na`` pass 80 A* keys plus 157 label
-#: columns, so 512 holds a pass with room to spare; 128 held less than
-#: one.
+#: ``serve-fanout-au`` pass checks out 252 distinct A* keys plus 124
+#: INE keys, and one ``serve-oracle-na`` pass 159 A* keys (EDC's and
+#: LBC's) plus 157 label columns, so 512 holds a pass with room to
+#: spare: seeds 1 and 2 evict nothing.  128 held less than one.
 DEFAULT_POOL_CAPACITY = 512
 
 
@@ -162,6 +167,11 @@ class DistanceEngine:
 
         self._backends: dict[str, DistanceBackend] = {}
         self._attached_oracle: DistanceOracle | None = None
+        # True while a hub-label oracle is usable (backend-owned, or
+        # attached and not stale): lookups then answer from label
+        # columns and skip the memo.  A plain attribute, so engines
+        # without one pay a single read per lookup.
+        self._hub_labels = backend == "hublabel"
         self._pool: OrderedDict[tuple, object] = OrderedDict()
         self._memo = DistanceMemo(DEFAULT_MEMO_CAPACITY)
         self._retired_nodes = 0
@@ -185,20 +195,6 @@ class DistanceEngine:
                 backend = make_backend(name, self.network, store=self.store)
                 self._backends[name] = backend
             return backend
-
-    def _astar_backend_name(self) -> str:
-        """The A*-family backend matching the engine's configuration.
-
-        Algorithms whose cost model is built on goal-directed search
-        (EDC, LBC, LBC-lazy) stay on A* even when
-        the engine default is ``"dijkstra"``; a landmark configuration
-        is honoured as-is.  Oracle backends also map to plain A*: their
-        answers come from the index via :meth:`oracle_distance`, so the
-        expander behind them only ever runs as an online fallback.
-        """
-        if self.backend_name == "dijkstra" or self.backend_name in ORACLE_BACKEND_NAMES:
-            return "astar"
-        return self.backend_name
 
     # ------------------------------------------------------------------
     # Distance oracle (preprocessed index)
@@ -225,6 +221,7 @@ class DistanceEngine:
         )
         with self._lock:
             self._attached_oracle = handle
+            self._hub_labels = handle.kind == "hublabel"
         return handle
 
     def _usable_oracle(self, build: bool) -> DistanceOracle | None:
@@ -250,7 +247,10 @@ class DistanceEngine:
         return handle
 
     def oracle_distance(
-        self, source: NetworkLocation, target: NetworkLocation
+        self,
+        source: NetworkLocation,
+        target: NetworkLocation,
+        column: LabelColumn | None = None,
     ) -> float | None:
         """Distance answered from the index, or ``None`` to fall back.
 
@@ -259,14 +259,33 @@ class DistanceEngine:
         unreachable pair, which answers ``inf`` like every other path.
         A ``hublabel`` oracle answers through ``source``'s pooled label
         column, so the node pairs it scanned for earlier targets are
-        not scanned again (they are still charged).
+        not scanned again (they are still charged).  ``column`` is that
+        column when the caller holds it (:meth:`label_column`); without
+        one it is checked out of the pool for this call.
         """
-        oracle = self._usable_oracle(build=True)
-        if oracle is None:
+        if column is None:
+            oracle = self._usable_oracle(build=True)
+            if oracle is None:
+                return None
+            if oracle.kind != "hublabel":
+                return oracle.distance(source, target)
+            column = self._label_column(oracle, source)
+        return column.oracle.distance(source, target, column)
+
+    def label_column(self, source: NetworkLocation) -> LabelColumn | None:
+        """``source``'s pooled label column while a hub-label oracle is
+        usable, else ``None``.
+
+        Goal-directed algorithms check it out once per query point per
+        query, beside the point's expander, and hand it to
+        :meth:`distance_via` and :meth:`known_distance`.  A held column
+        answers exactly what a per-call checkout would: queries run
+        under the workspace's read lock, so no mutation can make the
+        oracle stale under one.
+        """
+        if not self._hub_labels:
             return None
-        if oracle.kind != "hublabel":
-            return oracle.distance(source, target)
-        return oracle.distance(source, target, self._label_column(oracle, source))
+        return self._label_column(self._usable_oracle(build=True), source)
 
     def _label_column(
         self, oracle: DistanceOracle, source: NetworkLocation
@@ -363,14 +382,23 @@ class DistanceEngine:
     ) -> AStarExpander:
         """A pooled A*-family expander for goal-directed algorithms.
 
-        The engine's A* backend supplies the heuristic: landmarks under
-        ``"astar+landmarks"``, Euclidean otherwise.  ``slot`` separates
-        pool entries for callers that interleave ``search_toward``
-        handles across several expanders — two co-located query points
-        must not collapse onto one expander, or one dimension's live
-        search would invalidate the other's.
+        Algorithms whose cost model is built on goal-directed search
+        (EDC, LBC, LBC-lazy) stay on A* even when the engine default is
+        ``"dijkstra"``; a landmark configuration is honoured as-is, so
+        the heuristic is landmarks under ``"astar+landmarks"`` and
+        Euclidean otherwise.  Oracle backends also map to plain A*:
+        their answers come from the index via :meth:`oracle_distance`,
+        so the expander behind them only ever runs as an online
+        fallback.  ``slot`` separates pool entries for callers that
+        interleave ``search_toward`` handles across several expanders —
+        two co-located query points must not collapse onto one
+        expander, or one dimension's live search would invalidate the
+        other's.
         """
-        chosen = self._backend(self._astar_backend_name())
+        name = self.backend_name
+        if name == "dijkstra" or name in ORACLE_BACKEND_NAMES:
+            name = "astar"
+        chosen = self._backend(name)
         key = (chosen.name, _location_key(source), slot)
         return self._checkout(key, lambda: chosen.make_expander(source))
 
@@ -407,14 +435,17 @@ class DistanceEngine:
         target: NetworkLocation,
         backend: str | None = None,
     ) -> float:
-        """Exact network distance, memoised (inf when unreachable).
+        """Exact network distance (inf when unreachable).
 
         When a usable oracle is present (attached index, or an oracle
-        backend's own) it answers first — regardless of the ``backend``
+        backend's own) it answers — regardless of the ``backend``
         argument, which is safe because every backend is exact and only
-        selects *how* a distance is settled.  Without one, the pooled
-        expander resolves online as always.
+        selects *how* a distance is settled.  A hub-label oracle answers
+        from ``source``'s label column, past the memo; any other answer
+        is memoised, a CH lookup's or the pooled expander's online one.
         """
+        if self._hub_labels:
+            return self.oracle_distance(source, target)
         key = _pair_key(source, target)
         cached = self._memo.get(key)
         if cached is not None:
@@ -430,14 +461,19 @@ class DistanceEngine:
         source: NetworkLocation,
         target: NetworkLocation,
         expander,
+        column: LabelColumn | None = None,
     ) -> float:
-        """Memoised distance resolved through a caller-held expander.
+        """:meth:`distance` resolved through a caller-held expander.
 
         Lets algorithms that drive their own pooled expanders (LBC's
-        network-NN stream) still read and feed the cross-query memo.
-        An oracle, when usable, outranks the caller's expander too — the
-        expander simply stays parked at its current wavefront.
+        network-NN stream, EDC's vectors) still read and feed the
+        cross-query memo.  An oracle, when usable, outranks the caller's
+        expander too — the expander simply stays parked at its current
+        wavefront; a hub-label oracle answers from ``column``, the
+        caller's :meth:`label_column` for ``source``, when given.
         """
+        if self._hub_labels:
+            return self.oracle_distance(source, target, column)
         key = _pair_key(source, target)
         cached = self._memo.get(key)
         if cached is not None:
@@ -449,17 +485,24 @@ class DistanceEngine:
         return value
 
     def known_distance(
-        self, source: NetworkLocation, target: NetworkLocation
+        self,
+        source: NetworkLocation,
+        target: NetworkLocation,
+        column: LabelColumn | None = None,
     ) -> float | None:
-        """An exact distance the engine already holds, or ``None``.
+        """An exact distance the engine holds without searching, or ``None``.
 
-        The memo answers first, then a usable oracle (its answer is
-        memoised, as :meth:`distance` does); nothing searches the
-        network.  The memo read counts neither a hit nor a miss — like
-        :meth:`record`'s fills — so ``engine_hits``/``engine_misses``
-        keep meaning lookups by :meth:`distance`/:meth:`distance_via`.
-        A stale oracle records one ``oracle_fallbacks`` per memo miss.
+        A usable hub-label oracle answers from ``source``'s label column
+        (``column`` when the caller holds it).  Otherwise the memo
+        answers first, then a usable CH oracle, whose answer is memoised
+        because it cost an upward search.  The memo read counts neither
+        a hit nor a miss — like :meth:`record`'s fills — so
+        ``engine_hits``/``engine_misses`` keep meaning lookups by
+        :meth:`distance`/:meth:`distance_via`.  A stale oracle records
+        one ``oracle_fallbacks`` per memo miss.
         """
+        if self._hub_labels:
+            return self.oracle_distance(source, target, column)
         key = _pair_key(source, target)
         value = self._memo.get(key, count=False)
         if value is None:
@@ -475,9 +518,12 @@ class DistanceEngine:
 
         CE emissions and completed LBC lower-bound searches are exact;
         recording them lets later queries (and ``explain``) answer from
-        cache.  Fills never count as hits or misses.
+        cache.  Fills never count as hits or misses.  While a hub-label
+        oracle is usable nothing is written, since no lookup reads the
+        memo then.
         """
-        self._memo.put(_pair_key(source, target), value)
+        if not self._hub_labels:
+            self._memo.put(_pair_key(source, target), value)
 
     def distances(
         self,
@@ -485,7 +531,14 @@ class DistanceEngine:
         targets: Sequence[NetworkLocation],
         backend: str | None = None,
     ) -> list[float]:
-        """Distances from one source to many targets, one wavefront."""
+        """Distances from one source to many targets, one wavefront.
+
+        Under a hub-label oracle the sweep holds ``source``'s label
+        column, checked out once.
+        """
+        column = self.label_column(source)
+        if column is not None:
+            return [self.oracle_distance(source, t, column) for t in targets]
         return [self.distance(source, target, backend=backend) for target in targets]
 
     def vector(
@@ -655,6 +708,7 @@ class DistanceEngine:
             backend.reset()
         if attached is not None:
             attached.mark_stale()
+            self._hub_labels = False
 
     def clear(self) -> None:
         """Forget all cached state without counting an invalidation.

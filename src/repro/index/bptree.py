@@ -17,6 +17,7 @@ Keys may be anything totally ordered (edge ids are ints).
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from typing import Any, Generic, Iterable, Iterator, TypeVar
 
 from repro.obs import tracing
@@ -107,7 +108,7 @@ class BPlusTree(Generic[K, V]):
         node = self._root
         self._touch(node)
         while isinstance(node, _Internal):
-            index = _bisect_right(node.keys, key)
+            index = bisect_right(node.keys, key)
             node = node.children[index]
             self._touch(node)
         assert isinstance(node, _Leaf)
@@ -116,7 +117,7 @@ class BPlusTree(Generic[K, V]):
     def search(self, key: K) -> list[V]:
         """All values stored under ``key`` (empty list when absent)."""
         leaf = self._descend_to_leaf(key)
-        index = _bisect_left(leaf.keys, key)
+        index = bisect_left(leaf.keys, key)
         if index < len(leaf.keys) and leaf.keys[index] == key:
             return list(leaf.buckets[index])
         return []
@@ -124,7 +125,7 @@ class BPlusTree(Generic[K, V]):
     def contains(self, key: K) -> bool:
         """True if at least one value is stored under ``key``."""
         leaf = self._descend_to_leaf(key)
-        index = _bisect_left(leaf.keys, key)
+        index = bisect_left(leaf.keys, key)
         return index < len(leaf.keys) and leaf.keys[index] == key
 
     def items(self) -> Iterator[tuple[K, V]]:
@@ -164,7 +165,7 @@ class BPlusTree(Generic[K, V]):
     ) -> tuple[Any, _Node] | None:
         self._touch(node)
         if isinstance(node, _Leaf):
-            index = _bisect_left(node.keys, key)
+            index = bisect_left(node.keys, key)
             if index < len(node.keys) and node.keys[index] == key:
                 node.buckets[index].append(value)
                 return None
@@ -175,7 +176,7 @@ class BPlusTree(Generic[K, V]):
             return None
 
         assert isinstance(node, _Internal)
-        child_index = _bisect_right(node.keys, key)
+        child_index = bisect_right(node.keys, key)
         split = self._insert_into(node.children[child_index], key, value)
         if split is None:
             return None
@@ -225,7 +226,7 @@ class BPlusTree(Generic[K, V]):
         separator keys are routing values and remain valid.
         """
         leaf = self._descend_to_leaf(key)
-        index = _bisect_left(leaf.keys, key)
+        index = bisect_left(leaf.keys, key)
         if index >= len(leaf.keys) or leaf.keys[index] != key:
             return 0
         bucket = leaf.buckets[index]
@@ -313,25 +314,3 @@ class BPlusTree(Generic[K, V]):
             yield node
             if isinstance(node, _Internal):
                 stack.extend(node.children)
-
-
-def _bisect_left(keys: list[Any], key: Any) -> int:
-    lo, hi = 0, len(keys)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if keys[mid] < key:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
-
-
-def _bisect_right(keys: list[Any], key: Any) -> int:
-    lo, hi = 0, len(keys)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if key < keys[mid]:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo

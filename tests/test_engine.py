@@ -27,6 +27,7 @@ from repro.engine import (
 )
 from repro.network.astar import AStarExpander
 from repro.network.dijkstra import DijkstraExpander
+from repro.obs import tracing
 
 from conftest import (
     build_random_network,
@@ -157,15 +158,28 @@ class TestEngineMemo:
         assert engine.counters.misses == before.misses
         assert engine.nodes_settled() == settled
 
-    def test_known_distance_memoises_oracle_answers(self):
-        network, workspace = small_workspace(backend="hublabel")
-        engine = workspace.engine
-        a, b = random_locations(network, 2, seed=29)
-        value = engine.known_distance(a, b)
-        assert value == pytest.approx(DijkstraExpander(network, a).distance_to(b))
-        before = engine.counters
-        assert engine.distance(a, b) == value
-        assert engine.counters.hits == before.hits + 1
+    def test_known_distance_memoises_ch_answers_not_hub_label_answers(self):
+        # A CH lookup costs an upward search, so the memo fronts it: the
+        # repeat is a hit and settles no oracle node.  A hub-label
+        # answer comes from the point's label column, past the memo.
+        for backend, memoised in (("ch", 1), ("hublabel", 0)):
+            network, workspace = small_workspace(backend=backend)
+            engine = workspace.engine
+            a, b = random_locations(network, 2, seed=29)
+            value = engine.known_distance(a, b)
+            assert value == pytest.approx(
+                DijkstraExpander(network, a).distance_to(b)
+            )
+            assert engine.cache_info()["memo_entries"] == memoised
+            before = engine.counters
+            with tracing.span("query.repeat") as root:
+                assert engine.distance(a, b) == value
+            assert engine.counters.hits == before.hits + memoised
+            assert engine.counters.misses == before.misses
+            if memoised:
+                assert root.total("oracle_nodes_settled") == 0
+            else:
+                assert root.total("oracle_label_entries") > 0
 
     def test_known_distance_forgets_after_network_invalidation(self):
         network, workspace = small_workspace()

@@ -552,7 +552,7 @@ class TestSelectionAndFallback:
 # LBC over an oracle
 # ----------------------------------------------------------------------
 class TestLBCOverOracle:
-    def test_warm_rerun_reads_the_memo_not_the_labels(self):
+    def test_warm_rerun_answers_from_the_pooled_columns(self):
         from conftest import place_random_objects
         from repro.core import LBC, NaiveSkyline, Workspace
 
@@ -566,10 +566,14 @@ class TestLBCOverOracle:
         second = LBC().run(workspace, queries)
         fresh = Workspace.build(net, objects, paged=False)
         assert first.same_answer(NaiveSkyline().run(fresh, queries))
+        # A column hit is charged what a scan would be, and no run reads
+        # the memo, so the re-run is billed like the first.
         assert first.stats.oracle_label_entries > 0
-        assert second.stats.oracle_label_entries == 0
-        assert second.stats.oracle_pages == 0
+        assert second.stats.oracle_label_entries == first.stats.oracle_label_entries
         assert second.vectors_by_id() == first.vectors_by_id()
+        for run in (first, second):
+            assert (run.stats.engine_hits, run.stats.engine_misses) == (0, 0)
+            assert run.stats.nodes_settled == 0
 
     def test_stale_oracle_resolves_online_after_mutation(self):
         from conftest import place_random_objects
@@ -580,7 +584,7 @@ class TestLBCOverOracle:
         workspace = Workspace.build(net, objects, paged=True)
         workspace.engine.attach_oracle(build_oracle_index(net, kind="hublabel"))
         queries = [a for a, _ in node_pairs(net, 43, 3)]
-        LBC().run(workspace, queries)  # memoises oracle answers
+        LBC().run(workspace, queries)  # answered from label columns
 
         for _, edge_id in net.neighbors(queries[0].node_id):
             workspace.update_edge_length(edge_id, net.edge(edge_id).length + 500.0)
@@ -589,3 +593,106 @@ class TestLBCOverOracle:
         assert result.stats.oracle_label_entries == 0
         fresh = Workspace.build(net, objects, paged=False)
         assert result.same_answer(NaiveSkyline().run(fresh, queries))
+
+
+# ----------------------------------------------------------------------
+# Hub-label answers come from the query point's column, past the memo
+# ----------------------------------------------------------------------
+def hub_workspace(attached: bool = False):
+    from conftest import place_random_objects
+    from repro.core import Workspace
+
+    net = integer_network(12)
+    objects = place_random_objects(net, 20, seed=2, attribute_count=1)
+    workspace = Workspace.build(
+        net,
+        objects,
+        paged=True,
+        distance_backend="dijkstra" if attached else "hublabel",
+    )
+    if attached:
+        workspace.engine.attach_oracle(build_oracle_index(net, kind="hublabel"))
+    queries = [a for a, _ in node_pairs(net, 47, 3)]
+    return net, objects, workspace, queries
+
+
+def count_memo_calls(engine: DistanceEngine, monkeypatch) -> list[str]:
+    """Every memo read and write the engine makes from now on."""
+    calls: list[str] = []
+    memo = engine._memo
+    for name in ("get", "put"):
+        original = getattr(memo, name)
+
+        def spy(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(memo, name, spy)
+    return calls
+
+
+class TestMemoBypass:
+    @pytest.mark.parametrize("attached", [False, True], ids=["backend", "attached"])
+    @pytest.mark.parametrize("name", ["LBC", "LBC-lazy", "EDC", "naive", "CE"])
+    def test_hub_label_runs_make_no_memo_call(self, name, attached, monkeypatch):
+        from repro.core import ALGORITHMS, NaiveSkyline, Workspace
+
+        net, objects, workspace, queries = hub_workspace(attached)
+        calls = count_memo_calls(workspace.engine, monkeypatch)
+        result = ALGORITHMS[name]().run(workspace, queries)
+        assert calls == []
+        assert workspace.engine.cache_info()["memo_entries"] == 0
+        assert (result.stats.engine_hits, result.stats.engine_misses) == (0, 0)
+        fresh = Workspace.build(net, objects, paged=False)
+        assert result.same_answer(NaiveSkyline().run(fresh, queries))
+
+    @pytest.mark.parametrize("name", ["LBC", "LBC-lazy", "EDC", "naive"])
+    def test_a_query_checks_each_column_out_once(self, name, monkeypatch):
+        from repro.core import ALGORITHMS
+        from repro.engine import location_key
+
+        _, _, workspace, queries = hub_workspace()
+        engine = workspace.engine
+        checked_out: list[tuple] = []
+        original = engine._label_column
+
+        def spy(oracle, source):
+            checked_out.append(location_key(source))
+            return original(oracle, source)
+
+        monkeypatch.setattr(engine, "_label_column", spy)
+        for _ in range(2):  # cold, then over the pooled columns
+            checked_out.clear()
+            result = ALGORITHMS[name]().run(workspace, queries)
+            assert result.stats.oracle_label_entries > 0
+            assert sorted(checked_out) == sorted(location_key(q) for q in queries)
+
+    def test_a_stale_index_falls_back_once_per_memo_miss(self):
+        net = integer_network(6)
+        engine = DistanceEngine(net, backend="dijkstra")
+        engine.attach_oracle(build_oracle_index(net, kind="hublabel"))
+        (a, b), (c, d) = node_pairs(net, 21, 2)
+        edge_id = sorted(net.edge_ids())[0]
+        net.update_edge_length(edge_id, net.edge(edge_id).length + 5.0)
+        engine.invalidate_network()
+
+        reference = DistanceEngine(net, backend="dijkstra")
+        expander = engine.astar_expander(c)
+        with tracing.span("query.stale") as root:
+            assert engine.distance(a, b) == reference.distance(a, b)  # miss
+            assert engine.distance(b, a) == reference.distance(a, b)  # hit
+            assert engine.known_distance(a, b) == reference.distance(a, b)
+            assert engine.known_distance(c, d) is None  # miss
+            want = reference.distance(c, d)
+            assert engine.distance_via(c, d, expander) == want  # miss
+            assert engine.known_distance(c, d) == want
+        assert root.total("oracle_fallbacks") == 3
+        assert (engine.counters.hits, engine.counters.misses) == (1, 2)
+
+        # A matching index answers from columns again, past the memo.
+        engine.attach_oracle(build_oracle_index(net, kind="hublabel"))
+        with tracing.span("query.reattached") as root:
+            assert engine.distance(c, d) == want
+        assert root.total("oracle_fallbacks") == 0
+        assert root.total("oracle_label_entries") > 0
+        assert engine.counters.hits == 1
