@@ -15,6 +15,10 @@ loudly if:
   view is never empty),
 * no JSON traces are exported on shutdown (the server runs with
   ``--trace-dir``),
+* no ``slow_query`` flight record is written (the server runs with
+  ``--flight-dir``), a record is not JSON with a non-empty ``ring``
+  and ``threads``, or ``/statsz`` counts a different number of dumps
+  than there are files,
 * ``/insightz`` shows no observed queries, or ``repro insight
   summarize`` cannot digest the wide-event log the server wrote,
 * the wide-event log's summed ``nodes_settled`` differs from the
@@ -24,11 +28,11 @@ loudly if:
 * the server does not exit cleanly on SIGTERM.
 
 The ``/metricsz`` scrape, the ``/slowlogz`` payload, the ``/insightz``
-payload, the wide-event log, the ``repro insight summarize`` report
-and the exported traces are written to ``$SMOKE_ARTIFACT_DIR`` (when
-set) so CI can upload them as a workflow artifact — the insight report
-is what the follow-up CI step diffs against
-``benchmarks/insight_baseline.json``.
+payload, the wide-event log, the ``repro insight summarize`` report,
+the exported traces and the flight records are written to
+``$SMOKE_ARTIFACT_DIR`` (when set) so CI can upload them as a workflow
+artifact — the insight report is what the follow-up CI step diffs
+against ``benchmarks/insight_baseline.json``.
 
 Run from the repository root::
 
@@ -194,6 +198,29 @@ def check_billing(event_log: str, stats: dict) -> None:
     print(f"smoke: billing ok — {billed} settles billed = engine settled")
 
 
+def check_flight_records(flight_dir: str, stats: dict) -> None:
+    """The slow-query dumps ``--slow-threshold-s 0`` triggers: each is
+    plain JSON holding the ring and every thread's stack, and
+    ``/statsz`` counts exactly the files written."""
+    names = sorted(
+        name for name in os.listdir(flight_dir)
+        if name.startswith("flightrecord-") and name.endswith(".json")
+    ) if os.path.isdir(flight_dir) else []
+    if not any(name.endswith("-slow_query.json") for name in names):
+        raise SystemExit(f"no slow_query flight record in {flight_dir}")
+    for name in names:
+        with open(os.path.join(flight_dir, name)) as handle:
+            record = json.load(handle)
+        if not record.get("ring") or not record.get("threads"):
+            raise SystemExit(f"flight record {name} lacks a ring or threads")
+    written = stats["flight_recorder"]["dumps_written"]
+    if written != len(names):
+        raise SystemExit(
+            f"/statsz counts {written} flight dumps, {len(names)} files written"
+        )
+    print(f"smoke: flight records ok — {len(names)} dump(s), ring and threads")
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmpdir:
         artifact_dir = os.environ.get("SMOKE_ARTIFACT_DIR") or os.path.join(
@@ -201,6 +228,7 @@ def main() -> int:
         )
         os.makedirs(artifact_dir, exist_ok=True)
         trace_dir = os.path.join(artifact_dir, "traces")
+        flight_dir = os.path.join(artifact_dir, "flight")
         event_log = os.path.join(artifact_dir, "events.jsonl")
         net_path, obj_path = generate_dataset(tmpdir)
         nodes = node_ids_from(net_path)
@@ -209,7 +237,7 @@ def main() -> int:
                 sys.executable, "-m", "repro.cli", "serve",
                 net_path, obj_path, "--port", "0", "--workers", "4",
                 "--trace-dir", trace_dir, "--event-log", event_log,
-                "--slow-threshold-s", "0",
+                "--flight-dir", flight_dir, "--slow-threshold-s", "0",
             ],
             stdout=subprocess.PIPE,
             stderr=subprocess.STDOUT,
@@ -345,6 +373,7 @@ def main() -> int:
             if key not in root:
                 raise SystemExit(f"trace {traces[0]} missing {key!r}")
         print(f"smoke: {len(traces)} traces exported, clean shutdown")
+        check_flight_records(flight_dir, stats)
 
         # Offline leg: the wide-event log the server just flushed must
         # digest cleanly into the report CI diffs against the committed

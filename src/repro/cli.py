@@ -7,14 +7,9 @@ Installed as the ``repro`` console script (also runnable as
   write it, optionally with an extracted object set;
 * ``info``       — structural statistics of a network file;
 * ``query``      — run a multi-source skyline query over network/object
-  files and print the answer table;
-* ``trace``      — run one query with tracing on and print its span
-  tree (per-phase timings, page reads, settled nodes); ``--last``
-  renders the most recent exported trace or flight record from a
-  ``--trace-dir`` instead of running anything;
-* ``blackbox``   — render a flight-record dump (recent completed
-  traces, in-flight span trees, thread stacks) written by the
-  service's flight recorder (:mod:`repro.obs.recorder`);
+  files and print the answer table; ``--stats`` adds the cost rows and
+  the query's span tree (per-phase timings, page reads, settled
+  nodes), and ``--json`` writes the answer, stats and tree;
 * ``oracle``     — ``build`` a contraction-hierarchy / hub-label
   distance oracle for a network file, ``verify`` one against online
   Dijkstra on sampled pairs (:mod:`repro.oracle`);
@@ -56,6 +51,7 @@ from repro.datasets import (
     select_query_points,
 )
 from repro.engine import BACKEND_NAMES, DEFAULT_BACKEND
+from repro.obs import format_trace
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -106,65 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--json", help="write the result as JSON here")
     query.add_argument(
         "--stats", action="store_true", help="print cost statistics"
-    )
-
-    trace = sub.add_parser(
-        "trace", help="run one query and print its trace as a span tree"
-    )
-    trace.add_argument("network", nargs="?")
-    trace.add_argument("objects", nargs="?")
-    trace.add_argument(
-        "--algorithm", choices=sorted(ALGORITHMS), default="LBC"
-    )
-    trace_group = trace.add_mutually_exclusive_group()
-    trace_group.add_argument(
-        "--query-nodes", type=int, nargs="+", help="junction ids"
-    )
-    trace_group.add_argument(
-        "--random-queries", type=int, help="draw N query junctions"
-    )
-    trace.add_argument(
-        "--last", action="store_true",
-        help="render the most recent exported trace or flight record "
-        "from --trace-dir instead of running a query",
-    )
-    trace.add_argument(
-        "--trace-dir", default=None,
-        help="directory of exported traces / flight records (with --last)",
-    )
-    trace.add_argument("--seed", type=int, default=0)
-    trace.add_argument(
-        "--distance-backend",
-        choices=list(BACKEND_NAMES),
-        default=DEFAULT_BACKEND,
-    )
-    trace.add_argument(
-        "--keys", nargs="+",
-        help="counters to show per span (default: pages + settled nodes)",
-    )
-    trace.add_argument("--max-depth", type=int, default=8)
-    trace.add_argument("--json", help="also write the trace as JSON here")
-
-    blackbox = sub.add_parser(
-        "blackbox",
-        help="inspect a flight-record dump (ring, in-flight spans, stacks)",
-    )
-    blackbox.add_argument(
-        "path", nargs="?",
-        help="flight-record JSON (default: newest in --dir)",
-    )
-    blackbox.add_argument(
-        "--dir", default=None,
-        help="directory of flightrecord-*.json dumps",
-    )
-    blackbox.add_argument(
-        "--keys", nargs="+",
-        help="counters to show per span (default: pages + settled nodes)",
-    )
-    blackbox.add_argument("--max-depth", type=int, default=6)
-    blackbox.add_argument(
-        "--no-threads", action="store_true",
-        help="omit the per-thread stack section",
     )
 
     oracle = sub.add_parser(
@@ -330,6 +267,8 @@ def _cmd_query(args) -> int:
                 f"label_entries={s.oracle_label_entries} "
                 f"fallbacks={s.oracle_fallbacks}"
             )
+        print()
+        print(format_trace(result.trace))
     if args.json:
         import json
 
@@ -345,157 +284,11 @@ def _cmd_query(args) -> int:
                 for p in result
             ],
             "stats": result.stats.as_row(),
+            "trace": result.trace.to_dict(),
         }
         with open(args.json, "w") as handle:
             json.dump(payload, handle, indent=2)
         print(f"wrote {args.json}")
-    return 0
-
-
-def _cmd_trace(args) -> int:
-    from repro.obs import format_trace
-
-    if args.last:
-        return _render_last_trace(args)
-    if not args.network or not args.objects:
-        print(
-            "error: network and objects are required unless --last is given",
-            file=sys.stderr,
-        )
-        return 2
-    if args.query_nodes is None and args.random_queries is None:
-        print(
-            "error: provide --query-nodes or --random-queries "
-            "(or use --last)",
-            file=sys.stderr,
-        )
-        return 2
-    network = load_network(args.network)
-    objects = load_objects(network, args.objects)
-    workspace = Workspace.build(
-        network, objects, distance_backend=args.distance_backend
-    )
-    if args.query_nodes:
-        missing = [n for n in args.query_nodes if not network.has_node(n)]
-        if missing:
-            print(f"error: unknown junction ids {missing}", file=sys.stderr)
-            return 2
-        queries = [network.location_at_node(n) for n in args.query_nodes]
-    else:
-        queries = select_query_points(
-            network, args.random_queries, seed=args.seed
-        )
-        print(
-            "query junctions:",
-            " ".join(str(q.node_id) for q in queries),
-        )
-    algorithm = ALGORITHMS[args.algorithm]()
-    result = algorithm.run(workspace, queries)
-
-    root = result.trace
-    if args.keys:
-        print(format_trace(root, keys=tuple(args.keys), max_depth=args.max_depth))
-    else:
-        print(format_trace(root, max_depth=args.max_depth))
-    s = result.stats
-    print(
-        f"\n{len(result)} skyline points ({algorithm.name})  "
-        f"nodes_settled={s.nodes_settled} net_pages={s.network_pages} "
-        f"idx_pages={s.index_pages} mid_pages={s.middle_pages} "
-        f"t={s.total_response_s:.4f}s"
-    )
-    if args.json:
-        import json
-
-        with open(args.json, "w") as handle:
-            json.dump(root.to_dict(), handle, indent=1)
-        print(f"wrote {args.json}")
-    return 0
-
-
-def _render_last_trace(args) -> int:
-    """``repro trace --last``: newest trace or flight record on disk."""
-    import glob
-    import json
-    import os
-
-    from repro.obs import Span, format_flight_record, format_trace
-
-    if not args.trace_dir:
-        print("error: --last requires --trace-dir", file=sys.stderr)
-        return 2
-    candidates = [
-        path
-        for pattern in ("trace-*.json", "flightrecord-*.json")
-        for path in glob.glob(os.path.join(args.trace_dir, pattern))
-    ]
-    if not candidates:
-        print(
-            f"error: no trace-*.json or flightrecord-*.json under "
-            f"{args.trace_dir}",
-            file=sys.stderr,
-        )
-        return 2
-    newest = max(candidates, key=os.path.getmtime)
-    with open(newest) as handle:
-        payload = json.load(handle)
-    print(f"{newest}:")
-    keys = tuple(args.keys) if args.keys else None
-    if "flight_record" in payload:
-        extra = {"keys": keys} if keys else {}
-        print(
-            format_flight_record(
-                payload,
-                max_depth=args.max_depth,
-                include_threads=False,
-                **extra,
-            )
-        )
-    elif keys:
-        print(
-            format_trace(
-                Span.from_dict(payload), keys=keys, max_depth=args.max_depth
-            )
-        )
-    else:
-        print(format_trace(Span.from_dict(payload), max_depth=args.max_depth))
-    return 0
-
-
-def _cmd_blackbox(args) -> int:
-    """``repro blackbox``: render a flight-record dump."""
-    from repro.obs import format_flight_record, latest_flight_record
-    from repro.obs.recorder import load_flight_record
-
-    path = args.path
-    if path is None:
-        if not args.dir:
-            print(
-                "error: give a flight-record path or --dir", file=sys.stderr
-            )
-            return 2
-        path = latest_flight_record(args.dir)
-        if path is None:
-            print(
-                f"error: no flightrecord-*.json under {args.dir}",
-                file=sys.stderr,
-            )
-            return 2
-    try:
-        payload = load_flight_record(path)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(f"{path}:")
-    extra = {"keys": tuple(args.keys)} if args.keys else {}
-    print(
-        format_flight_record(
-            payload,
-            max_depth=args.max_depth,
-            include_threads=not args.no_threads,
-            **extra,
-        )
-    )
     return 0
 
 
@@ -638,8 +431,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "generate": _cmd_generate,
         "info": _cmd_info,
         "query": _cmd_query,
-        "trace": _cmd_trace,
-        "blackbox": _cmd_blackbox,
         "oracle": _cmd_oracle,
         "serve": _cmd_serve,
         "bench": _cmd_bench,

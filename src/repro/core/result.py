@@ -39,8 +39,8 @@ class SkylineResult:
     """The run's root :class:`repro.obs.tracing.Span` (``query.<algo>``).
 
     Always populated by :meth:`SkylineAlgorithm.run`; consumers that
-    want the tree (the ``repro trace`` CLI, the experiment harness)
-    read it here, everyone else ignores it.  Typed loosely so the
+    want the tree (``repro query --stats`` prints it, ``--json`` writes
+    it) read it here, everyone else ignores it.  Typed loosely so the
     result module keeps zero telemetry imports.
     """
 

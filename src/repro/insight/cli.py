@@ -6,8 +6,8 @@ Subcommands:
   saved insight report, or ``BENCH_`` artifact;
 * ``compare <baseline> <current>`` — diff two sources cohort-by-cohort
   with per-counter attribution; the CI gate;
-* ``top <source>`` — the slowest events with trace ids for follow-up
-  with ``repro trace`` / ``repro blackbox``.
+* ``top <source>`` — the slowest events with trace ids, to look up in
+  the ``--trace-dir`` exports or the ``--flight-dir`` records.
 
 Exit codes follow ``repro bench``: 0 clean, 1 regression, 2 the
 comparison itself could not run (missing file, foreign schema).

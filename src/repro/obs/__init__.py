@@ -28,8 +28,8 @@ The post-hoc diagnostics plane sits on the same substrate:
 * **Flight recorder** (:mod:`repro.obs.recorder`) — an always-on ring
   of recent completion records (the only store of retained traces:
   ``/slowlogz`` and ``--trace-dir`` read it) plus triggered black-box
-  dumps (in-flight span trees, thread stacks) and a stall watchdog over
-  the in-flight query registry.
+  dumps: plain JSON holding the ring, the in-flight registry's live
+  span trees and every thread's stack.
 * **SLO monitor** (:mod:`repro.obs.slo`) — declarative latency and
   availability objectives evaluated as multi-window burn rates over
   cumulative ``(good, total)`` samples (``GET /sloz``).
@@ -60,11 +60,7 @@ from repro.obs.names import (
 from repro.obs.recorder import (
     FlightRecorder,
     InFlightTable,
-    StallWatchdog,
-    format_flight_record,
     install_signal_dump,
-    latest_flight_record,
-    load_flight_record,
     thread_stacks,
 )
 from repro.obs.slo import (
@@ -76,8 +72,6 @@ from repro.obs.slo import (
 from repro.obs.tracing import (
     Span,
     activate,
-    active_roots,
-    active_spans,
     current_span,
     format_trace,
     record,
@@ -102,18 +96,12 @@ __all__ = [
     "SLOMonitor",
     "SPAN_NAMES",
     "SPAN_NAME_PATTERNS",
-    "StallWatchdog",
     "Span",
     "activate",
-    "active_roots",
-    "active_spans",
     "current_span",
-    "format_flight_record",
     "format_trace",
     "install_signal_dump",
     "iter_events",
-    "latest_flight_record",
-    "load_flight_record",
     "parse_prometheus_text",
     "record",
     "read_events",

@@ -1,7 +1,7 @@
 """The registered telemetry vocabulary: span names, counter keys,
 metric families.
 
-``/metricsz`` scraping, ``repro trace`` rendering and the
+``/metricsz`` scraping, ``repro query --stats`` trace rendering and the
 QueryStats-vs-trace reconciliation tests all assume a *fixed* set of
 names: a span or counter key that exists only at one call site is a
 signal nothing downstream knows how to read.  This module is the
@@ -119,11 +119,10 @@ METRIC_FAMILIES = frozenset(
         "repro_service_batch_size",
         # Diagnostics plane (repro.service.service over repro.obs.events
         # / recorder / slo): wide-event lifecycle accounting, in-flight
-        # registry size, watchdog stall detections, flight-record dumps,
-        # and per-objective long-window burn rates.
+        # registry size, flight-record dumps, and per-objective
+        # long-window burn rates.
         "repro_service_events_total",
         "repro_service_inflight",
-        "repro_service_stalls_total",
         "repro_service_flight_dumps_total",
         "repro_slo_burn_rate",
         # Event-log health (repro.service.service over repro.obs.events):

@@ -1,29 +1,22 @@
-"""Flight recorder: always-on crash/stall forensics for the serving plane.
+"""Flight recorder: always-on crash forensics for the serving plane.
 
-Three cooperating pieces, all stdlib:
+Two cooperating pieces, all stdlib:
 
 * :class:`FlightRecorder` — a bounded ring of recently *finished*
   queries' :class:`~repro.obs.events.Completion` records (one deque
   append per query; serialisation is deferred to dump time) plus
   :meth:`FlightRecorder.dump`, which writes a single self-contained
   JSON *flight record*: the ring contents, every *in-flight* query's
-  live span tree (via the registry below and the per-thread
-  active-span mirror in :mod:`repro.obs.tracing`), and a
+  live span tree (via the registry below), and a
   ``sys._current_frames`` stack snapshot of every thread.  Triggers
-  are the caller's business: slow query, error, SIGUSR2, watchdog.
+  are the caller's business: slow query, error, SIGUSR2.  A record is
+  plain JSON; read it with any JSON tool.
   The ring is the service's only store of retained traces: the slow
   view (:meth:`FlightRecorder.slow_records`, served at ``/slowlogz``)
   and the ``--trace-dir`` export (:meth:`FlightRecorder.export_traces`)
   both read it.
 * :class:`InFlightTable` — the registry of admitted-but-unfinished
-  queries (root span + progress bookkeeping) that the watchdog scans
-  and ``GET /debugz`` renders.
-* :class:`StallWatchdog` — a passive scanner (the service drives it
-  from its diagnostics thread; tests drive :meth:`StallWatchdog.scan`
-  directly with a fake clock) that flags any in-flight query whose
-  root span has exceeded a deadline *with no counter progress* — the
-  signature of a wedged expansion, a deadlock, or a client that will
-  never get an answer.
+  queries and their root spans, which each dump lists.
 
 Live span trees are serialised with :func:`safe_span_dict`: the owning
 thread is still appending children and bumping counters while we walk,
@@ -42,7 +35,6 @@ import traceback
 from collections import deque
 from typing import Any, Callable
 
-import repro.obs.tracing as tracing
 from repro.obs.events import Completion
 from repro.obs.tracing import Span
 
@@ -94,39 +86,10 @@ def safe_span_dict(span: Span, retries: int = 3) -> dict[str, Any]:
     }
 
 
-def progress_signal(span: Span) -> float | None:
-    """A scalar that changes whenever the span tree does any work.
-
-    The sum of all recursive counter totals plus the subtree size.
-    ``None`` means the walk raced a mutation — which is itself proof
-    of progress, so callers treat it as "advancing".
-    """
-    try:
-        totals = span.totals()
-        return float(sum(totals.values())) + float(_subtree_size(span))
-    except RuntimeError:
-        return None
-
-
-def _subtree_size(span: Span) -> int:
-    size = 1
-    for child in span.children:
-        size += _subtree_size(child)
-    return size
-
-
 class InFlightEntry:
-    """One admitted-but-unfinished query, as the watchdog sees it."""
+    """One admitted-but-unfinished query and its live root span."""
 
-    __slots__ = (
-        "request_id",
-        "algorithm",
-        "span",
-        "registered_at",
-        "last_progress",
-        "last_progress_at",
-        "stalled",
-    )
+    __slots__ = ("request_id", "algorithm", "span", "registered_at")
 
     def __init__(
         self,
@@ -139,23 +102,15 @@ class InFlightEntry:
         self.algorithm = algorithm
         self.span = span
         self.registered_at = registered_at
-        self.last_progress: float | None = None
-        self.last_progress_at = registered_at
-        self.stalled = False
 
-    def age_s(self, now: float) -> float:
-        return now - self.registered_at
-
-    def to_dict(self, now: float, with_span: bool = True) -> dict[str, Any]:
+    def to_dict(self, now: float) -> dict[str, Any]:
         payload: dict[str, Any] = {
             "request_id": self.request_id,
             "algorithm": self.algorithm,
-            "age_s": round(self.age_s(now), 6),
-            "since_progress_s": round(now - self.last_progress_at, 6),
-            "stalled": self.stalled,
+            "age_s": round(now - self.registered_at, 6),
             "trace_id": self.span.trace_id if self.span is not None else None,
         }
-        if with_span and self.span is not None:
+        if self.span is not None:
             payload["span"] = safe_span_dict(self.span)
         return payload
 
@@ -163,18 +118,14 @@ class InFlightEntry:
 class InFlightTable:
     """Thread-safe registry of in-flight queries (admission → finish)."""
 
-    def __init__(self, clock: Callable[[], float] = time.monotonic) -> None:
-        self._clock = clock
+    def __init__(self) -> None:
         self._entries: dict[Any, InFlightEntry] = {}
         self._lock = threading.Lock()
 
-    def register(
-        self, request_id, algorithm: str, span: Span | None
-    ) -> InFlightEntry:
-        entry = InFlightEntry(request_id, algorithm, span, self._clock())
+    def register(self, request_id, algorithm: str, span: Span | None) -> None:
+        entry = InFlightEntry(request_id, algorithm, span, time.monotonic())
         with self._lock:
             self._entries[request_id] = entry
-        return entry
 
     def deregister(self, request_id) -> None:
         with self._lock:
@@ -184,88 +135,9 @@ class InFlightTable:
         with self._lock:
             return list(self._entries.values())
 
-    def snapshot(self, with_span: bool = True) -> list[dict[str, Any]]:
-        """Every entry as a JSON-ready dict (``/debugz``, dumps)."""
-        now = self._clock()
-        return [
-            entry.to_dict(now, with_span=with_span)
-            for entry in self.entries()
-        ]
-
     def count(self) -> int:
         with self._lock:
             return len(self._entries)
-
-    def stalled_count(self) -> int:
-        with self._lock:
-            return sum(1 for e in self._entries.values() if e.stalled)
-
-
-class StallWatchdog:
-    """Flags in-flight queries past a deadline with no counter progress.
-
-    Passive by design: :meth:`scan` does one pass over the table and is
-    safe to call from any thread at any cadence.  A query is *stalled*
-    when ``deadline_s`` has elapsed since its progress signal last
-    changed (registration counts as the first change) — a long query
-    that keeps settling nodes never trips it; a blocked one does.
-    ``on_stall`` fires exactly once per stalled query.
-    """
-
-    def __init__(
-        self,
-        inflight: InFlightTable,
-        *,
-        deadline_s: float,
-        on_stall: Callable[[InFlightEntry], None] | None = None,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
-        if deadline_s <= 0:
-            raise ValueError(f"deadline must be > 0, got {deadline_s}")
-        self.inflight = inflight
-        self.deadline_s = deadline_s
-        self.on_stall = on_stall
-        self._clock = clock
-        self._stalls = 0
-        self._lock = threading.Lock()
-
-    @property
-    def stall_count(self) -> int:
-        with self._lock:
-            return self._stalls
-
-    def scan(self) -> list[InFlightEntry]:
-        """One pass; returns the entries newly flagged as stalled."""
-        now = self._clock()
-        flagged: list[InFlightEntry] = []
-        for entry in self.inflight.entries():
-            if entry.stalled:
-                continue
-            signal = (
-                progress_signal(entry.span)
-                if entry.span is not None
-                else None
-            )
-            if signal is None or signal != entry.last_progress:
-                # None means the walk raced live mutation: progress.
-                entry.last_progress = signal
-                entry.last_progress_at = now
-                continue
-            if now - entry.last_progress_at < self.deadline_s:
-                continue
-            entry.stalled = True
-            flagged.append(entry)
-        if flagged:
-            # Count only once the callbacks (the stall dumps) are done, so
-            # a reader that sees the count also sees what it triggered.
-            try:
-                if self.on_stall is not None:
-                    for entry in flagged:
-                        self.on_stall(entry)
-            finally:
-                with self._lock:
-                    self._stalls += len(flagged)
-        return flagged
 
 
 class FlightRecorder:
@@ -316,8 +188,8 @@ class FlightRecorder:
         return sorted(slow, key=lambda entry: -entry.latency_s)
 
     def export_traces(self, directory: str) -> list[str]:
-        """Write each retained span as ``trace-<trace_id>.json`` (the
-        format ``repro trace --last`` renders); returns the paths."""
+        """Write each retained span as ``trace-<trace_id>.json``
+        (:meth:`~repro.obs.tracing.Span.to_dict`); returns the paths."""
         os.makedirs(directory, exist_ok=True)
         paths: list[str] = []
         for entry in self.ring_entries():
@@ -339,18 +211,12 @@ class FlightRecorder:
         with self._lock:
             return self._dumps
 
-    @property
-    def suppressed_count(self) -> int:
-        with self._lock:
-            return self._dumps_suppressed
-
     # -- dump side -----------------------------------------------------
 
     def dump_payload(
         self, reason: str, extra: dict[str, Any] | None = None
     ) -> dict[str, Any]:
         """The full flight record as a dict (no file written)."""
-        now = self._clock()
         ring = [
             {
                 "outcome": entry.outcome,
@@ -364,20 +230,16 @@ class FlightRecorder:
         ]
         inflight = []
         if self.inflight is not None:
+            now = time.monotonic()  # the in-flight table's clock
             inflight = [
-                entry.to_dict(now, with_span=True)
-                for entry in self.inflight.entries()
+                entry.to_dict(now) for entry in self.inflight.entries()
             ]
-        active = {}
-        for ident, root in tracing.active_roots().items():
-            active[str(ident)] = safe_span_dict(root)
         payload: dict[str, Any] = {
             "flight_record": FLIGHT_RECORD_VERSION,
             "reason": reason,
             "wall_time": time.time(),
             "ring": ring,
             "inflight": inflight,
-            "active_by_thread": active,
             "threads": thread_stacks(),
         }
         if extra:
@@ -395,7 +257,9 @@ class FlightRecorder:
 
         Returns ``None`` when no directory is configured or when the
         rate limiter suppresses a burst (errors tend to arrive in
-        herds; one record per interval captures the same state).
+        herds; one record per interval captures the same state).  A
+        dump counts as written once its file is, so ``dumps_written``
+        equals the files on disk.
         """
         if self.dump_dir is None:
             return None
@@ -409,7 +273,6 @@ class FlightRecorder:
                 self._dumps_suppressed += 1
                 return None
             self._last_dump_at = now
-            self._dumps += 1
             sequence = self._ids = self._ids + 1
         payload = self.dump_payload(reason, extra=extra)
         os.makedirs(self.dump_dir, exist_ok=True)
@@ -418,6 +281,8 @@ class FlightRecorder:
         path = os.path.join(self.dump_dir, name)
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(payload, handle, indent=1)
+        with self._lock:
+            self._dumps += 1
         return path
 
     def stats(self) -> dict[str, Any]:
@@ -453,93 +318,3 @@ def install_signal_dump(recorder: FlightRecorder, signum=None) -> bool:
     except ValueError:  # not the main thread
         return False
     return True
-
-
-def load_flight_record(path: str) -> dict[str, Any]:
-    with open(path, encoding="utf-8") as handle:
-        payload = json.load(handle)
-    if "flight_record" not in payload:
-        raise ValueError(f"{path} is not a flight record")
-    return payload
-
-
-def latest_flight_record(directory: str) -> str | None:
-    """Newest ``flightrecord-*.json`` under ``directory`` (by mtime)."""
-    candidates = [
-        os.path.join(directory, name)
-        for name in os.listdir(directory)
-        if name.startswith("flightrecord-") and name.endswith(".json")
-    ]
-    if not candidates:
-        return None
-    return max(candidates, key=os.path.getmtime)
-
-
-def format_flight_record(
-    payload: dict[str, Any],
-    *,
-    max_depth: int = 6,
-    include_threads: bool = True,
-    keys: tuple[str, ...] = ("network_pages", "nodes_settled"),
-) -> str:
-    """Render a flight record for ``repro blackbox``."""
-    lines: list[str] = []
-    stamp = time.strftime(
-        "%Y-%m-%d %H:%M:%SZ", time.gmtime(payload.get("wall_time", 0.0))
-    )
-    lines.append(
-        f"flight record v{payload.get('flight_record')}  "
-        f"reason={payload.get('reason')}  written={stamp}"
-    )
-    extra = payload.get("extra")
-    if extra:
-        parts = " ".join(f"{k}={v}" for k, v in sorted(extra.items()))
-        lines.append(f"  {parts}")
-
-    ring = payload.get("ring", [])
-    lines.append(f"\nrecent completed traces ({len(ring)}):")
-    for entry in ring:
-        trace = entry.get("trace", {})
-        counts = _trace_totals(trace)
-        summary = " ".join(
-            f"{key}={int(counts[key])}" for key in keys if counts.get(key)
-        )
-        lines.append(
-            f"  {trace.get('trace_id', '?'):>16s}  "
-            f"{trace.get('name', '?'):<20s} "
-            f"outcome={entry.get('outcome', '?'):<18s} "
-            f"latency={entry.get('latency_s', 0.0) * 1e3:8.2f}ms  {summary}"
-        )
-
-    inflight = payload.get("inflight", [])
-    lines.append(f"\nin-flight queries ({len(inflight)}):")
-    for entry in inflight:
-        flag = "STALLED" if entry.get("stalled") else "running"
-        lines.append(
-            f"  request {entry.get('request_id')} "
-            f"[{entry.get('algorithm')}] {flag}  "
-            f"age={entry.get('age_s', 0.0):.3f}s "
-            f"since_progress={entry.get('since_progress_s', 0.0):.3f}s"
-        )
-        span_dict = entry.get("span")
-        if span_dict:
-            tree = tracing.format_trace(
-                Span.from_dict(span_dict), keys=keys, max_depth=max_depth
-            )
-            lines.extend("    " + line for line in tree.splitlines())
-
-    if include_threads:
-        threads = payload.get("threads", {})
-        lines.append(f"\nthread stacks ({len(threads)}):")
-        for label in sorted(threads):
-            lines.append(f"  -- {label}")
-            lines.extend("    " + line for line in threads[label])
-    return "\n".join(lines)
-
-
-def _trace_totals(trace: dict[str, Any]) -> dict[str, float]:
-    totals: dict[str, float] = dict(trace.get("counts", {}))
-    for child in trace.get("children", []):
-        for key, value in _trace_totals(child).items():
-            totals[key] = totals.get(key, 0.0) + value
-    return totals

@@ -21,8 +21,12 @@ landmark-table build triggered by the first A*+landmarks query — runs
 under :func:`suppressed`, which detaches the ambient span for the
 duration.
 
-:func:`format_trace` renders a tree (live, or loaded back from JSON
-via :meth:`Span.from_dict`) as indented text for ``repro trace``.
+A span holds its children but no reference back to its parent, so a
+finished tree is acyclic and freed as soon as its last holder drops
+it, without waiting for the cyclic garbage collector.
+
+:func:`format_trace` renders a tree as indented text for ``repro query
+--stats``.
 """
 
 from __future__ import annotations
@@ -30,21 +34,11 @@ from __future__ import annotations
 import contextlib
 import os
 import random
-import threading
 import time
 from contextvars import ContextVar
 from typing import Any, Iterator
 
 _CURRENT: ContextVar["Span | None"] = ContextVar("repro_obs_span", default=None)
-
-# Thread id -> innermost active span, mirrored from the contextvar by
-# the span()/activate()/suppressed() context managers.  The contextvar
-# is invisible from outside the owning thread, so the flight recorder
-# and ``/debugz`` read this map instead (:func:`active_spans`,
-# :func:`active_roots`) to show what every thread is executing under.
-# Two dict writes per *span* (not per record()) keep the hot path
-# untouched.
-_ACTIVE_BY_THREAD: dict[int, "Span | None"] = {}
 
 
 # Span and trace ids: 64 random bits from a private generator, seeded
@@ -75,7 +69,6 @@ class Span:
         "trace_id",
         "span_id",
         "parent_id",
-        "parent",
         "start_wall",
         "start_perf",
         "end_perf",
@@ -91,7 +84,6 @@ class Span:
         self.trace_id = parent.trace_id if parent is not None else _new_id()
         self.span_id = _new_id()
         self.parent_id = parent.span_id if parent is not None else None
-        self.parent = parent
         self.start_wall = time.time()
         self.start_perf = time.perf_counter()
         self.end_perf: float | None = None
@@ -136,21 +128,6 @@ class Span:
                 out[key] = out.get(key, 0.0) + value
         return out
 
-    # -- ancestry -----------------------------------------------------
-
-    def path(self) -> tuple[str, ...]:
-        """Span names from the root down to this span.
-
-        ``/debugz`` lists it per thread, so an in-flight leaf phase is
-        shown under the query it belongs to.
-        """
-        names: list[str] = []
-        node: Span | None = self
-        while node is not None:
-            names.append(node.name)
-            node = node.parent
-        return tuple(reversed(names))
-
     # -- serialisation ------------------------------------------------
 
     def to_dict(self) -> dict[str, Any]:
@@ -166,24 +143,6 @@ class Span:
             "children": [child.to_dict() for child in self.children],
         }
 
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "Span":
-        span = cls.__new__(cls)
-        span.name = data["name"]
-        span.trace_id = data["trace_id"]
-        span.span_id = data["span_id"]
-        span.parent_id = data.get("parent_id")
-        span.start_wall = data.get("start_wall", 0.0)
-        span.start_perf = 0.0
-        span.end_perf = data.get("duration_s", 0.0)
-        span.attributes = dict(data.get("attributes", {}))
-        span.counts = dict(data.get("counts", {}))
-        span.parent = None
-        span.children = [cls.from_dict(c) for c in data.get("children", [])]
-        for child in span.children:
-            child.parent = span
-        return span
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Span({self.name!r}, counts={self.counts}, "
@@ -197,51 +156,6 @@ class Span:
 def current_span() -> Span | None:
     """The innermost active span in this context, if any."""
     return _CURRENT.get()
-
-
-def active_spans() -> dict[int, Span]:
-    """Snapshot of every thread's innermost active span.
-
-    Cross-thread read (flight recorder, ``/debugz``); inside the
-    running thread use :func:`current_span` instead.  The dict copy is
-    atomic under the GIL; the spans inside are live and may still be
-    mutating.
-    """
-    return {
-        ident: node
-        for ident, node in dict(_ACTIVE_BY_THREAD).items()
-        if node is not None
-    }
-
-
-def active_roots() -> dict[int, Span]:
-    """Like :func:`active_spans` but walked up to each tree's root.
-
-    The flight recorder dumps whole in-flight trees, not just the leaf
-    phase a thread happens to be inside.
-    """
-    roots: dict[int, Span] = {}
-    for ident, node in active_spans().items():
-        while node.parent is not None:
-            node = node.parent
-        roots[ident] = node
-    return roots
-
-
-def _set_active(node: Span | None) -> int:
-    ident = threading.get_ident()
-    if node is None:
-        _ACTIVE_BY_THREAD.pop(ident, None)
-    else:
-        _ACTIVE_BY_THREAD[ident] = node
-    return ident
-
-
-def _restore_active(ident: int, node: Span | None) -> None:
-    if node is None:
-        _ACTIVE_BY_THREAD.pop(ident, None)
-    else:
-        _ACTIVE_BY_THREAD[ident] = node
 
 
 def record(key: str, value: float = 1.0) -> None:
@@ -259,16 +173,13 @@ def record(key: str, value: float = 1.0) -> None:
 @contextlib.contextmanager
 def span(name: str, **attributes: Any) -> Iterator[Span]:
     """Open a child span under the ambient one (or a new root)."""
-    previous = _CURRENT.get()
-    node = Span(name, parent=previous, **attributes)
+    node = Span(name, parent=_CURRENT.get(), **attributes)
     token = _CURRENT.set(node)
-    ident = _set_active(node)
     try:
         yield node
     finally:
         node.finish()
         _CURRENT.reset(token)
-        _restore_active(ident, previous)
 
 
 @contextlib.contextmanager
@@ -280,14 +191,11 @@ def activate(node: Span | None) -> Iterator[Span | None]:
     the request it serves.  ``activate(None)`` is a harmless no-op
     context, so call sites don't need to branch on tracing-enabled.
     """
-    previous = _CURRENT.get()
     token = _CURRENT.set(node)
-    ident = _set_active(node)
     try:
         yield node
     finally:
         _CURRENT.reset(token)
-        _restore_active(ident, previous)
 
 
 @contextlib.contextmanager
@@ -297,29 +205,24 @@ def suppressed() -> Iterator[None]:
     For shared, amortised work that must not be billed to whichever
     query happened to trigger it (lazy landmark-table and oracle
     builds): inside this context, :func:`record` and :func:`span`
-    behave as if no trace were active, and :func:`active_spans` shows
-    the thread under no span.
+    behave as if no trace were active.
     """
-    previous = _CURRENT.get()
     token = _CURRENT.set(None)
-    ident = _set_active(None)
     try:
         yield
     finally:
         _CURRENT.reset(token)
-        _restore_active(ident, previous)
 
 
 # -- rendering --------------------------------------------------------
 
+# Counters every line shows as subtree totals (a line adds its own
+# nonzero other counters), and the deepest level rendered.
 _TREE_KEYS = ("network_pages", "nodes_settled")
+_MAX_DEPTH = 8
 
 
-def format_trace(
-    root: Span,
-    keys: tuple[str, ...] = _TREE_KEYS,
-    max_depth: int = 8,
-) -> str:
+def format_trace(root: Span) -> str:
     """Render a span tree as indented text with per-span counters.
 
     Sibling spans sharing a name are aggregated into one line with a
@@ -329,7 +232,7 @@ def format_trace(
     lines: list[str] = []
 
     def describe(spans: list[Span], depth: int) -> None:
-        if depth > max_depth or not spans:
+        if depth > _MAX_DEPTH or not spans:
             return
         first = spans[0]
         label = first.name
@@ -337,7 +240,7 @@ def format_trace(
             label += f" ×{len(spans)}"
         duration = sum(s.duration_s for s in spans)
         parts = [f"{'  ' * depth}{label}", f"{duration * 1e3:.2f}ms"]
-        for key in keys:
+        for key in _TREE_KEYS:
             total = sum(s.total(key) for s in spans)
             if total:
                 parts.append(f"{key}={int(total) if total == int(total) else total}")
@@ -345,7 +248,7 @@ def format_trace(
             k
             for s in spans
             for k in s.counts
-            if k not in keys and s.counts[k]
+            if k not in _TREE_KEYS and s.counts[k]
         )
         for key in dict.fromkeys(extra_keys):
             total = sum(s.own(key) for s in spans)

@@ -12,8 +12,7 @@ one handler.  Routes:
   "remove_object", "object_id": 7}``.  Runs behind the workspace's
   write lock.
 * ``GET /healthz`` — readiness: version, uptime, in-flight count,
-  queue depth and worker saturation (one signal for load balancers
-  and the stall watchdog alike).
+  queue depth and worker saturation (one signal for load balancers).
 * ``GET /statsz``  — the service's full stats block (queue depth, shed
   count, lifetime latency percentiles from the insight sketches, batch
   and engine/buffer counters, telemetry sink errors).
@@ -24,8 +23,6 @@ one handler.  Routes:
   threshold, slowest first, as wide events.
 * ``GET /sloz``    — every declared objective's multi-window burn-rate
   verdict (see :mod:`repro.obs.slo`).
-* ``GET /debugz``  — live in-flight span trees, per-thread active
-  spans, queue/worker state and diagnostics-plane accounting.
 * ``GET /insightz`` — rolling per-cohort latency/settled/page-miss
   digests from the insight hub (:mod:`repro.insight.live`); the live
   counterpart of ``repro insight summarize`` over the event log.
@@ -35,6 +32,11 @@ Trace correlation: a client may send ``X-Repro-Trace-Id`` on
 therefore into its completion record: the wide event, the ring entry
 ``/slowlogz`` shows, and any flight record) and echoed back on the
 response, success or failure.
+
+Flight records (``--flight-dir``) are written on an error, on a
+completed query at or over ``--slow-threshold-s``, and on SIGUSR2;
+each is one plain JSON file holding the flight ring, every in-flight
+request's live span tree and every thread's stack.
 
 Typed service failures map onto status codes: ``Overloaded`` → 503
 (with ``Retry-After``), ``DeadlineExceeded`` → 504, ``BadRequest`` and
@@ -101,10 +103,16 @@ def parse_query_locations(body: dict, network: RoadNetwork) -> list[NetworkLocat
             raise BadRequest(f"query point must be an object, got {spec!r}")
         if spec.get("node") is not None:
             node = spec["node"]
-            if not isinstance(node, int) or not network.has_node(node):
+            if (
+                not isinstance(node, int)
+                or isinstance(node, bool)
+                or not network.has_node(node)
+            ):
                 raise BadRequest(f"unknown junction id {node!r}")
             locations.append(network.location_at_node(node))
         elif spec.get("edge") is not None:
+            if isinstance(spec["edge"], bool):
+                raise BadRequest(f"unknown edge id {spec['edge']!r}")
             try:
                 locations.append(
                     network.location_on_edge(
@@ -238,8 +246,6 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
                 self._send_json(200, self.server.service.slowlog_dict())
             elif self.path == "/sloz":
                 self._send_json(200, self.server.service.slo_report())
-            elif self.path == "/debugz":
-                self._send_json(200, self.server.service.debug_dict())
             elif self.path == "/insightz":
                 self._send_json(200, self.server.service.insight_report())
             else:
@@ -373,13 +379,8 @@ def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--flight-dir", default=None,
-        help="write flight-record dumps (errors, slow queries, stalls, "
-        "SIGUSR2) to this directory",
-    )
-    parser.add_argument(
-        "--stall-deadline-s", type=float, default=None,
-        help="flag in-flight queries with no counter progress for this "
-        "long (off by default)",
+        help="write flight-record dumps (errors, slow queries, SIGUSR2) "
+        "to this directory",
     )
     parser.add_argument(
         "--verbose", action="store_true", help="log every HTTP request"
@@ -416,7 +417,6 @@ def run_serve(args) -> int:
         slow_threshold_s=args.slow_threshold_s,
         event_log_path=args.event_log,
         flight_dir=args.flight_dir,
-        stall_deadline_s=args.stall_deadline_s,
     )
     # Operator button: SIGUSR2 forces a flight-record dump (no-op when
     # --flight-dir is unset or the platform lacks the signal).

@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import itertools
 import logging
+import math
 import threading
 import time
 from collections import deque
@@ -68,9 +69,7 @@ from repro.obs import (
     Objective,
     SLOMonitor,
     Span,
-    StallWatchdog,
 )
-from repro.obs import tracing
 from repro.insight import DIGEST_QUANTILES, InsightHub, QuantileSketch
 from repro.service.batching import BatchPlanner, ServiceRequest, execute_plan
 from repro.service.errors import (
@@ -89,7 +88,6 @@ DEFAULT_MAX_BATCH = 8
 DEFAULT_SLOW_THRESHOLD_S = 0.5
 BATCH_SIZE_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
 DEFAULT_FLIGHT_RING = 64
-DEFAULT_DIAG_INTERVAL_S = 0.25
 DEFAULT_SLO_OBSERVE_INTERVAL_S = 5.0
 DEFAULT_SLO_LATENCY_TARGET = 0.99
 DEFAULT_SLO_LATENCY_THRESHOLD_S = 0.25
@@ -142,8 +140,6 @@ class QueryService:
         slow_threshold_s: float = DEFAULT_SLOW_THRESHOLD_S,
         event_log_path: str | None = None,
         flight_dir: str | None = None,
-        stall_deadline_s: float | None = None,
-        diag_interval_s: float = DEFAULT_DIAG_INTERVAL_S,
         slo_windows: tuple[BurnWindow, ...] = DEFAULT_WINDOWS,
         slo_latency_target: float = DEFAULT_SLO_LATENCY_TARGET,
         slo_latency_threshold_s: float = DEFAULT_SLO_LATENCY_THRESHOLD_S,
@@ -187,9 +183,8 @@ class QueryService:
         self._slow = 0
         self._telemetry_errors = 0
 
-        # Diagnostics plane: wide events, flight recorder, watchdog, SLO
-        # monitor.  The service owns their lifecycle (close() tears them
-        # down).
+        # Diagnostics plane: wide events, flight recorder, SLO monitor.
+        # The service owns their lifecycle (close() tears them down).
         event_log = (
             EventLog(event_log_path) if event_log_path is not None else None
         )
@@ -197,15 +192,6 @@ class QueryService:
         self.inflight = InFlightTable()
         self.recorder = FlightRecorder(
             ring=DEFAULT_FLIGHT_RING, dump_dir=flight_dir, inflight=self.inflight
-        )
-        self.watchdog = (
-            StallWatchdog(
-                self.inflight,
-                deadline_s=stall_deadline_s,
-                on_stall=self._on_stall,
-            )
-            if stall_deadline_s is not None
-            else None
         )
         self.slow_threshold_s = slow_threshold_s
         self.slo = SLOMonitor(windows=slo_windows)
@@ -263,7 +249,6 @@ class QueryService:
         for thread in self._threads:
             thread.start()
         self._diag_stop = threading.Event()
-        self._diag_interval_s = diag_interval_s
         self._diag_thread = threading.Thread(
             target=self._diag_loop, name="repro-diag", daemon=True
         )
@@ -333,14 +318,6 @@ class QueryService:
             lambda: float(self.inflight.count()),
             kind="gauge",
             help_text="Queries admitted but not yet finished.",
-        )
-        registry.register_callback(
-            "repro_service_stalls_total",
-            lambda: float(
-                self.watchdog.stall_count if self.watchdog else 0
-            ),
-            kind="counter",
-            help_text="In-flight queries flagged stalled by the watchdog.",
         )
         registry.register_callback(
             "repro_service_flight_dumps_total",
@@ -439,28 +416,10 @@ class QueryService:
         """The ``/insightz`` payload: live per-cohort digests."""
         return self.insight.report()
 
-    def _on_stall(self, entry) -> None:
-        """Watchdog trigger: one forced flight dump per stalled query."""
-        self.recorder.dump(
-            "stall",
-            extra={
-                "request_id": entry.request_id,
-                "algorithm": entry.algorithm,
-                "age_s": round(entry.age_s(time.monotonic()), 3),
-            },
-            force=True,
-        )
-
     def _diag_loop(self) -> None:
-        """Background cadence for the watchdog and the SLO monitor."""
-        next_slo = time.monotonic() + DEFAULT_SLO_OBSERVE_INTERVAL_S
-        while not self._diag_stop.wait(self._diag_interval_s):
-            if self.watchdog is not None:
-                self.watchdog.scan()
-            now = time.monotonic()
-            if now >= next_slo:
-                self.slo.observe()
-                next_slo = now + DEFAULT_SLO_OBSERVE_INTERVAL_S
+        """Background cadence for the SLO monitor."""
+        while not self._diag_stop.wait(DEFAULT_SLO_OBSERVE_INTERVAL_S):
+            self.slo.observe()
 
     # ------------------------------------------------------------------
     # Client surface
@@ -477,7 +436,8 @@ class QueryService:
         ``trace_id`` (optional, client-supplied) overrides the root
         span's generated id so the whole tree — and the completion
         record and any flight dump derived from it — correlates with
-        the caller's own trace.
+        the caller's own trace.  A NaN or infinite ``timeout_s`` is a
+        :class:`BadRequest`: no deadline could be kept or waited on.
         """
         if algorithm not in self.algorithms:
             raise BadRequest(
@@ -486,7 +446,10 @@ class QueryService:
             )
         if not queries:
             raise BadRequest("a skyline query needs at least one query point")
-        timeout_s = self.default_timeout_s if timeout_s is None else timeout_s
+        if timeout_s is None:
+            timeout_s = self.default_timeout_s
+        elif not math.isfinite(timeout_s):
+            raise BadRequest(f"timeout_s must be finite, got {timeout_s!r}")
         now = time.monotonic()
         request = ServiceRequest(
             request_id=next(self._ids),
@@ -512,10 +475,12 @@ class QueryService:
             if len(self._queue) >= self.queue_limit:
                 self._shed += 1
                 raise Overloaded(len(self._queue), self.queue_limit)
+            # Registered before a worker can see the request, so its
+            # deregistration in _finish always comes after.
+            self.inflight.register(request.request_id, algorithm, request.span)
             self._queue.append(pending)
             self._submitted += 1
             self._cond.notify()
-        self.inflight.register(request.request_id, algorithm, request.span)
         return pending
 
     def query(
@@ -530,10 +495,14 @@ class QueryService:
             algorithm, queries, timeout_s=timeout_s, trace_id=trace_id
         )
         # The worker enforces the deadline; the extra margin here only
-        # guards against a wedged service.
+        # guards against a wedged service.  A far deadline waits as long
+        # as a thread can.
         wait = None
         if pending.request.deadline is not None:
-            wait = max(0.0, pending.request.deadline - time.monotonic()) + 30.0
+            wait = min(
+                max(0.0, pending.request.deadline - time.monotonic()) + 30.0,
+                threading.TIMEOUT_MAX,
+            )
         return pending.result(timeout=wait)
 
     # ------------------------------------------------------------------
@@ -860,7 +829,6 @@ class QueryService:
             "workspace_version": ws.version,
             "algorithms": sorted(self.algorithms),
             "inflight": self.inflight.count(),
-            "stalls": self.watchdog.stall_count if self.watchdog else 0,
             "events": (
                 self.events.stats() if self.events is not None else None
             ),
@@ -869,7 +837,7 @@ class QueryService:
 
     def health_dict(self) -> dict:
         """The enriched ``/healthz`` payload: one readiness signal for
-        load balancers and the watchdog alike."""
+        load balancers."""
         with self._cond:
             depth = len(self._queue)
             busy = self._busy_workers
@@ -880,53 +848,12 @@ class QueryService:
             "version": __version__,
             "uptime_s": round(time.monotonic() - self._started_monotonic, 3),
             "inflight": self.inflight.count(),
-            "stalled": self.inflight.stalled_count(),
             "queue": {"depth": depth, "limit": self.queue_limit},
             "workers": {
                 "total": workers,
                 "busy": busy,
                 "saturation": round(busy / workers, 3) if workers else 0.0,
             },
-        }
-
-    def debug_dict(self) -> dict:
-        """The ``/debugz`` payload: live in-flight span trees plus
-        queue/pool/diagnostics state, serialised race-tolerantly."""
-        with self._cond:
-            queue_block = {
-                "depth": len(self._queue),
-                "limit": self.queue_limit,
-                "active_keys": sorted(
-                    str(key) for key in self._active_keys
-                ),
-                "paused": self._paused,
-            }
-            busy = self._busy_workers
-        active = {
-            str(ident): {
-                "name": node.name,
-                "trace_id": node.trace_id,
-                "path": list(node.path()),
-            }
-            for ident, node in tracing.active_spans().items()
-        }
-        return {
-            "inflight": self.inflight.snapshot(with_span=True),
-            "queue": queue_block,
-            "workers": {"total": len(self._threads), "busy": busy},
-            "active_by_thread": active,
-            "flight_recorder": self.recorder.stats(),
-            "events": (
-                self.events.stats() if self.events is not None else None
-            ),
-            "watchdog": (
-                {
-                    "deadline_s": self.watchdog.deadline_s,
-                    "stalls": self.watchdog.stall_count,
-                }
-                if self.watchdog is not None
-                else None
-            ),
         }
 
     def slo_report(self) -> dict:

@@ -83,6 +83,14 @@ class TestQuery:
         out = capsys.readouterr().out
         assert "skyline points (LBC)" in out
         assert "candidates=" in out
+        # The query's span tree follows the stats rows: its root, then
+        # the LBC phases one level down.
+        lines = out.splitlines()
+        root = next(
+            i for i, line in enumerate(lines) if line.startswith("query.LBC ")
+        )
+        assert lines[root - 1].startswith("trace ")
+        assert any(line.startswith("  lbc.") for line in lines[root + 1:])
 
     def test_query_with_explicit_nodes(self, dataset, capsys):
         net_path, obj_path = dataset
@@ -124,39 +132,6 @@ class TestQuery:
         assert len({tuple(v) for v in answers.values()}) == 1
 
 
-def _write_trace_file(directory, name="trace-0001.json"):
-    import json
-
-    from repro.obs import tracing
-
-    with tracing.span("request.cli-test") as root:
-        with tracing.span("query.lbc") as child:
-            child.record("nodes_settled", 4.0)
-    path = directory / name
-    path.write_text(json.dumps(root.to_dict()))
-    return path
-
-
-def _write_flight_record(directory):
-    from repro.obs import Completion, FlightRecorder, tracing
-
-    recorder = FlightRecorder(dump_dir=str(directory))
-    with tracing.span("request.cli-test") as root:
-        root.record("nodes_settled", 2.0)
-    recorder.record(
-        Completion(
-            request_id=1,
-            algorithm="LBC",
-            outcome="completed",
-            latency_s=0.01,
-            span=root,
-        )
-    )
-    path = recorder.dump("manual", force=True)
-    assert path is not None
-    return path
-
-
 class TestOracle:
     def test_verify_passes_on_a_matching_index(self, dataset, tmp_path, capsys):
         net_path, _ = dataset
@@ -186,73 +161,6 @@ class TestOracle:
         assert "OK" not in captured.out
 
 
-class TestTraceLast:
-    def test_renders_newest_trace_export(self, tmp_path, capsys):
-        _write_trace_file(tmp_path)
-        code = main(["trace", "--last", "--trace-dir", str(tmp_path)])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "trace-0001.json:" in out
-        assert "request.cli-test" in out
-        assert "query.lbc" in out
-
-    def test_prefers_the_most_recent_file(self, tmp_path, capsys):
-        import os
-
-        old = _write_trace_file(tmp_path, "trace-old.json")
-        os.utime(old, (1, 1))
-        _write_flight_record(tmp_path)
-        code = main(["trace", "--last", "--trace-dir", str(tmp_path)])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "flightrecord-" in out
-        assert "recent completed traces" in out
-
-    def test_last_without_trace_dir_is_an_error(self, capsys):
-        assert main(["trace", "--last"]) == 2
-        assert "--trace-dir" in capsys.readouterr().err
-
-    def test_empty_trace_dir_is_an_error(self, tmp_path, capsys):
-        assert main(["trace", "--last", "--trace-dir", str(tmp_path)]) == 2
-        assert "no trace-" in capsys.readouterr().err
-
-    def test_trace_without_inputs_or_last_is_an_error(self, capsys):
-        assert main(["trace"]) == 2
-        assert "unless --last" in capsys.readouterr().err
-
-
-class TestBlackbox:
-    def test_renders_a_dump_by_path(self, tmp_path, capsys):
-        path = _write_flight_record(tmp_path)
-        code = main(["blackbox", str(path)])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "flight record" in out
-        assert "request.cli-test" in out
-        assert "thread stacks" in out
-
-    def test_dir_mode_picks_latest_and_no_threads(self, tmp_path, capsys):
-        _write_flight_record(tmp_path)
-        code = main(["blackbox", "--dir", str(tmp_path), "--no-threads"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "request.cli-test" in out
-        assert "thread stacks" not in out
-
-    def test_without_path_or_dir_is_an_error(self, capsys):
-        assert main(["blackbox"]) == 2
-        assert "--dir" in capsys.readouterr().err
-
-    def test_empty_dir_is_an_error(self, tmp_path, capsys):
-        assert main(["blackbox", "--dir", str(tmp_path)]) == 2
-        assert "no flightrecord-" in capsys.readouterr().err
-
-    def test_non_flight_record_json_is_an_error(self, tmp_path, capsys):
-        trace = _write_trace_file(tmp_path)
-        assert main(["blackbox", str(trace)]) == 2
-        assert "error:" in capsys.readouterr().err
-
-
 class TestJSONOutput:
     def test_query_writes_json(self, dataset, tmp_path, capsys):
         import json
@@ -274,3 +182,9 @@ class TestJSONOutput:
         for point in payload["skyline"]:
             assert len(point["vector"]) == 2
         assert payload["stats"]["|Q|"] == 2
+        trace = payload["trace"]
+        assert trace["name"] == "query.LBC"
+        assert trace["attributes"]["skyline_count"] == len(payload["skyline"])
+        assert {child["name"] for child in trace["children"]} <= {
+            "lbc.stream", "lbc.resolve"
+        }

@@ -14,6 +14,7 @@ rest of the stack relies on:
 from __future__ import annotations
 
 import ast
+import gc
 import json
 import math
 import os
@@ -240,37 +241,6 @@ class TestTracing:
         assert "nodes_settled=6" in text
         assert "network_pages=3" in text
 
-    def test_span_path_walks_ancestry(self):
-        with tracing.span("query.LBC") as root:
-            with tracing.span("lbc.resolve") as leaf:
-                assert leaf.path() == ("query.LBC", "lbc.resolve")
-        assert root.path() == ("query.LBC",)
-
-    def test_thread_mirror_tracks_innermost_span(self):
-        import threading
-
-        ident = threading.get_ident()
-        assert ident not in tracing.active_spans()
-        with tracing.span("query.LBC") as root:
-            with tracing.span("lbc.resolve") as inner:
-                assert tracing.active_spans()[ident] is inner
-                assert tracing.active_roots()[ident] is root
-            assert tracing.active_spans()[ident] is root
-        assert ident not in tracing.active_spans()
-
-    def test_thread_mirror_restored_by_suppressed_and_activate(self):
-        import threading
-
-        ident = threading.get_ident()
-        with tracing.span("query.LBC") as root:
-            with tracing.suppressed():
-                assert ident not in tracing.active_spans()
-            assert tracing.active_spans()[ident] is root
-        detached = Span("request.CE")
-        with tracing.activate(detached):
-            assert tracing.active_spans()[ident] is detached
-        assert ident not in tracing.active_spans()
-
 
 def test_every_registered_name_is_used_in_src():
     """Each span name and metric family appears as a literal outside
@@ -393,6 +363,32 @@ def test_trace_reconciles_with_stats_and_physical_counters(
     assert stats.nodes_settled > 0
     assert stats.network_pages > 0
     assert all(math.isfinite(v) for v in totals.values())
+
+
+def test_finished_trace_is_freed_without_the_cycle_collector(traced_workspace):
+    """A span holds its children but not its parent, so a finished tree
+    is acyclic: dropping the result frees every span at once, with the
+    cyclic garbage collector switched off."""
+    queries = random_locations(traced_workspace.network, 3, seed=21)
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        result = LBC().run(traced_workspace, queries)
+        tree: set[str] = set()
+        pending = [result.trace]
+        while pending:
+            span = pending.pop()
+            tree.add(span.span_id)
+            pending.extend(span.children)
+        del span
+        assert len(tree) > 1
+        del result
+        alive = {o.span_id for o in gc.get_objects() if isinstance(o, Span)}
+        assert not tree & alive, f"{len(tree & alive)} of {len(tree)} spans alive"
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_untraced_direct_expansion_unaffected(traced_workspace):

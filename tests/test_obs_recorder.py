@@ -1,12 +1,13 @@
-"""Flight recorder and stall watchdog: ring retention and trace export,
-dump contents, deterministic stall detection, the end-to-end
-blocked-query path (watchdog flags it, the dump holds its live span
+"""Flight recorder: ring retention and trace export, dump contents,
+the end-to-end blocked-query path (a forced dump holds its live span
 tree + thread stacks), and a raising telemetry sink.
 """
 
 from __future__ import annotations
 
+import glob
 import json
+import os
 import signal
 import threading
 import time
@@ -22,16 +23,22 @@ from repro.obs.events import Completion
 from repro.obs.recorder import (
     FlightRecorder,
     InFlightTable,
-    StallWatchdog,
-    format_flight_record,
     install_signal_dump,
-    latest_flight_record,
-    load_flight_record,
     safe_span_dict,
     thread_stacks,
 )
 from repro.obs.tracing import Span
 from repro.service import QueryService
+
+
+def flight_records(directory) -> list[str]:
+    """Every flight-record file under ``directory``, in name order."""
+    return sorted(glob.glob(os.path.join(str(directory), "flightrecord-*.json")))
+
+
+def load(path: str) -> dict:
+    with open(path, encoding="utf-8") as handle:
+        return json.load(handle)
 
 
 def finished(span: Span, outcome="completed", latency_s=0.0) -> Completion:
@@ -53,7 +60,8 @@ class TestInFlightTable:
         table.register(1, "LBC", span)
         table.register(2, "CE", None)
         assert table.count() == 2
-        snapshot = {e["request_id"]: e for e in table.snapshot()}
+        now = time.monotonic()
+        snapshot = {e.request_id: e.to_dict(now) for e in table.entries()}
         assert snapshot[1]["algorithm"] == "LBC"
         assert snapshot[1]["trace_id"] == span.trace_id
         assert snapshot[1]["span"]["name"] == "request.LBC"
@@ -63,65 +71,6 @@ class TestInFlightTable:
         assert table.count() == 1
         table.deregister(999)  # unknown ids are a no-op
         assert table.count() == 1
-
-
-class TestStallWatchdog:
-    def test_progress_resets_the_deadline(self):
-        clock = [0.0]
-        table = InFlightTable(clock=lambda: clock[0])
-        watchdog = StallWatchdog(
-            table, deadline_s=10.0, clock=lambda: clock[0]
-        )
-        span = Span("request.LBC")
-        table.register(1, "LBC", span)
-        assert watchdog.scan() == []  # baseline signal captured
-        clock[0] = 5.0
-        span.counts["nodes_settled"] = 5.0  # work happened
-        assert watchdog.scan() == []
-        clock[0] = 14.0  # 9s since last progress: under deadline
-        assert watchdog.scan() == []
-        clock[0] = 16.0  # 11s with a frozen counter set: stalled
-        flagged = watchdog.scan()
-        assert [e.request_id for e in flagged] == [1]
-        assert flagged[0].stalled
-        assert watchdog.stall_count == 1
-        # One flag per query: later scans don't re-fire.
-        clock[0] = 100.0
-        assert watchdog.scan() == []
-        assert watchdog.stall_count == 1
-
-    def test_growing_span_tree_counts_as_progress(self):
-        clock = [0.0]
-        table = InFlightTable(clock=lambda: clock[0])
-        watchdog = StallWatchdog(
-            table, deadline_s=10.0, clock=lambda: clock[0]
-        )
-        root = Span("request.LBC")
-        table.register(1, "LBC", root)
-        watchdog.scan()
-        for step in range(1, 5):
-            clock[0] = step * 8.0  # each gap under the deadline
-            Span("lbc.resolve", parent=root)  # tree keeps growing
-            assert watchdog.scan() == []
-        assert watchdog.stall_count == 0
-
-    def test_on_stall_callback_fires_once_per_query(self):
-        clock = [0.0]
-        seen = []
-        table = InFlightTable(clock=lambda: clock[0])
-        watchdog = StallWatchdog(
-            table,
-            deadline_s=1.0,
-            on_stall=seen.append,
-            clock=lambda: clock[0],
-        )
-        table.register(7, "CE", Span("request.CE"))
-        watchdog.scan()
-        clock[0] = 5.0
-        watchdog.scan()
-        clock[0] = 50.0
-        watchdog.scan()
-        assert [e.request_id for e in seen] == [7]
 
 
 class TestFlightRecorder:
@@ -170,9 +119,9 @@ class TestFlightRecorder:
         recorder.record(finished(Span("request.LBC")))
         path = recorder.dump("slow_query")
         assert path is not None and path.endswith(".json")
-        payload = load_flight_record(path)
+        payload = load(path)
         assert payload["reason"] == "slow_query"
-        assert latest_flight_record(str(tmp_path)) == path
+        assert flight_records(tmp_path) == [path]
         assert recorder.dump_count == 1
 
     def test_dump_rate_limited_unless_forced(self, tmp_path):
@@ -185,8 +134,8 @@ class TestFlightRecorder:
         assert recorder.dump("error") is not None
         clock[0] = 1.0
         assert recorder.dump("error") is None  # burst suppressed
-        assert recorder.suppressed_count == 1
-        assert recorder.dump("stall", force=True) is not None
+        assert recorder.stats()["dumps_suppressed"] == 1
+        assert recorder.dump("sigusr2", force=True) is not None
         clock[0] = 10.0
         assert recorder.dump("error") is not None
         assert recorder.dump_count == 3
@@ -207,11 +156,10 @@ class TestFlightRecorder:
         paths = recorder.export_traces(str(tmp_path))
         assert len(paths) == 2
         assert paths[-1].endswith(f"trace-{kept[-1].trace_id}.json")
-        with open(paths[-1]) as handle:
-            loaded = Span.from_dict(json.load(handle))
-        assert loaded.name == "q2"
-        assert loaded.total("pages") == 2
-        assert loaded.trace_id == kept[-1].trace_id
+        loaded = load(paths[-1])
+        assert loaded["name"] == "q2"
+        assert loaded["counts"] == {"pages": 2}
+        assert loaded["trace_id"] == kept[-1].trace_id
 
 
 class TestSafeSpanDict:
@@ -231,34 +179,6 @@ class TestSafeSpanDict:
         assert stub["truncated"] is True
         assert stub["name"] == "request.LBC"
         json.dumps(stub)
-
-
-class TestFormatFlightRecord:
-    def test_renders_all_sections(self):
-        table = InFlightTable()
-        root = Span("request.LBC")
-        Span("query.LBC", parent=root).counts["nodes_settled"] = 4.0
-        entry = table.register(5, "LBC", root)
-        entry.stalled = True
-        recorder = FlightRecorder(inflight=table)
-        done = Span("request.CE")
-        done.finish()
-        recorder.record(finished(done, latency_s=0.5))
-        text = format_flight_record(recorder.dump_payload("stall"))
-        assert "reason=stall" in text
-        assert "recent completed traces (1):" in text
-        assert "request.CE" in text
-        assert "in-flight queries (1):" in text
-        assert "STALLED" in text
-        assert "request.LBC" in text and "query.LBC" in text
-        assert "thread stacks" in text
-
-    def test_thread_section_can_be_omitted(self):
-        recorder = FlightRecorder()
-        text = format_flight_record(
-            recorder.dump_payload("test"), include_threads=False
-        )
-        assert "thread stacks" not in text
 
 
 class TestThreadStacks:
@@ -313,8 +233,6 @@ def blocked_service(tmp_path):
         workspace,
         workers=1,
         algorithms={**ALGORITHMS, "blocking": BlockingAlgorithm},
-        stall_deadline_s=0.2,
-        diag_interval_s=0.02,
         flight_dir=str(tmp_path),
     )
     try:
@@ -326,6 +244,8 @@ def blocked_service(tmp_path):
 
 class TestServiceStallDetection:
     def test_blocked_query_is_flagged_and_dumped(self, blocked_service):
+        """A query wedged mid-run stays in the in-flight table, and a
+        dump taken meanwhile shows its live tree and its thread."""
         service, tmp_path = blocked_service
         network = service.workspace.network
         node = sorted(network.node_ids())[0]
@@ -333,28 +253,21 @@ class TestServiceStallDetection:
             "blocking", [network.location_at_node(node)]
         )
         assert BlockingAlgorithm.started.wait(timeout=10.0)
+        assert service.inflight.count() == 1
+        assert service.health_dict()["inflight"] == 1
 
-        deadline = time.monotonic() + 10.0
-        while time.monotonic() < deadline:
-            if service.watchdog.stall_count >= 1:
-                break
-            time.sleep(0.02)
-        assert service.watchdog.stall_count == 1
-        assert service.inflight.stalled_count() == 1
-        assert service.health_dict()["stalled"] == 1
-
-        # The stall trigger wrote a flight record with the blocked
+        # A forced dump (what SIGUSR2 triggers) holds the blocked
         # query's *live* span tree and every thread's stack.
-        path = latest_flight_record(str(tmp_path))
-        assert path is not None and "-stall" in path
-        payload = load_flight_record(path)
-        assert payload["reason"] == "stall"
+        path = service.recorder.dump("sigusr2", force=True)
+        assert flight_records(tmp_path) == [path]
+        payload = load(path)
+        assert payload["reason"] == "sigusr2"
         entry = next(
             e
             for e in payload["inflight"]
             if e["request_id"] == pending.request.request_id
         )
-        assert entry["stalled"] is True
+        assert entry["algorithm"] == "blocking"
         assert entry["span"]["name"] == "request.blocking"
         child_names = [c["name"] for c in entry["span"]["children"]]
         assert "query.blocking" in child_names
@@ -368,8 +281,6 @@ class TestServiceStallDetection:
             for line in lines
         )
         assert "BlockingAlgorithm" in stacks or "gate.wait" in stacks
-        text = format_flight_record(payload)
-        assert "STALLED" in text
 
         # Release the gate: the query completes normally afterwards.
         BlockingAlgorithm.gate.set()
@@ -409,7 +320,10 @@ class TestSinkFailure:
             assert service.inflight.count() == 0
             assert service.queue_depth() == 0
             assert not service._active_keys
-            assert service.stats_dict()["telemetry_errors"] >= 1
+            stats = service.stats_dict()
+            assert stats["telemetry_errors"] >= 1
+            # No dump reached the disk, so none counts as written.
+            assert stats["flight_recorder"]["dumps_written"] == 0
         finally:
             service.close()
 
@@ -424,8 +338,7 @@ class TestSignalDump:
         assert install_signal_dump(recorder)
         try:
             signal.raise_signal(signal.SIGUSR2)
-            path = latest_flight_record(str(tmp_path))
-            assert path is not None
-            assert load_flight_record(path)["reason"] == "sigusr2"
+            (path,) = flight_records(tmp_path)
+            assert load(path)["reason"] == "sigusr2"
         finally:
             signal.signal(signal.SIGUSR2, previous)

@@ -7,6 +7,7 @@ Concurrent mutation/query interleaving lives in
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 import types
@@ -15,6 +16,7 @@ import pytest
 
 from conftest import build_random_network, cold_run, place_random_objects
 from repro.core import ALGORITHMS, LBC, Workspace
+from repro.core.result import SkylineResult
 from repro.datasets import build_preset, extract_objects, select_query_points
 import repro.service.service as service_module
 from repro.service import (
@@ -315,6 +317,48 @@ class TestQueryService:
             # The post-mutation answer matches a fresh direct run.
             assert after.same_answer(cold_run(LBC(), workspace, queries))
             del before  # answers may or may not differ; no torn state
+
+    def test_racing_clients_leave_no_inflight_entries(self, workspace):
+        """A worker may finish a request before ``submit`` returns, so
+        the request's in-flight entry must exist before it is queued:
+        registered after, it outlives its own deregistration."""
+
+        class Instant:
+            name = "instant"
+
+            def run(self, workspace, queries):
+                return SkylineResult()
+
+        network = workspace.network
+        nodes = sorted(network.node_ids())
+        per_client = 1000
+        with QueryService(
+            workspace,
+            workers=4,
+            queue_limit=4 * per_client,
+            algorithms={**ALGORITHMS, "instant": Instant},
+        ) as service:
+
+            def client(k):
+                for i in range(per_client):
+                    node = nodes[(7 * k + i) % len(nodes)]
+                    service.query("instant", locations(network, node))
+
+            threads = [
+                threading.Thread(target=client, args=(k,)) for k in range(4)
+            ]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+            assert service.stats_dict()["requests"]["completed"] == 4 * per_client
+            assert service.inflight.count() == 0
 
 
 class TestServedFaultsAndBilling:
