@@ -44,7 +44,7 @@ class SkylineAlgorithm(ABC):
         can be reused freely; call :meth:`Workspace.reset_io`
         beforehand for cold-buffer runs.
         """
-        workspace.validate_queries(queries)
+        queries = workspace.validate_queries(queries)
         stats = QueryStats(
             algorithm=self.name,
             query_count=len(queries),
@@ -70,7 +70,7 @@ class SkylineAlgorithm(ABC):
                     ),
                 ),
             )
-            points = self._execute(workspace, list(queries), stats, timer)
+            points = self._execute(workspace, queries, stats, timer)
             finished = time.perf_counter()
 
         stats.skyline_count = len(points)

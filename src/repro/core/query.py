@@ -413,15 +413,31 @@ class Workspace:
     # ------------------------------------------------------------------
     # Query-point helpers
     # ------------------------------------------------------------------
-    def validate_queries(self, queries: list[NetworkLocation]) -> None:
-        """Reject empty or foreign query-point lists early."""
+    def validate_queries(
+        self, queries: list[NetworkLocation]
+    ) -> list[NetworkLocation]:
+        """Reject empty or foreign query-point lists early.
+
+        Returns the points placed on the current network.  An on-edge
+        point keeps its offset from the ``u`` endpoint and gets its
+        planar point again, as objects do in :meth:`update_edge_length`:
+        a location made before its edge was reweighted carries a point
+        that no longer matches its offset, and the Euclidean lower
+        bounds EDC and LBC take from it could prune a skyline object.
+        """
         if not queries:
             raise ValueError("a skyline query needs at least one query point")
+        placed = []
         for q in queries:
-            if q.node_id is not None and not self.network.has_node(q.node_id):
-                raise KeyError(f"query point at unknown node {q.node_id}")
-            if q.edge_id is not None:
-                self.network.edge(q.edge_id)  # KeyError for foreign edges
+            if q.node_id is not None:
+                if not self.network.has_node(q.node_id):
+                    raise KeyError(f"query point at unknown node {q.node_id}")
+                placed.append(q)
+            else:
+                # KeyError for foreign edges, ValueError for an offset
+                # the edge no longer fits.
+                placed.append(self.network.location_on_edge(q.edge_id, q.offset))
+        return placed
 
     @property
     def attribute_count(self) -> int:

@@ -22,13 +22,17 @@ from conftest import cold_run
 
 @st.composite
 def workloads(draw):
-    seed = draw(st.integers(min_value=0, max_value=10**6))
-    rng = random.Random(seed)
-    disconnected = draw(st.booleans())
-    attribute_count = draw(st.integers(min_value=0, max_value=2))
-    query_count = draw(st.integers(min_value=1, max_value=4))
-    object_count = draw(st.integers(min_value=1, max_value=25))
+    return build_workload(
+        seed=draw(st.integers(min_value=0, max_value=10**6)),
+        disconnected=draw(st.booleans()),
+        attribute_count=draw(st.integers(min_value=0, max_value=2)),
+        query_count=draw(st.integers(min_value=1, max_value=4)),
+        object_count=draw(st.integers(min_value=1, max_value=25)),
+    )
 
+
+def build_workload(seed, disconnected, attribute_count, query_count, object_count):
+    rng = random.Random(seed)
     network = RoadNetwork()
 
     def add_component(base, count, ox, oy):
@@ -131,6 +135,30 @@ def test_edc_matches_oracle_on_every_backend(backend, workload):
     edge_id = object_set.objects[0].location.edge_id
     workspace.update_edge_length(edge_id, network.edge(edge_id).length * 2.0)
     check(EDC().run(workspace, queries))
+
+
+def test_query_point_held_across_a_reweight():
+    """A location made before its edge is reweighted keeps its offset.
+
+    Its planar point then sits where the old length put that offset.
+    Read as is, it gave EDC and LBC Euclidean lower bounds that pruned
+    object 0, and they answered object 4 where Naive and CE answer 0.
+    """
+    network, object_set, queries = build_workload(
+        seed=160, disconnected=False, attribute_count=0, query_count=1, object_count=6
+    )
+    workspace = Workspace.build(network, object_set, paged=False)
+    edge_id = object_set.objects[0].location.edge_id
+    assert queries[0].edge_id == edge_id
+    workspace.update_edge_length(edge_id, network.edge(edge_id).length * 2.0)
+    current = [network.location_on_edge(edge_id, queries[0].offset)]
+    assert current[0].point != queries[0].point
+
+    reference = NaiveSkyline().run(workspace, current)
+    assert reference.object_ids() == [0]
+    for algorithm in (CE(), EDC(), LBC(), LBCLazy()):
+        result = cold_run(algorithm, workspace, queries)
+        assert result.same_answer(reference), algorithm.name
 
 
 def _ce_answer(result):
